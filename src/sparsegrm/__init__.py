@@ -21,8 +21,8 @@ from .model import (PROB_FLOOR, Hyperparameters, ModelState, category_prob,
                     cumulative_probs, inverse_logit, log_likelihood,
                     log_prior_a, log_prior_d, log_prior_theta, objective)
 from .optimizer import (FitConfig, FitResult, fit, fit_multistart,
-                        objective_value, random_init, soft_threshold,
-                        update_a, update_d, update_theta)
+                        log_likelihood_value, objective_value, random_init,
+                        soft_threshold, update_a, update_d, update_theta)
 from .simulate import (SimDesign, default_intercept_ranges, draw_intercepts,
                        gen_q, gen_sigma, gen_true_params, run_replication,
                        sample_responses)

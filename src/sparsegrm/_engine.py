@@ -11,32 +11,32 @@ determinism contract).  Two rules make that hold:
 * every reduction runs along the last axis of a row-contiguous array, so
   each row's result never depends on which other rows share the block.
 
+Every block evaluates its cells through one kernel, :func:`cell_loglik`,
+and steps through one backtracking routine, :func:`line_search`; the
+factor-score, loading and intercept updates differ only in the row value
+and the proposal they hand to it.
+
 Intercept vectors of unequal length are carried in a zero-padded J x Dmax
 matrix together with the per-item count of real entries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import expit
 
 from .model import PROB_FLOOR
 
+# Backtracking line search: try GAMMA0, multiply by SHRINK up to
+# MAX_BACKTRACKS times, accept when the row value gains at least
+# SUFFICIENT_INCREASE * gamma * ||grad||^2.
+GAMMA0 = 1.0
+SHRINK = 0.5
+MAX_BACKTRACKS = 30
+SUFFICIENT_INCREASE = 1e-4
 
-@dataclass(frozen=True)
-class LineSearch:
-    """Backtracking settings: try gamma0, then shrink up to max_backtracks times."""
-
-    gamma0: float = 1.0
-    shrink: float = 0.5
-    max_backtracks: int = 30
-    sufficient_increase: float = 1e-4
-
-    @property
-    def attempts(self) -> int:
-        return self.max_backtracks + 1
+# row selector for "every row of the block" (a view, not a copy)
+_ALL = np.s_[:]
 
 
 def pad_intercepts(intercepts):
@@ -77,6 +77,15 @@ def row_norm_sq(g):
     return (g * g).sum(axis=1)
 
 
+def soft_threshold(z, t):
+    """L1 proximal operator sign(z) * max(|z| - t, 0); t broadcasts against z."""
+    return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# cell kernel and line search
+
+
 def adjacent_cums(z, du, dl, y_is_min, y_is_max):
     """Upper/lower cumulative probabilities for each cell's own category."""
     cu = np.where(y_is_min, 1.0, expit(z + du))
@@ -84,174 +93,147 @@ def adjacent_cums(z, du, dl, y_is_min, y_is_max):
     return cu, cl
 
 
-def soft_threshold_rows(z, t):
-    """Row-wise soft threshold with per-row thresholds t (n-vector)."""
-    return np.sign(z) * np.maximum(np.abs(z) - t[:, None], 0.0)
+def cell_loglik(z, du, dl, y_is_min, y_is_max, mf):
+    """Row sums of masked log category probabilities, plus (cu, cl, den).
+
+    z is the linear predictor per cell, du/dl the intercepts bracketing the
+    cell's category, mf the 0/1 cell mask; den = max(cu - cl, PROB_FLOOR)
+    is the cell's category probability.
+    """
+    cu, cl = adjacent_cums(z, du, dl, y_is_min, y_is_max)
+    den = np.maximum(cu - cl, PROB_FLOOR)
+    return (np.log(den) * mf).sum(axis=1), cu, cl, den
+
+
+def _loglik_grad(cu, cl, den, mf, vt):
+    """Row gradient of the log-likelihood with respect to the row's factor vector."""
+    w = ((cu * (1.0 - cu)) - (cl * (1.0 - cl))) / den * mf
+    g = np.empty((w.shape[0], vt.shape[0]), dtype=np.float64)
+    for k in range(vt.shape[0]):
+        g[:, k] = (w * vt[k][None, :]).sum(axis=1)
+    return g
+
+
+def line_search(x0, gn2, f0, propose, value, pending=None):
+    """Row-wise backtracking ascent from x0; returns the updated rows.
+
+    propose(idx, gamma) returns candidate rows for the pending rows idx at
+    their step sizes and value(idx, cand) their row values.  A row takes
+    its first candidate whose value is at least f0 + SUFFICIENT_INCREASE *
+    gamma * gn2 (a NaN value never is).  Rows not pending at the start, and
+    rows that run out of attempts, keep their x0 row.
+    """
+    out = x0.copy()
+    gamma = np.full(x0.shape[0], GAMMA0)
+    if pending is None:
+        pending = np.ones(x0.shape[0], dtype=bool)
+    for _ in range(MAX_BACKTRACKS + 1):
+        idx = np.flatnonzero(pending)
+        if idx.size == 0:
+            break
+        cand = propose(idx, gamma[idx])
+        ok = value(idx, cand) >= f0[idx] + SUFFICIENT_INCREASE * gamma[idx] * gn2[idx]
+        acc = idx[ok]
+        out[acc] = cand[ok]
+        pending[acc] = False
+        gamma[idx[~ok]] *= SHRINK
+    return out
 
 
 # ---------------------------------------------------------------------------
 # respondent phase
 
 
-def _theta_value(th_rows, a_t, du, dl, y_is_min, y_is_max, mf, sinv):
-    z = outer_sum(th_rows, a_t)
-    cu, cl = adjacent_cums(z, du, dl, y_is_min, y_is_max)
-    den = np.maximum(cu - cl, PROB_FLOOR)
-    ll = (np.log(den) * mf).sum(axis=1)
-    return ll - 0.5 * quad_form_rows(th_rows, sinv)
-
-
-def _theta_value_and_grad(th_rows, a_t, du, dl, y_is_min, y_is_max, mf, sinv):
-    z = outer_sum(th_rows, a_t)
-    cu, cl = adjacent_cums(z, du, dl, y_is_min, y_is_max)
-    den = np.maximum(cu - cl, PROB_FLOOR)
-    ll = (np.log(den) * mf).sum(axis=1)
-    f = ll - 0.5 * quad_form_rows(th_rows, sinv)
-    w = ((cu * (1.0 - cu)) - (cl * (1.0 - cl))) / den * mf
-    g = np.empty_like(th_rows)
-    for k in range(th_rows.shape[1]):
-        prior_k = np.zeros(th_rows.shape[0], dtype=np.float64)
-        for l in range(sinv.shape[1]):
-            prior_k += sinv[k, l] * th_rows[:, l]
-        g[:, k] = (w * a_t[k][None, :]).sum(axis=1) - prior_k
-    return f, g
-
-
-def theta_block(th_rows, a_t, du, dl, y_is_min, y_is_max, mf, sinv,
-                ls: LineSearch):
+def theta_block(th_rows, a_t, du, dl, y_is_min, y_is_max, mf, sinv):
     """One line-searched gradient step for each respondent row in the block."""
-    f0, g = _theta_value_and_grad(th_rows, a_t, du, dl, y_is_min, y_is_max, mf, sinv)
-    gn2 = row_norm_sq(g)
-    out = th_rows.copy()
-    gamma = np.full(th_rows.shape[0], ls.gamma0)
-    pending = np.ones(th_rows.shape[0], dtype=bool)
-    for _ in range(ls.attempts):
-        idx = np.flatnonzero(pending)
-        if idx.size == 0:
-            break
-        cand = th_rows[idx] + gamma[idx, None] * g[idx]
-        f_try = _theta_value(cand, a_t, du[idx], dl[idx], y_is_min[idx],
-                             y_is_max[idx], mf[idx], sinv)
-        ok = f_try >= f0[idx] + ls.sufficient_increase * gamma[idx] * gn2[idx]
-        acc = idx[ok]
-        out[acc] = cand[ok]
-        pending[acc] = False
-        gamma[idx[~ok]] *= ls.shrink
-    return out
+
+    def cells(rows, th):
+        return cell_loglik(outer_sum(th, a_t), du[rows], dl[rows],
+                           y_is_min[rows], y_is_max[rows], mf[rows])
+
+    def prior(th):
+        return 0.5 * quad_form_rows(th, sinv)
+
+    ll, cu, cl, den = cells(_ALL, th_rows)
+    g = _loglik_grad(cu, cl, den, mf, a_t) - outer_sum(th_rows, sinv.T)
+    return line_search(
+        th_rows, row_norm_sq(g), ll - prior(th_rows),
+        lambda idx, gamma: th_rows[idx] + gamma[:, None] * g[idx],
+        lambda idx, th: cells(idx, th)[0] - prior(th),
+    )
 
 
 # ---------------------------------------------------------------------------
 # item phase: loadings
 
 
-def _a_value(a_rows, th_t, du, dl, y_is_min, y_is_max, mf, lam):
-    z = outer_sum(a_rows, th_t)
-    cu, cl = adjacent_cums(z, du, dl, y_is_min, y_is_max)
-    den = np.maximum(cu - cl, PROB_FLOOR)
-    ll = (np.log(den) * mf).sum(axis=1)
-    return ll - lam * np.abs(a_rows).sum(axis=1)
-
-
-def _a_value_and_grad(a_rows, th_t, du, dl, y_is_min, y_is_max, mf, lam):
-    z = outer_sum(a_rows, th_t)
-    cu, cl = adjacent_cums(z, du, dl, y_is_min, y_is_max)
-    den = np.maximum(cu - cl, PROB_FLOOR)
-    ll = (np.log(den) * mf).sum(axis=1)
-    f = ll - lam * np.abs(a_rows).sum(axis=1)
-    w = ((cu * (1.0 - cu)) - (cl * (1.0 - cl))) / den * mf
-    g = np.empty_like(a_rows)
-    for k in range(a_rows.shape[1]):
-        g[:, k] = (w * th_t[k][None, :]).sum(axis=1)
-    return f, g
-
-
-def a_block(a_rows, th_t, du, dl, y_is_min, y_is_max, mf, lam, ls: LineSearch):
+def a_block(a_rows, th_t, du, dl, y_is_min, y_is_max, mf, lam):
     """One line-searched proximal gradient step per item row in the block.
 
     The acceptance value is the column log-likelihood minus lam * ||a||_1,
     evaluated at the post-threshold point; the sufficient-increase test uses
     the smooth-part gradient norm.
     """
-    f0, g = _a_value_and_grad(a_rows, th_t, du, dl, y_is_min, y_is_max, mf, lam)
-    gn2 = row_norm_sq(g)
-    out = a_rows.copy()
-    gamma = np.full(a_rows.shape[0], ls.gamma0)
+
+    def cells(rows, a):
+        return cell_loglik(outer_sum(a, th_t), du[rows], dl[rows],
+                           y_is_min[rows], y_is_max[rows], mf[rows])
+
+    def penalty(a):
+        return lam * np.abs(a).sum(axis=1)
+
+    ll, cu, cl, den = cells(_ALL, a_rows)
+    g = _loglik_grad(cu, cl, den, mf, th_t)
     pending = np.ones(a_rows.shape[0], dtype=bool)
     if lam > 0:
         # rows pinned at zero by the threshold stay zero at every step size
-        pinned = np.all(a_rows == 0.0, axis=1) & np.all(np.abs(g) <= lam, axis=1)
-        pending[pinned] = False
-    for _ in range(ls.attempts):
-        idx = np.flatnonzero(pending)
-        if idx.size == 0:
-            break
-        step = a_rows[idx] + gamma[idx, None] * g[idx]
-        cand = soft_threshold_rows(step, lam * gamma[idx])
-        f_try = _a_value(cand, th_t, du[idx], dl[idx], y_is_min[idx],
-                         y_is_max[idx], mf[idx], lam)
-        ok = f_try >= f0[idx] + ls.sufficient_increase * gamma[idx] * gn2[idx]
-        acc = idx[ok]
-        out[acc] = cand[ok]
-        pending[acc] = False
-        gamma[idx[~ok]] *= ls.shrink
-    return out
+        pending &= ~(np.all(a_rows == 0.0, axis=1) & np.all(np.abs(g) <= lam, axis=1))
+    return line_search(
+        a_rows, row_norm_sq(g), ll - penalty(a_rows),
+        lambda idx, gamma: soft_threshold(a_rows[idx] + gamma[:, None] * g[idx],
+                                          (lam * gamma)[:, None]),
+        lambda idx, a: cells(idx, a)[0] - penalty(a),
+        pending,
+    )
 
 
 # ---------------------------------------------------------------------------
 # item phase: intercepts
 
 
-def _delta_rows(d_rows, valid):
-    """Padded row-wise intercept-to-delta map; invalid positions become 0."""
-    delta = np.zeros_like(d_rows)
-    delta[:, 0] = d_rows[:, 0]
-    if d_rows.shape[1] > 1:
-        diffs = np.where(valid[:, 1:], d_rows[:, :-1] - d_rows[:, 1:], 1.0)
-        delta[:, 1:] = np.log(diffs)
-    return delta
-
-
-def _d_from_delta_rows(delta, valid):
-    """Padded row-wise inverse map; invalid positions forced to 0."""
-    d = np.empty_like(delta)
-    d[:, 0] = delta[:, 0]
-    if delta.shape[1] > 1:
-        e = np.where(valid[:, 1:], np.exp(delta[:, 1:]), 0.0)
-        d[:, 1:] = delta[:, [0]] - np.cumsum(e, axis=1)
-    return np.where(valid, d, 0.0)
-
-
-def _d_value(d_rows, z, yt, nt_rows, idx_u, idx_l, mf, valid, sigma_d_sq):
-    du = np.take_along_axis(d_rows, idx_u, axis=1)
-    dl = np.take_along_axis(d_rows, idx_l, axis=1)
-    cu = np.where(yt == 0, 1.0, expit(z + du))
-    cl = np.where(yt == nt_rows[:, None], 0.0, expit(z + dl))
-    den = np.maximum(cu - cl, PROB_FLOOR)
-    ll = (np.log(den) * mf).sum(axis=1)
-    quad = (np.where(valid, d_rows, 0.0) ** 2).sum(axis=1)
-    return ll - 0.5 * quad / sigma_d_sq
-
-
-def d_block(a_rows, th_t, d_rows, nt_rows, yt, mf, idx_u, idx_l, sigma_d_sq,
-            ls: LineSearch):
+def d_block(a_rows, th_t, d_rows, nt_rows, yt, y_is_min, y_is_max, mf, idx_u,
+            idx_l, sigma_d_sq):
     """One line-searched gradient step in delta space per item row.
 
     Returns a padded intercept block whose rows stay strictly decreasing;
-    proposals that underflow or overflow the reparameterization are
-    rejected within the backtracking loop.
+    proposals whose mapped intercepts are not finite and strictly decreasing
+    come back as NaN rows, which the line search rejects.
     """
-    n_b, d_max = d_rows.shape
+    d_max = d_rows.shape[1]
     valid = np.arange(d_max)[None, :] < nt_rows[:, None]
     z = outer_sum(a_rows, th_t)
 
-    du = np.take_along_axis(d_rows, idx_u, axis=1)
-    dl = np.take_along_axis(d_rows, idx_l, axis=1)
-    cu = np.where(yt == 0, 1.0, expit(z + du))
-    cl = np.where(yt == nt_rows[:, None], 0.0, expit(z + dl))
-    den = np.maximum(cu - cl, PROB_FLOOR)
-    ll = (np.log(den) * mf).sum(axis=1)
-    quad = (np.where(valid, d_rows, 0.0) ** 2).sum(axis=1)
-    f0 = ll - 0.5 * quad / sigma_d_sq
+    def cells(rows, d):
+        return cell_loglik(z[rows], np.take_along_axis(d, idx_u[rows], axis=1),
+                           np.take_along_axis(d, idx_l[rows], axis=1),
+                           y_is_min[rows], y_is_max[rows], mf[rows])
+
+    def prior(rows, d):
+        return 0.5 * (np.where(valid[rows], d, 0.0) ** 2).sum(axis=1) / sigma_d_sq
+
+    def propose(idx, gamma):
+        step = delta[idx] + gamma[:, None] * g_delta[idx]
+        # d_1 = delta_1, d_c = delta_1 - sum_{c' <= c} exp(delta_c')
+        drop = np.cumsum(np.exp(step[:, 1:]), axis=1)
+        d = np.where(valid[idx], np.concatenate([step[:, :1], step[:, :1] - drop], axis=1),
+                     0.0)
+        # exp terms that overflow, underflow to 0, or vanish against d_1 in
+        # rounding leave d non-finite or not strictly decreasing
+        usable = np.isfinite(d).all(axis=1) & (
+            (np.diff(d, axis=1) < 0.0) | ~valid[idx, 1:]).all(axis=1)
+        return np.where(usable[:, None], d, np.nan)
+
+    ll, cu, cl, den = cells(_ALL, d_rows)
 
     up_w = cu * (1.0 - cu) / den
     dn_w = cl * (1.0 - cl) / den
@@ -264,46 +246,36 @@ def d_block(a_rows, th_t, d_rows, nt_rows, yt, mf, idx_u, idx_l, sigma_d_sq,
     g_d -= np.where(valid, d_rows, 0.0) / sigma_d_sq
     g_d = np.where(valid, g_d, 0.0)
 
-    delta = _delta_rows(d_rows, valid)
+    # delta = (d_1, log(d_1 - d_2), ...), zero at padded positions
+    delta = np.empty_like(d_rows)
+    delta[:, 0] = d_rows[:, 0]
+    delta[:, 1:] = np.log(np.where(valid[:, 1:], d_rows[:, :-1] - d_rows[:, 1:], 1.0))
     trail = np.cumsum(g_d[:, ::-1], axis=1)[:, ::-1]
     g_delta = np.empty_like(g_d)
     g_delta[:, 0] = trail[:, 0]
-    if d_max > 1:
-        g_delta[:, 1:] = -np.exp(delta[:, 1:]) * trail[:, 1:]
+    g_delta[:, 1:] = -np.exp(delta[:, 1:]) * trail[:, 1:]
     g_delta = np.where(valid, g_delta, 0.0)
-    gn2 = row_norm_sq(g_delta)
 
-    out = d_rows.copy()
-    gamma = np.full(n_b, ls.gamma0)
-    pending = np.ones(n_b, dtype=bool)
-    for _ in range(ls.attempts):
-        idx = np.flatnonzero(pending)
-        if idx.size == 0:
-            break
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            delta_try = delta[idx] + gamma[idx, None] * g_delta[idx]
-            d_try = _d_from_delta_rows(delta_try, valid[idx])
-            # strict ordering requires every exp term positive and finite
-            usable = np.isfinite(d_try).all(axis=1)
-            if d_max > 1:
-                e = np.where(valid[idx, 1:], np.exp(delta_try[:, 1:]), 1.0)
-                usable &= (e > 0.0).all(axis=1) & np.isfinite(e).all(axis=1)
-            f_try = _d_value(d_try, z[idx], yt[idx], nt_rows[idx], idx_u[idx],
-                             idx_l[idx], mf[idx], valid[idx], sigma_d_sq)
-        ok = usable & (f_try >= f0[idx] + ls.sufficient_increase * gamma[idx] * gn2[idx])
-        acc = idx[ok]
-        out[acc] = d_try[ok]
-        pending[acc] = False
-        gamma[idx[~ok]] *= ls.shrink
-    return out
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        return line_search(d_rows, row_norm_sq(g_delta), ll - prior(_ALL, d_rows),
+                           propose, lambda idx, d: cells(idx, d)[0] - prior(idx, d))
 
 
 # ---------------------------------------------------------------------------
 # full objective
 
 
-def full_objective(a, d_pad, nt, th_t, yt, mf_t, idx_u, idx_l, sinv, log_det,
-                   lam, sigma_d_sq):
+def log_likelihood(a, d_pad, th_t, y_is_min, y_is_max, mf, idx_u, idx_l):
+    """Masked log-likelihood over an item-major (J x N) data set."""
+    ll, _, _, _ = cell_loglik(outer_sum(a, th_t),
+                              np.take_along_axis(d_pad, idx_u, axis=1),
+                              np.take_along_axis(d_pad, idx_l, axis=1),
+                              y_is_min, y_is_max, mf)
+    return float(np.sum(ll))
+
+
+def full_objective(a, d_pad, nt, th_t, y_is_min, y_is_max, mf, idx_u, idx_l,
+                   sinv, log_det, lam, sigma_d_sq):
     """Objective over the whole data set in one deterministic global pass.
 
     Layout is item-major (J x N).  Matches the per-cell reference
@@ -311,16 +283,9 @@ def full_objective(a, d_pad, nt, th_t, yt, mf_t, idx_u, idx_l, sinv, log_det,
     """
     n = th_t.shape[1]
     k = th_t.shape[0]
-    d_max = d_pad.shape[1]
-    valid = np.arange(d_max)[None, :] < nt[:, None]
+    valid = np.arange(d_pad.shape[1])[None, :] < nt[:, None]
 
-    z = outer_sum(a, th_t)
-    du = np.take_along_axis(d_pad, idx_u, axis=1)
-    dl = np.take_along_axis(d_pad, idx_l, axis=1)
-    cu = np.where(yt == 0, 1.0, expit(z + du))
-    cl = np.where(yt == nt[:, None], 0.0, expit(z + dl))
-    den = np.maximum(cu - cl, PROB_FLOOR)
-    ll = float(np.sum((np.log(den) * mf_t).sum(axis=1)))
+    ll = log_likelihood(a, d_pad, th_t, y_is_min, y_is_max, mf, idx_u, idx_l)
 
     quad = quad_form_rows(np.ascontiguousarray(th_t.T), sinv)
     prior_theta = n * (-0.5 * k * np.log(2.0 * np.pi) - 0.5 * log_det) \

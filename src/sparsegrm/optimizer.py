@@ -35,10 +35,6 @@ class FitConfig:
     obj_tol : float
         Stop when the absolute objective change falls below this.  The
         default 5 is coarse; use 1e-2 for publication-grade fits.
-    gamma0, shrink, max_backtracks, sufficient_increase : float
-        Backtracking line search: start at gamma0, multiply by shrink up
-        to max_backtracks times, accept when the block partial objective
-        gains at least sufficient_increase * gamma * ||grad||^2.
     threads : int
         Number of update blocks per phase.  Results do not depend on it.
     seed : int
@@ -51,10 +47,6 @@ class FitConfig:
 
     max_outer_iters: int = 1000
     obj_tol: float = 5.0
-    gamma0: float = 1.0
-    shrink: float = 0.5
-    max_backtracks: int = 30
-    sufficient_increase: float = 1e-4
     threads: int = 1
     seed: int = 0
     n_starts: int = 1
@@ -65,28 +57,12 @@ class FitConfig:
             raise ValueError("max_outer_iters must be positive")
         if self.obj_tol <= 0:
             raise ValueError("obj_tol must be positive")
-        if self.gamma0 <= 0:
-            raise ValueError("gamma0 must be positive")
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError(f"shrink must be in (0, 1), got {self.shrink}")
-        if self.max_backtracks < 1:
-            raise ValueError("max_backtracks must be positive")
-        if self.sufficient_increase <= 0:
-            raise ValueError("sufficient_increase must be positive")
         if self.threads < 1:
             raise ValueError("threads must be positive")
         if self.n_starts < 1:
             raise ValueError("n_starts must be positive")
         if self.loading_zero_threshold < 0:
             raise ValueError("loading_zero_threshold must be nonnegative")
-
-    def line_search(self) -> eng.LineSearch:
-        return eng.LineSearch(
-            gamma0=self.gamma0,
-            shrink=self.shrink,
-            max_backtracks=self.max_backtracks,
-            sufficient_increase=self.sufficient_increase,
-        )
 
 
 @dataclass
@@ -104,8 +80,7 @@ def soft_threshold(z, t):
     """Elementwise L1 proximal operator sign(z) * max(|z| - t, 0)."""
     if t < 0:
         raise ValueError(f"threshold must be nonnegative, got {t}")
-    z = np.asarray(z, dtype=np.float64)
-    return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
+    return eng.soft_threshold(np.asarray(z, dtype=np.float64), t)
 
 
 class _Workspace:
@@ -128,6 +103,11 @@ class _Workspace:
         self.y_is_max_t = np.ascontiguousarray(self.y_is_max.T)
         self.idx_u_t = np.clip(self.yt - 1, 0, self.d_max - 1)
         self.idx_l_t = np.clip(self.yt, 0, self.d_max - 1)
+
+    def item_cells(self):
+        """Item-major (y_is_min, y_is_max, mask, idx_u, idx_l) for a full pass."""
+        return (self.y_is_min_t, self.y_is_max_t, self.mask_f_t, self.idx_u_t,
+                self.idx_l_t)
 
     def gather_intercepts(self, d_pad):
         """Per-cell upper/lower intercepts in both orientations."""
@@ -170,10 +150,20 @@ def objective_value(data: ResponseData, state: ModelState,
     d_pad, nt = eng.pad_intercepts(state.intercepts)
     th_t = np.ascontiguousarray(state.theta.T)
     return eng.full_objective(
-        state.loadings, d_pad, nt, th_t, ws.yt, ws.mask_f_t, ws.idx_u_t,
-        ws.idx_l_t, hyper.sigma_theta_inv, hyper.log_det_sigma_theta,
-        hyper.lam, hyper.sigma_d_sq,
+        state.loadings, d_pad, nt, th_t, *ws.item_cells(), hyper.sigma_theta_inv,
+        hyper.log_det_sigma_theta, hyper.lam, hyper.sigma_d_sq,
     )
+
+
+def log_likelihood_value(data: ResponseData, state: ModelState) -> float:
+    """Log-likelihood of the observed cells, by the kernel fit uses.
+
+    Equals model.log_likelihood up to floating-point addition order.
+    """
+    ws = _Workspace(data)
+    d_pad, _ = eng.pad_intercepts(state.intercepts)
+    return eng.log_likelihood(state.loadings, d_pad,
+                              np.ascontiguousarray(state.theta.T), *ws.item_cells())
 
 
 def _blocks(n: int, threads: int):
@@ -187,13 +177,13 @@ def _run_blocks(worker, blocks, threads):
         return list(ex.map(worker, blocks))
 
 
-def _theta_phase(theta, ws: _Workspace, a_t, du, dl, sinv, ls, threads):
+def _theta_phase(theta, ws: _Workspace, a_t, du, dl, sinv, threads):
     out = np.empty_like(theta)
 
     def worker(rows):
         return eng.theta_block(
             theta[rows], a_t, du[rows], dl[rows], ws.y_is_min[rows],
-            ws.y_is_max[rows], ws.mask_f[rows], sinv, ls,
+            ws.y_is_max[rows], ws.mask_f[rows], sinv,
         )
 
     blocks = _blocks(theta.shape[0], threads)
@@ -203,7 +193,7 @@ def _theta_phase(theta, ws: _Workspace, a_t, du, dl, sinv, ls, threads):
 
 
 def _item_phase(loadings, d_pad, ws: _Workspace, th_t, du_t, dl_t, lam,
-                sigma_d_sq, ls, threads):
+                sigma_d_sq, threads):
     a_out = np.empty_like(loadings)
     d_out = np.empty_like(d_pad)
 
@@ -211,12 +201,12 @@ def _item_phase(loadings, d_pad, ws: _Workspace, th_t, du_t, dl_t, lam,
         a_new = eng.a_block(
             loadings[items], th_t, du_t[items], dl_t[items],
             ws.y_is_min_t[items], ws.y_is_max_t[items], ws.mask_f_t[items],
-            lam, ls,
+            lam,
         )
         d_new = eng.d_block(
             a_new, th_t, d_pad[items], ws.nt[items], ws.yt[items],
-            ws.mask_f_t[items], ws.idx_u_t[items], ws.idx_l_t[items],
-            sigma_d_sq, ls,
+            ws.y_is_min_t[items], ws.y_is_max_t[items], ws.mask_f_t[items],
+            ws.idx_u_t[items], ws.idx_l_t[items], sigma_d_sq,
         )
         return a_new, d_new
 
@@ -261,7 +251,6 @@ def fit(data: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
     _check_state_shapes(data, init, hyper)
 
     ws = _Workspace(data)
-    ls = cfg.line_search()
     sinv = hyper.sigma_theta_inv
     theta = init.theta.copy()
     loadings = init.loadings.copy()
@@ -269,9 +258,8 @@ def fit(data: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
 
     def current_objective(th_t):
         return eng.full_objective(
-            loadings, d_pad, nt, th_t, ws.yt, ws.mask_f_t, ws.idx_u_t,
-            ws.idx_l_t, sinv, hyper.log_det_sigma_theta, hyper.lam,
-            hyper.sigma_d_sq,
+            loadings, d_pad, nt, th_t, *ws.item_cells(), sinv,
+            hyper.log_det_sigma_theta, hyper.lam, hyper.sigma_d_sq,
         )
 
     trace = [current_objective(np.ascontiguousarray(theta.T))]
@@ -283,11 +271,11 @@ def fit(data: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
     for _ in range(cfg.max_outer_iters):
         du, dl, du_t, dl_t = ws.gather_intercepts(d_pad)
         a_t = np.ascontiguousarray(loadings.T)
-        theta = _theta_phase(theta, ws, a_t, du, dl, sinv, ls, cfg.threads)
+        theta = _theta_phase(theta, ws, a_t, du, dl, sinv, cfg.threads)
         th_t = np.ascontiguousarray(theta.T)
         loadings, d_pad = _item_phase(
             loadings, d_pad, ws, th_t, du_t, dl_t, hyper.lam,
-            hyper.sigma_d_sq, ls, cfg.threads,
+            hyper.sigma_d_sq, cfg.threads,
         )
         obj = current_objective(th_t)
         if not np.isfinite(obj):
@@ -323,6 +311,8 @@ def fit_multistart(data: ResponseData, hyper: Hyperparameters,
     return best
 
 
+# The single-index updates keep their cfg argument for callers; the line
+# search runs on the engine's constants.
 def update_theta(data: ResponseData, state: ModelState, hyper: Hyperparameters,
                  cfg: FitConfig, i: int) -> np.ndarray:
     """One line-searched gradient step for theta_i; state is not modified."""
@@ -335,7 +325,6 @@ def update_theta(data: ResponseData, state: ModelState, hyper: Hyperparameters,
     out = eng.theta_block(
         state.theta[rows], a_t, du[rows], dl[rows], ws.y_is_min[rows],
         ws.y_is_max[rows], ws.mask_f[rows], hyper.sigma_theta_inv,
-        cfg.line_search(),
     )
     return out[0]
 
@@ -352,7 +341,7 @@ def update_a(data: ResponseData, state: ModelState, hyper: Hyperparameters,
     out = eng.a_block(
         state.loadings[items], th_t, du_t[items], dl_t[items],
         ws.y_is_min_t[items], ws.y_is_max_t[items], ws.mask_f_t[items],
-        hyper.lam, cfg.line_search(),
+        hyper.lam,
     )
     return out[0]
 
@@ -367,7 +356,7 @@ def update_d(data: ResponseData, state: ModelState, hyper: Hyperparameters,
     items = np.array([j])
     out = eng.d_block(
         state.loadings[items], th_t, d_pad[items], nt[items], ws.yt[items],
-        ws.mask_f_t[items], ws.idx_u_t[items], ws.idx_l_t[items],
-        hyper.sigma_d_sq, cfg.line_search(),
+        ws.y_is_min_t[items], ws.y_is_max_t[items], ws.mask_f_t[items],
+        ws.idx_u_t[items], ws.idx_l_t[items], hyper.sigma_d_sq,
     )
     return out[0, : state.intercepts[j].size]

@@ -57,8 +57,6 @@ def test_fit_config_validation():
     with pytest.raises(ValueError):
         FitConfig(obj_tol=0.0)
     with pytest.raises(ValueError):
-        FitConfig(shrink=1.0)
-    with pytest.raises(ValueError):
         FitConfig(threads=0)
     with pytest.raises(ValueError):
         FitConfig(n_starts=0)
@@ -203,6 +201,26 @@ def test_single_index_updates_do_not_decrease_objective():
     probe.intercepts[2] = new_d
     assert np.all(np.diff(new_d) < 0)
     assert objective_value(data, probe, hyper) >= base - 1e-8
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_intercept_step_rejects_unusable_proposals(seed):
+    # From intercepts (1e5, -1e5) most proposals underflow exp; at seed 1 an
+    # accepted exp term also vanished against d_1 in rounding, tying d.
+    design = SimDesign(n_respondents=2000, n_items=1, n_factors=1,
+                       n_categories=3, rho=0.0, q_proportions=(1.0, 0.0, 0.0),
+                       seed=seed)
+    truth, _ = gen_true_params(design)
+    data = sample_responses(truth, design.n_categories, seed=seed + 1)
+    state = ModelState(theta=truth.theta, loadings=truth.loadings,
+                       intercepts=[np.array([1e5, -1e5])])
+    hyper = Hyperparameters(sigma_theta=np.eye(1), lam=0.0)
+    new_d = update_d(data, state, hyper, FitConfig(), 0)
+    assert np.all(np.isfinite(new_d))
+    assert np.all(np.diff(new_d) < 0)
+    probe = state.copy()
+    probe.intercepts[0] = new_d
+    assert objective_value(data, probe, hyper) >= objective_value(data, state, hyper)
 
 
 def test_fully_missing_rows_shrink_theta_to_zero():
