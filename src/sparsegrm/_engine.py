@@ -27,13 +27,16 @@ from scipy.special import expit
 
 from .model import PROB_FLOOR
 
-# Backtracking line search: try GAMMA0, multiply by SHRINK up to
-# MAX_BACKTRACKS times, accept when the row value gains at least
-# SUFFICIENT_INCREASE * gamma * ||grad||^2.
+# Backtracking line search on the step grid GAMMA0 * SHRINK**i, i = 0..
+# MAX_BACKTRACKS: a step is accepted when the row value gains at least
+# SUFFICIENT_INCREASE * gamma * ||grad||^2.  Each row starts at its own step
+# (GAMMA0 for a cold search, the row's last accepted step when warm) and
+# keeps the largest accepted step reachable from there; see line_search.
 GAMMA0 = 1.0
 SHRINK = 0.5
 MAX_BACKTRACKS = 30
 SUFFICIENT_INCREASE = 1e-4
+GAMMA_FLOOR = GAMMA0 * SHRINK ** MAX_BACKTRACKS
 
 # row selector for "every row of the block" (a view, not a copy)
 _ALL = np.s_[:]
@@ -114,38 +117,66 @@ def _loglik_grad(cu, cl, den, mf, vt):
     return g
 
 
-def line_search(x0, gn2, f0, propose, value, pending=None):
-    """Row-wise backtracking ascent from x0; returns the updated rows.
+def line_search(x0, gn2, f0, propose, value, pending=None, step=None):
+    """Row-wise backtracking ascent from x0; returns (rows, accepted steps).
 
     propose(idx, gamma) returns candidate rows for the pending rows idx at
-    their step sizes and value(idx, cand) their row values.  A row takes
-    its first candidate whose value is at least f0 + SUFFICIENT_INCREASE *
-    gamma * gn2 (a NaN value never is).  Rows not pending at the start, and
-    rows that run out of attempts, keep their x0 row.
+    their step sizes and value(idx, cand) their row values.  A step is
+    accepted when the value is at least f0 + SUFFICIENT_INCREASE * gamma *
+    gn2 (a NaN value never is).  Each row starts at its entry of step
+    (default GAMMA0), a point of the grid GAMMA0 * SHRINK**i.  If that step
+    is accepted, the row divides it by SHRINK while the result is accepted
+    and at most GAMMA0, and keeps the last accepted step; otherwise it
+    multiplies it by SHRINK until a step is accepted.  A start at GAMMA0 is
+    the plain backtracking search.  Wherever a row's accepted steps on the
+    grid are closed downwards, every start gives the same row: the one at
+    its largest accepted step.
+
+    Rows not pending at the start keep x0 and their start step; rows that
+    run out of grid keep x0 and report GAMMA_FLOOR.
     """
     out = x0.copy()
-    gamma = np.full(x0.shape[0], GAMMA0)
+    gamma = np.full(x0.shape[0], GAMMA0) if step is None else step.copy()
+    step = gamma.copy()  # the row's last accepted step, once it has one
+    # +1 once a row's start is accepted (growing), -1 once it is rejected
+    heading = np.zeros(x0.shape[0], dtype=np.int8)
     if pending is None:
         pending = np.ones(x0.shape[0], dtype=bool)
+    # every row visits the grid in one direction, so at most its size
     for _ in range(MAX_BACKTRACKS + 1):
         idx = np.flatnonzero(pending)
         if idx.size == 0:
             break
         cand = propose(idx, gamma[idx])
         ok = value(idx, cand) >= f0[idx] + SUFFICIENT_INCREASE * gamma[idx] * gn2[idx]
-        acc = idx[ok]
+        acc, rej = idx[ok], idx[~ok]
         out[acc] = cand[ok]
-        pending[acc] = False
-        gamma[idx[~ok]] *= SHRINK
-    return out
+        step[acc] = gamma[acc]
+        # a growing row stops at its first rejection, a shrinking row at its
+        # first acceptance
+        pending[idx] = False
+        grow, shrink = acc[heading[acc] >= 0], rej[heading[rej] <= 0]
+        heading[grow], heading[shrink] = 1, -1
+        gamma[grow] /= SHRINK
+        gamma[shrink] *= SHRINK
+        pending[grow] = gamma[grow] <= GAMMA0
+        pending[shrink] = gamma[shrink] >= GAMMA_FLOOR
+        step[shrink[gamma[shrink] < GAMMA_FLOOR]] = GAMMA_FLOOR
+    return out, step
 
 
 # ---------------------------------------------------------------------------
 # respondent phase
 
 
-def theta_block(th_rows, a_t, du, dl, y_is_min, y_is_max, mf, sinv):
-    """One line-searched gradient step for each respondent row in the block."""
+def theta_block(th_rows, a_t, du, dl, y_is_min, y_is_max, mf, sinv, step=None):
+    """One line-searched gradient step per respondent row in the block.
+
+    step holds each row's start step (default GAMMA0); returns the new rows
+    and their accepted steps.  Away from the probability floor the row
+    objective is strictly concave, so its accepted steps are closed
+    downwards and every start gives the row a cold search gives.
+    """
 
     def cells(rows, th):
         return cell_loglik(outer_sum(th, a_t), du[rows], dl[rows],
@@ -160,6 +191,7 @@ def theta_block(th_rows, a_t, du, dl, y_is_min, y_is_max, mf, sinv):
         th_rows, row_norm_sq(g), ll - prior(th_rows),
         lambda idx, gamma: th_rows[idx] + gamma[:, None] * g[idx],
         lambda idx, th: cells(idx, th)[0] - prior(th),
+        step=step,
     )
 
 
@@ -172,7 +204,9 @@ def a_block(a_rows, th_t, du, dl, y_is_min, y_is_max, mf, lam):
 
     The acceptance value is the column log-likelihood minus lam * ||a||_1,
     evaluated at the post-threshold point; the sufficient-increase test uses
-    the smooth-part gradient norm.
+    the smooth-part gradient norm.  The search always starts at GAMMA0:
+    through the threshold, acceptance need not be monotone in the step, so
+    a warm start could end on a different step than the cold search.
     """
 
     def cells(rows, a):
@@ -194,7 +228,7 @@ def a_block(a_rows, th_t, du, dl, y_is_min, y_is_max, mf, lam):
                                           (lam * gamma)[:, None]),
         lambda idx, a: cells(idx, a)[0] - penalty(a),
         pending,
-    )
+    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +236,15 @@ def a_block(a_rows, th_t, du, dl, y_is_min, y_is_max, mf, lam):
 
 
 def d_block(a_rows, th_t, d_rows, nt_rows, yt, y_is_min, y_is_max, mf, idx_u,
-            idx_l, sigma_d_sq):
+            idx_l, sigma_d_sq, step=None):
     """One line-searched gradient step in delta space per item row.
 
-    Returns a padded intercept block whose rows stay strictly decreasing;
-    proposals whose mapped intercepts are not finite and strictly decreasing
-    come back as NaN rows, which the line search rejects.
+    step holds each row's start step (default GAMMA0).  Returns a padded
+    intercept block whose rows stay strictly decreasing, and the accepted
+    steps; proposals whose mapped intercepts are not finite and strictly
+    decreasing come back as NaN rows, which the line search rejects.  A
+    warm start ends on the cold search's step except where the row's gain
+    is at rounding level and acceptance is noise.
     """
     d_max = d_rows.shape[1]
     valid = np.arange(d_max)[None, :] < nt_rows[:, None]
@@ -258,7 +295,8 @@ def d_block(a_rows, th_t, d_rows, nt_rows, yt, y_is_min, y_is_max, mf, idx_u,
 
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         return line_search(d_rows, row_norm_sq(g_delta), ll - prior(_ALL, d_rows),
-                           propose, lambda idx, d: cells(idx, d)[0] - prior(idx, d))
+                           propose, lambda idx, d: cells(idx, d)[0] - prior(idx, d),
+                           step=step)
 
 
 # ---------------------------------------------------------------------------

@@ -4,17 +4,21 @@ Each outer iteration updates every factor-score row by a line-searched
 gradient step, then every item's loading row by a line-searched proximal
 gradient step (soft thresholding gives exact zeros) followed by an
 intercept step in the order-preserving reparameterized space.  Iteration
-stops when the objective change drops below ``obj_tol``.
+stops when the objective change drops below ``obj_tol``.  The factor-score
+and intercept line searches of each row start at that row's last accepted
+step; the loading searches start at the engine's GAMMA0 every time.
 
 Respondent and item updates inside a phase are independent, so they run
-over contiguous blocks, one per thread.  The block arithmetic is written
-so the result is bit-identical for any thread count.
+over contiguous blocks, one per thread, on one thread pool per fit.  The
+block arithmetic is written so the result is bit-identical for any thread
+count.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -170,32 +174,33 @@ def _blocks(n: int, threads: int):
     return [b for b in np.array_split(np.arange(n), threads) if b.size > 0]
 
 
-def _run_blocks(worker, blocks, threads):
-    if threads == 1 or len(blocks) == 1:
+def _run_blocks(worker, blocks, pool):
+    if pool is None or len(blocks) == 1:
         return [worker(b) for b in blocks]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(worker, blocks))
+    return list(pool.map(worker, blocks))
 
 
-def _theta_phase(theta, ws: _Workspace, a_t, du, dl, sinv, threads):
+def _theta_phase(theta, step, ws: _Workspace, a_t, du, dl, sinv, blocks, pool):
     out = np.empty_like(theta)
+    step_out = np.empty_like(step)
 
     def worker(rows):
         return eng.theta_block(
             theta[rows], a_t, du[rows], dl[rows], ws.y_is_min[rows],
-            ws.y_is_max[rows], ws.mask_f[rows], sinv,
+            ws.y_is_max[rows], ws.mask_f[rows], sinv, step[rows],
         )
 
-    blocks = _blocks(theta.shape[0], threads)
-    for rows, res in zip(blocks, _run_blocks(worker, blocks, threads)):
-        out[rows] = res
-    return out
+    for rows, (th_new, s_new) in zip(blocks, _run_blocks(worker, blocks, pool)):
+        out[rows] = th_new
+        step_out[rows] = s_new
+    return out, step_out
 
 
-def _item_phase(loadings, d_pad, ws: _Workspace, th_t, du_t, dl_t, lam,
-                sigma_d_sq, threads):
+def _item_phase(loadings, d_pad, d_step, ws: _Workspace, th_t, du_t, dl_t, lam,
+                sigma_d_sq, blocks, pool):
     a_out = np.empty_like(loadings)
     d_out = np.empty_like(d_pad)
+    step_out = np.empty_like(d_step)
 
     def worker(items):
         a_new = eng.a_block(
@@ -203,18 +208,19 @@ def _item_phase(loadings, d_pad, ws: _Workspace, th_t, du_t, dl_t, lam,
             ws.y_is_min_t[items], ws.y_is_max_t[items], ws.mask_f_t[items],
             lam,
         )
-        d_new = eng.d_block(
+        d_new, s_new = eng.d_block(
             a_new, th_t, d_pad[items], ws.nt[items], ws.yt[items],
             ws.y_is_min_t[items], ws.y_is_max_t[items], ws.mask_f_t[items],
-            ws.idx_u_t[items], ws.idx_l_t[items], sigma_d_sq,
+            ws.idx_u_t[items], ws.idx_l_t[items], sigma_d_sq, d_step[items],
         )
-        return a_new, d_new
+        return a_new, d_new, s_new
 
-    blocks = _blocks(loadings.shape[0], threads)
-    for items, (a_new, d_new) in zip(blocks, _run_blocks(worker, blocks, threads)):
+    for items, (a_new, d_new, s_new) in zip(blocks,
+                                            _run_blocks(worker, blocks, pool)):
         a_out[items] = a_new
         d_out[items] = d_new
-    return a_out, d_out
+        step_out[items] = s_new
+    return a_out, d_out, step_out
 
 
 def random_init(data: ResponseData, hyper: Hyperparameters,
@@ -266,25 +272,34 @@ def fit(data: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
     if not np.isfinite(trace[0]):
         raise ValueError("objective is not finite at the starting state")
 
+    # each respondent's and item's last accepted step starts its next
+    # search; rows are independent, so blocking cannot change a bit
+    theta_step = np.full(theta.shape[0], eng.GAMMA0)
+    d_step = np.full(loadings.shape[0], eng.GAMMA0)
     converged = False
     n_iters = 0
-    for _ in range(cfg.max_outer_iters):
-        du, dl, du_t, dl_t = ws.gather_intercepts(d_pad)
-        a_t = np.ascontiguousarray(loadings.T)
-        theta = _theta_phase(theta, ws, a_t, du, dl, sinv, cfg.threads)
-        th_t = np.ascontiguousarray(theta.T)
-        loadings, d_pad = _item_phase(
-            loadings, d_pad, ws, th_t, du_t, dl_t, hyper.lam,
-            hyper.sigma_d_sq, cfg.threads,
-        )
-        obj = current_objective(th_t)
-        if not np.isfinite(obj):
-            raise ValueError("objective became non-finite during fitting")
-        trace.append(obj)
-        n_iters += 1
-        if abs(trace[-1] - trace[-2]) < cfg.obj_tol:
-            converged = True
-            break
+    row_blocks = _blocks(theta.shape[0], cfg.threads)
+    item_blocks = _blocks(loadings.shape[0], cfg.threads)
+    with (ThreadPoolExecutor(max_workers=cfg.threads) if cfg.threads > 1
+          else nullcontext()) as pool:
+        for _ in range(cfg.max_outer_iters):
+            du, dl, du_t, dl_t = ws.gather_intercepts(d_pad)
+            a_t = np.ascontiguousarray(loadings.T)
+            theta, theta_step = _theta_phase(theta, theta_step, ws, a_t, du, dl,
+                                             sinv, row_blocks, pool)
+            th_t = np.ascontiguousarray(theta.T)
+            loadings, d_pad, d_step = _item_phase(
+                loadings, d_pad, d_step, ws, th_t, du_t, dl_t, hyper.lam,
+                hyper.sigma_d_sq, item_blocks, pool,
+            )
+            obj = current_objective(th_t)
+            if not np.isfinite(obj):
+                raise ValueError("objective became non-finite during fitting")
+            trace.append(obj)
+            n_iters += 1
+            if abs(trace[-1] - trace[-2]) < cfg.obj_tol:
+                converged = True
+                break
 
     state = ModelState(
         theta=theta,
@@ -311,10 +326,8 @@ def fit_multistart(data: ResponseData, hyper: Hyperparameters,
     return best
 
 
-# The single-index updates keep their cfg argument for callers; the line
-# search runs on the engine's constants.
 def update_theta(data: ResponseData, state: ModelState, hyper: Hyperparameters,
-                 cfg: FitConfig, i: int) -> np.ndarray:
+                 i: int) -> np.ndarray:
     """One line-searched gradient step for theta_i; state is not modified."""
     _check_state_shapes(data, state, hyper)
     ws = _Workspace(data)
@@ -322,7 +335,7 @@ def update_theta(data: ResponseData, state: ModelState, hyper: Hyperparameters,
     du, dl, _, _ = ws.gather_intercepts(d_pad)
     a_t = np.ascontiguousarray(state.loadings.T)
     rows = np.array([i])
-    out = eng.theta_block(
+    out, _ = eng.theta_block(
         state.theta[rows], a_t, du[rows], dl[rows], ws.y_is_min[rows],
         ws.y_is_max[rows], ws.mask_f[rows], hyper.sigma_theta_inv,
     )
@@ -330,7 +343,7 @@ def update_theta(data: ResponseData, state: ModelState, hyper: Hyperparameters,
 
 
 def update_a(data: ResponseData, state: ModelState, hyper: Hyperparameters,
-             cfg: FitConfig, j: int) -> np.ndarray:
+             j: int) -> np.ndarray:
     """One proximal gradient step for a_j; state is not modified."""
     _check_state_shapes(data, state, hyper)
     ws = _Workspace(data)
@@ -347,14 +360,14 @@ def update_a(data: ResponseData, state: ModelState, hyper: Hyperparameters,
 
 
 def update_d(data: ResponseData, state: ModelState, hyper: Hyperparameters,
-             cfg: FitConfig, j: int) -> np.ndarray:
+             j: int) -> np.ndarray:
     """One reparameterized gradient step for d_j; state is not modified."""
     _check_state_shapes(data, state, hyper)
     ws = _Workspace(data)
     d_pad, nt = eng.pad_intercepts(state.intercepts)
     th_t = np.ascontiguousarray(state.theta.T)
     items = np.array([j])
-    out = eng.d_block(
+    out, _ = eng.d_block(
         state.loadings[items], th_t, d_pad[items], nt[items], ws.yt[items],
         ws.y_is_min_t[items], ws.y_is_max_t[items], ws.mask_f_t[items],
         ws.idx_u_t[items], ws.idx_l_t[items], hyper.sigma_d_sq,

@@ -1,9 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from sparsegrm import _engine as eng
+from sparsegrm import optimizer
 from sparsegrm.data import ResponseData
 from sparsegrm.model import Hyperparameters, ModelState, objective
-from sparsegrm.optimizer import (FitConfig, fit, fit_multistart,
+from sparsegrm.optimizer import (FitConfig, _Workspace, fit, fit_multistart,
                                  objective_value, random_init, soft_threshold,
                                  update_a, update_d, update_theta)
 from sparsegrm.simulate import SimDesign, gen_true_params, sample_responses
@@ -183,20 +187,19 @@ def test_lambda_zero_fit_runs():
 def test_single_index_updates_do_not_decrease_objective():
     data, hyper = sim_small(seed=16, c=4)
     state = random_init(data, hyper, seed=1)
-    cfg = FitConfig(seed=0)
     base = objective_value(data, state, hyper)
 
-    new_theta = update_theta(data, state, hyper, cfg, i=3)
+    new_theta = update_theta(data, state, hyper, i=3)
     probe = state.copy()
     probe.theta[3] = new_theta
     assert objective_value(data, probe, hyper) >= base - 1e-8
 
-    new_a = update_a(data, state, hyper, cfg, j=2)
+    new_a = update_a(data, state, hyper, j=2)
     probe = state.copy()
     probe.loadings[2] = new_a
     assert objective_value(data, probe, hyper) >= base - 1e-8
 
-    new_d = update_d(data, state, hyper, cfg, j=2)
+    new_d = update_d(data, state, hyper, j=2)
     probe = state.copy()
     probe.intercepts[2] = new_d
     assert np.all(np.diff(new_d) < 0)
@@ -215,12 +218,72 @@ def test_intercept_step_rejects_unusable_proposals(seed):
     state = ModelState(theta=truth.theta, loadings=truth.loadings,
                        intercepts=[np.array([1e5, -1e5])])
     hyper = Hyperparameters(sigma_theta=np.eye(1), lam=0.0)
-    new_d = update_d(data, state, hyper, FitConfig(), 0)
+    new_d = update_d(data, state, hyper, 0)
     assert np.all(np.isfinite(new_d))
     assert np.all(np.diff(new_d) < 0)
     probe = state.copy()
     probe.intercepts[0] = new_d
     assert objective_value(data, probe, hyper) >= objective_value(data, state, hyper)
+
+
+def d_block(data, state, hyper, step=None):
+    """The engine's intercept step over every item, from per-item start steps."""
+    ws = _Workspace(data)
+    d_pad, nt = eng.pad_intercepts(state.intercepts)
+    return eng.d_block(state.loadings, np.ascontiguousarray(state.theta.T), d_pad,
+                       nt, ws.yt, ws.y_is_min_t, ws.y_is_max_t, ws.mask_f_t,
+                       ws.idx_u_t, ws.idx_l_t, hyper.sigma_d_sq, step)
+
+
+@pytest.mark.parametrize("k,props", [(1, (1.0, 0.0, 0.0)), (2, (0.5, 0.5, 0.0)),
+                                     (3, (0.6, 0.2, 0.2))])
+def test_intercept_warm_start_matches_cold_search(k, props):
+    design = SimDesign(n_respondents=120, n_items=20, n_factors=k, n_categories=7,
+                       rho=0.2, q_proportions=props, seed=k)
+    truth, _ = gen_true_params(design)
+    full = sample_responses(truth, design.n_categories, seed=k + 1)
+    categories = np.arange(20) % 6 + 2
+    rng = np.random.default_rng(k + 2)
+    mask = rng.random(full.responses.shape) > 0.2
+    data = ResponseData(
+        responses=np.where(mask, np.minimum(full.responses, categories - 1), 0),
+        mask=mask, categories=categories)
+    hyper = Hyperparameters(sigma_theta=np.eye(k), lam=2.0)
+    init = random_init(data, hyper, seed=k)
+    moved = fit(data, hyper, FitConfig(seed=k, max_outer_iters=3, obj_tol=1e-9),
+                init=init).state
+    for state in (init, moved):
+        cold, cold_steps = d_block(data, state, hyper)
+        for _ in range(5):
+            start = eng.GAMMA0 * eng.SHRINK ** rng.integers(0, eng.MAX_BACKTRACKS + 1,
+                                                            size=data.n_items)
+            warm, steps = d_block(data, state, hyper, start)
+            np.testing.assert_array_equal(warm, cold)
+            np.testing.assert_array_equal(steps, cold_steps)
+
+
+@pytest.mark.parametrize("start", [eng.GAMMA0, 2.0 ** -10, eng.GAMMA_FLOOR])
+def test_intercept_row_that_exhausts_the_grid_keeps_its_start(start):
+    # A gap of 2e8 makes the delta-space gradient so large that even the
+    # smallest step drives exp(delta_2) to 0 and ties the intercepts.
+    data, hyper = sim_small(seed=18, c=3)
+    state = random_init(data, hyper, seed=0)
+    state.intercepts[1] = np.array([1e8, -1e8])
+    d, steps = d_block(data, state, hyper, np.full(data.n_items, start))
+    np.testing.assert_array_equal(d[1], state.intercepts[1])
+    assert steps[1] == eng.GAMMA_FLOOR
+    assert np.all(np.isfinite(d))
+
+
+def test_fit_opens_one_thread_pool():
+    data, hyper = sim_small(seed=19)
+    with mock.patch.object(optimizer, "ThreadPoolExecutor",
+                           wraps=optimizer.ThreadPoolExecutor) as pool:
+        fit(data, hyper, FitConfig(seed=0, max_outer_iters=4, obj_tol=1e-9,
+                                   threads=2))
+        assert pool.call_count == 1
+        fit(data, hyper, FitConfig(seed=0, max_outer_iters=4, obj_tol=1e-9))
+        assert pool.call_count == 1
 
 
 def test_fully_missing_rows_shrink_theta_to_zero():

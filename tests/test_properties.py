@@ -1,13 +1,17 @@
-"""Property tests of the vectorized engine against the per-cell reference."""
+"""Property tests of the vectorized engine: the kernel against the per-cell
+reference, and the line search's walk over its step grid."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsegrm import _engine as eng
 from sparsegrm.data import ResponseData
 from sparsegrm.model import ModelState, log_likelihood
-from sparsegrm.optimizer import log_likelihood_value
+from sparsegrm.optimizer import _Workspace, log_likelihood_value
 
 
 @st.composite
@@ -41,3 +45,74 @@ def test_kernel_log_likelihood_matches_per_cell_reference(instance):
     data, state = instance
     assert log_likelihood_value(data, state) == pytest.approx(
         log_likelihood(data, state), rel=1e-12)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, eng.MAX_BACKTRACKS + 1),
+                          st.integers(0, eng.MAX_BACKTRACKS)),
+                min_size=1, max_size=8))
+def test_line_search_walks_the_grid_once_from_each_start(rows):
+    # row r accepts exactly the steps up to GAMMA0 * SHRINK**k[r]; none when
+    # k[r] is past the grid
+    k, s = (np.array(col) for col in zip(*rows))
+    largest = eng.GAMMA0 * eng.SHRINK ** k.astype(np.float64)
+    evals = np.zeros(k.size, dtype=np.int64)
+
+    def propose(idx, gamma):
+        evals[idx] += 1
+        return gamma[:, None]
+
+    def value(idx, cand):
+        return np.where(cand[:, 0] <= largest[idx], np.inf, -np.inf)
+
+    start = eng.GAMMA0 * eng.SHRINK ** s.astype(np.float64)
+    out, steps = eng.line_search(np.zeros((k.size, 1)), np.ones(k.size),
+                                 np.zeros(k.size), propose, value, step=start)
+    found = k <= eng.MAX_BACKTRACKS
+    np.testing.assert_array_equal(out[:, 0], np.where(found, largest, 0.0))
+    np.testing.assert_array_equal(steps, np.where(found, largest, eng.GAMMA_FLOOR))
+    # from an accepted start: up to the largest accepted step, then the
+    # rejected one above it; from a rejected start: down to the first accepted
+    want = np.where(s >= k, s - k + 1 + (k > 0), k - s + found)
+    np.testing.assert_array_equal(evals, want)
+
+
+def _theta_block(data, state, step=None):
+    """theta_block over every respondent, with the line search's arguments.
+
+    Returns (rows, steps, ok) where ok(gamma) is the engine's own acceptance
+    test for every row at the per-row steps gamma.
+    """
+    ws = _Workspace(data)
+    d_pad, _ = eng.pad_intercepts(state.intercepts)
+    du, dl, _, _ = ws.gather_intercepts(d_pad)
+    with mock.patch.object(eng, "line_search", wraps=eng.line_search) as spy:
+        rows, steps = eng.theta_block(
+            state.theta, np.ascontiguousarray(state.loadings.T), du, dl,
+            ws.y_is_min, ws.y_is_max, ws.mask_f, np.eye(state.n_factors), step)
+    _, gn2, f0, propose, value = spy.call_args.args
+    idx = np.arange(data.n_respondents)
+
+    def ok(gamma):
+        return value(idx, propose(idx, gamma)) >= (
+            f0 + eng.SUFFICIENT_INCREASE * gamma * gn2)
+
+    return rows, steps, ok
+
+
+@settings(derandomize=True, deadline=None)
+@given(tiny_instances(), st.data())
+def test_theta_warm_start_matches_cold_search(instance, draws):
+    data, state = instance
+    exps = draws.draw(st.lists(st.integers(0, eng.MAX_BACKTRACKS),
+                               min_size=data.n_respondents,
+                               max_size=data.n_respondents))
+    start = eng.GAMMA0 * eng.SHRINK ** np.array(exps, dtype=np.float64)
+    cold, _, _ = _theta_block(data, state)
+    rows, steps, ok = _theta_block(data, state, start)
+    np.testing.assert_array_equal(rows, cold)
+    assert np.all(steps <= eng.GAMMA0)
+    kept = (steps == eng.GAMMA_FLOOR) & np.all(rows == state.theta, axis=1)
+    assert np.all(ok(steps) | kept)
+    doubled = steps / eng.SHRINK
+    assert np.all((doubled > eng.GAMMA0) | ~ok(doubled))
