@@ -14,7 +14,8 @@ determinism contract).  Two rules make that hold:
 Every block evaluates its cells through one kernel, :func:`cell_loglik`,
 and steps through one backtracking routine, :func:`line_search`; the
 factor-score, loading and intercept updates differ only in the row value
-and the proposal they hand to it.
+and the proposal they hand to it.  Each block's gradient comes from its
+head (:func:`theta_head`, :func:`loglik_head`, :func:`d_head`).
 
 Intercept vectors of unequal length are carried in a zero-padded J x Dmax
 matrix together with the per-item count of real entries.
@@ -86,7 +87,7 @@ def soft_threshold(z, t):
 
 
 # ---------------------------------------------------------------------------
-# cell kernel and line search
+# cell kernel, gradient heads and line search
 
 
 def adjacent_cums(z, du, dl, y_is_min, y_is_max):
@@ -108,13 +109,60 @@ def cell_loglik(z, du, dl, y_is_min, y_is_max, mf):
     return (np.log(den) * mf).sum(axis=1), cu, cl, den
 
 
-def _loglik_grad(cu, cl, den, mf, vt):
-    """Row gradient of the log-likelihood with respect to the row's factor vector."""
+def loglik_head(x_rows, vt, du, dl, y_is_min, y_is_max, mf):
+    """Row log-likelihoods and their gradients with respect to each row.
+
+    A row is a factor-score row against the loadings (vt = a') or a loading
+    row against the factor scores (vt = theta'); the gradient weight of a
+    cell is w = [cu(1 - cu) - cl(1 - cl)] / den.
+    """
+    ll, cu, cl, den = cell_loglik(outer_sum(x_rows, vt), du, dl, y_is_min,
+                                  y_is_max, mf)
     w = ((cu * (1.0 - cu)) - (cl * (1.0 - cl))) / den * mf
     g = np.empty((w.shape[0], vt.shape[0]), dtype=np.float64)
     for k in range(vt.shape[0]):
         g[:, k] = (w * vt[k][None, :]).sum(axis=1)
-    return g
+    return ll, g
+
+
+def theta_head(th_rows, a_t, du, dl, y_is_min, y_is_max, mf, sinv):
+    """Row log-likelihoods and objective gradients of factor-score rows."""
+    ll, g = loglik_head(th_rows, a_t, du, dl, y_is_min, y_is_max, mf)
+    return ll, g - outer_sum(th_rows, sinv.T)
+
+
+def d_head(a_rows, th_t, d_rows, nt_rows, yt, y_is_min, y_is_max, mf, idx_u,
+           idx_l, sigma_d_sq):
+    """Row log-likelihoods and objective gradients of intercept rows.
+
+    Returns (ll, g_d, delta, g_delta, z): the gradients in d and in delta =
+    (d_1, log(d_1 - d_2), ...), delta (0 where padded) and the cells' z.
+    """
+    valid = np.arange(d_rows.shape[1])[None, :] < nt_rows[:, None]
+    z = outer_sum(a_rows, th_t)
+    ll, cu, cl, den = cell_loglik(z, np.take_along_axis(d_rows, idx_u, axis=1),
+                                  np.take_along_axis(d_rows, idx_l, axis=1),
+                                  y_is_min, y_is_max, mf)
+
+    up_w = cu * (1.0 - cu) / den
+    dn_w = cl * (1.0 - cl) / den
+    g_d = np.zeros_like(d_rows)
+    for m in range(d_rows.shape[1]):
+        up = np.where((yt == m + 1) & (mf > 0), up_w, 0.0).sum(axis=1)
+        dn = np.where((yt == m) & (mf > 0) & ((m + 1) <= nt_rows[:, None]),
+                      dn_w, 0.0).sum(axis=1)
+        g_d[:, m] = up - dn
+    g_d -= np.where(valid, d_rows, 0.0) / sigma_d_sq
+    g_d = np.where(valid, g_d, 0.0)
+
+    delta = np.empty_like(d_rows)
+    delta[:, 0] = d_rows[:, 0]
+    delta[:, 1:] = np.log(np.where(valid[:, 1:], d_rows[:, :-1] - d_rows[:, 1:], 1.0))
+    trail = np.cumsum(g_d[:, ::-1], axis=1)[:, ::-1]
+    g_delta = np.empty_like(g_d)
+    g_delta[:, 0] = trail[:, 0]
+    g_delta[:, 1:] = -np.exp(delta[:, 1:]) * trail[:, 1:]
+    return ll, g_d, delta, np.where(valid, g_delta, 0.0), z
 
 
 def line_search(x0, gn2, f0, propose, value, pending=None, step=None):
@@ -185,8 +233,7 @@ def theta_block(th_rows, a_t, du, dl, y_is_min, y_is_max, mf, sinv, step=None):
     def prior(th):
         return 0.5 * quad_form_rows(th, sinv)
 
-    ll, cu, cl, den = cells(_ALL, th_rows)
-    g = _loglik_grad(cu, cl, den, mf, a_t) - outer_sum(th_rows, sinv.T)
+    ll, g = theta_head(th_rows, a_t, du, dl, y_is_min, y_is_max, mf, sinv)
     return line_search(
         th_rows, row_norm_sq(g), ll - prior(th_rows),
         lambda idx, gamma: th_rows[idx] + gamma[:, None] * g[idx],
@@ -216,8 +263,7 @@ def a_block(a_rows, th_t, du, dl, y_is_min, y_is_max, mf, lam):
     def penalty(a):
         return lam * np.abs(a).sum(axis=1)
 
-    ll, cu, cl, den = cells(_ALL, a_rows)
-    g = _loglik_grad(cu, cl, den, mf, th_t)
+    ll, g = loglik_head(a_rows, th_t, du, dl, y_is_min, y_is_max, mf)
     pending = np.ones(a_rows.shape[0], dtype=bool)
     if lam > 0:
         # rows pinned at zero by the threshold stay zero at every step size
@@ -246,9 +292,9 @@ def d_block(a_rows, th_t, d_rows, nt_rows, yt, y_is_min, y_is_max, mf, idx_u,
     warm start ends on the cold search's step except where the row's gain
     is at rounding level and acceptance is noise.
     """
-    d_max = d_rows.shape[1]
-    valid = np.arange(d_max)[None, :] < nt_rows[:, None]
-    z = outer_sum(a_rows, th_t)
+    ll, _, delta, g_delta, z = d_head(a_rows, th_t, d_rows, nt_rows, yt, y_is_min,
+                                      y_is_max, mf, idx_u, idx_l, sigma_d_sq)
+    valid = np.arange(d_rows.shape[1])[None, :] < nt_rows[:, None]
 
     def cells(rows, d):
         return cell_loglik(z[rows], np.take_along_axis(d, idx_u[rows], axis=1),
@@ -269,29 +315,6 @@ def d_block(a_rows, th_t, d_rows, nt_rows, yt, y_is_min, y_is_max, mf, idx_u,
         usable = np.isfinite(d).all(axis=1) & (
             (np.diff(d, axis=1) < 0.0) | ~valid[idx, 1:]).all(axis=1)
         return np.where(usable[:, None], d, np.nan)
-
-    ll, cu, cl, den = cells(_ALL, d_rows)
-
-    up_w = cu * (1.0 - cu) / den
-    dn_w = cl * (1.0 - cl) / den
-    g_d = np.zeros_like(d_rows)
-    for m in range(d_max):
-        up = np.where((yt == m + 1) & (mf > 0), up_w, 0.0).sum(axis=1)
-        dn = np.where((yt == m) & (mf > 0) & ((m + 1) <= nt_rows[:, None]),
-                      dn_w, 0.0).sum(axis=1)
-        g_d[:, m] = up - dn
-    g_d -= np.where(valid, d_rows, 0.0) / sigma_d_sq
-    g_d = np.where(valid, g_d, 0.0)
-
-    # delta = (d_1, log(d_1 - d_2), ...), zero at padded positions
-    delta = np.empty_like(d_rows)
-    delta[:, 0] = d_rows[:, 0]
-    delta[:, 1:] = np.log(np.where(valid[:, 1:], d_rows[:, :-1] - d_rows[:, 1:], 1.0))
-    trail = np.cumsum(g_d[:, ::-1], axis=1)[:, ::-1]
-    g_delta = np.empty_like(g_d)
-    g_delta[:, 0] = trail[:, 0]
-    g_delta[:, 1:] = -np.exp(delta[:, 1:]) * trail[:, 1:]
-    g_delta = np.where(valid, g_delta, 0.0)
 
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         return line_search(d_rows, row_norm_sq(g_delta), ll - prior(_ALL, d_rows),

@@ -21,7 +21,8 @@ from .cv import tune_and_fit
 from .data import (QMatrix, derive_seeds, load_responses, read_intercepts,
                    read_matrix, save_responses, split_row_indices,
                    write_intercepts, write_matrix)
-from .metrics import q_from_loadings, recovery_metrics, selection_metrics
+from .metrics import (LOADING_ZERO_THRESHOLD, q_from_loadings,
+                      recovery_metrics, selection_metrics)
 from .model import Hyperparameters, ModelState
 from .optimizer import FitConfig, fit_multistart
 from .simulate import (SimDesign, gen_sigma, gen_true_params, run_replication,
@@ -37,7 +38,7 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# (flag, dest, type, default, help); None default means "must be given
+# dest: (flag, type, default, help); None default means "must be given
 # on the command line or in the config file if the command needs it"
 _OPTIONS = {
     "responses": ("--responses", str, None, "response matrix CSV"),
@@ -63,7 +64,7 @@ _OPTIONS = {
     "reps": ("--reps", int, 10, "replication count"),
     "warm_start": ("--no-warm-start", bool, True,
                    "disable warm starts between CV candidates"),
-    "threshold": ("--threshold", float, 0.01,
+    "threshold": ("--threshold", float, LOADING_ZERO_THRESHOLD,
                   "|loading| cutoff for recovered structure"),
     "est": ("--est", str, None, "directory with estimated parameter files"),
     "truth": ("--truth", str, None, "directory with true parameter files"),
@@ -352,6 +353,9 @@ _REPLICATE_COLUMNS = [
 
 def cmd_replicate(settings: dict) -> None:
     _require(settings, "n", "j", "k", "rho")
+    if settings["reps"] < 1:
+        raise ValueError(
+            f"replicate: --reps must be at least 1, got {settings['reps']}")
     out = _ensure_out(settings)
     cfg = _fit_config(settings)
     rep_seeds = derive_seeds(settings["seed"], settings["reps"])

@@ -75,6 +75,8 @@ class CvEntry:
 
 def make_folds(mask, n_folds: int, seed: int) -> FoldAssignment:
     """Randomly partition the observed cells into n_folds balanced folds."""
+    if n_folds < 2:  # one fold would hold out every cell, leaving no training data
+        raise ValueError(f"need at least 2 folds, got {n_folds}")
     mask = np.asarray(mask, dtype=bool)
     flat_obs = np.flatnonzero(mask.ravel())
     if flat_obs.size < n_folds:

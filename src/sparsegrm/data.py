@@ -130,8 +130,9 @@ def load_responses(
     Raises
     ------
     ValueError
-        For non-rectangular input, non-integer or negative entries, or an
-        item column with no observed values.
+        For non-rectangular input, entries that are not finite integers
+        within the int64 range, negative entries, or an item column with no
+        observed values.
     """
     rows = _parse_table(path, missing_token)
     n, j = len(rows), len(rows[0])
@@ -142,8 +143,10 @@ def load_responses(
             if cell == "" or cell == missing_token:
                 continue
             value = float(cell)
-            if value != int(value):
-                raise ValueError(f"{path}: non-integer response {cell!r} at ({r}, {c})")
+            # nan, inf and values past int64 fail the first test
+            if not (abs(value) < 2.0 ** 63 and value == int(value)):
+                raise ValueError(f"{path}: response {cell!r} at ({r}, {c}) is not "
+                                 "an integer in the int64 range")
             responses[r, c] = int(value)
             mask[r, c] = True
     if not mask.any(axis=0).all():

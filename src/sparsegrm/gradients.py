@@ -1,11 +1,8 @@
-"""Analytic gradients of the objective and the intercept reparameterization.
+"""Intercept reparameterization and single-row views of the engine's gradients.
 
-Each observed cell (i, j) with response c contributes through the weight
-
-    w_ij(c) = [P(c)(1 - P(c)) - P(c+1)(1 - P(c+1))] / [P(c) - P(c+1)],
-
-where P(.) are the cumulative probabilities.  The boundary values P(0) = 1
-and P(C_j) = 0 make their P(1 - P) factors vanish exactly.
+The grad_* functions run the engine's gradient heads (``theta_head``,
+``loglik_head``, ``d_head``), the code every fit runs, on one respondent
+or item.
 
 To keep the intercept ordering d_j1 > ... > d_j,C_j-1 during unconstrained
 updates, d_j is mapped to
@@ -20,8 +17,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _engine as eng
 from .data import ResponseData
-from .model import PROB_FLOOR, Hyperparameters, ModelState, cumulative_probs
+from .model import Hyperparameters, ModelState
+from .optimizer import _row_args
 
 
 def to_delta(d_j) -> np.ndarray:
@@ -46,25 +45,10 @@ def to_d(delta_j) -> np.ndarray:
     return d_j
 
 
-def _cell_weight(cum: np.ndarray, c: int) -> float:
-    """Gradient weight w_ij(c) from a cumulative-probability vector."""
-    cu = cum[c]
-    cl = cum[c + 1]
-    den = max(cu - cl, PROB_FLOOR)
-    return (cu * (1.0 - cu) - cl * (1.0 - cl)) / den
-
-
 def grad_theta(data: ResponseData, state: ModelState, hyper: Hyperparameters,
                i: int) -> np.ndarray:
     """Gradient of the objective with respect to theta_i."""
-    g = np.zeros(state.n_factors)
-    for j in range(data.n_items):
-        if not data.mask[i, j]:
-            continue
-        cum = cumulative_probs(state.theta[i], state.loadings[j], state.intercepts[j])
-        g += _cell_weight(cum, int(data.responses[i, j])) * state.loadings[j]
-    g -= hyper.sigma_theta_inv @ state.theta[i]
-    return g
+    return eng.theta_head(*_row_args(data, state, hyper, "theta", i))[1][0]
 
 
 def grad_a_loglik(data: ResponseData, state: ModelState, j: int) -> np.ndarray:
@@ -72,36 +56,20 @@ def grad_a_loglik(data: ResponseData, state: ModelState, j: int) -> np.ndarray:
 
     The Laplace prior is excluded; the proximal step absorbs it.
     """
-    g = np.zeros(state.n_factors)
-    for i in range(data.n_respondents):
-        if not data.mask[i, j]:
-            continue
-        cum = cumulative_probs(state.theta[i], state.loadings[j], state.intercepts[j])
-        g += _cell_weight(cum, int(data.responses[i, j])) * state.theta[i]
-    return g
+    return eng.loglik_head(*_row_args(data, state, None, "a", j))[1][0]
+
+
+def _intercept_grads(data, state, hyper, j):
+    """Objective gradients of item j in d and in delta space."""
+    _, g_d, _, g_delta, _ = eng.d_head(*_row_args(data, state, hyper, "d", j))
+    n = state.intercepts[j].size
+    return g_d[0, :n], g_delta[0, :n]
 
 
 def grad_d(data: ResponseData, state: ModelState, hyper: Hyperparameters,
            j: int) -> np.ndarray:
     """Gradient of the objective with respect to the raw intercepts d_j."""
-    d_j = state.intercepts[j]
-    n_cat = d_j.size + 1
-    g = np.zeros(d_j.size)
-    for i in range(data.n_respondents):
-        if not data.mask[i, j]:
-            continue
-        y = int(data.responses[i, j])
-        cum = cumulative_probs(state.theta[i], state.loadings[j], d_j)
-        cu = cum[y]
-        cl = cum[y + 1]
-        den = max(cu - cl, PROB_FLOOR)
-        # d_{j,y} enters the upper cumulative probability, d_{j,y+1} the lower
-        if y >= 1:
-            g[y - 1] += cu * (1.0 - cu) / den
-        if y + 1 <= n_cat - 1:
-            g[y] -= cl * (1.0 - cl) / den
-    g -= d_j / hyper.sigma_d_sq
-    return g
+    return _intercept_grads(data, state, hyper, j)[0]
 
 
 def grad_delta(data: ResponseData, state: ModelState, hyper: Hyperparameters,
@@ -112,12 +80,4 @@ def grad_delta(data: ResponseData, state: ModelState, hyper: Hyperparameters,
     d-gradients, and component c' >= 2 collects -exp(delta_jc') times the
     trailing sum over c >= c'.
     """
-    g_d = grad_d(data, state, hyper, j)
-    delta_j = to_delta(state.intercepts[j])
-    g = np.empty_like(g_d)
-    # reversed cumulative sum gives the trailing sums in one pass
-    trail = np.cumsum(g_d[::-1])[::-1]
-    g[0] = trail[0]
-    if g_d.size > 1:
-        g[1:] = -np.exp(delta_j[1:]) * trail[1:]
-    return g
+    return _intercept_grads(data, state, hyper, j)[1]

@@ -17,6 +17,8 @@ from .model import ModelState
 
 # relative-bias terms with a true value this close to zero are excluded
 DENOM_FLOOR = 1e-12
+# |loading| cutoff for the recovered structure that replications report
+LOADING_ZERO_THRESHOLD = 0.01
 
 
 @dataclass

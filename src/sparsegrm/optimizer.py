@@ -45,8 +45,6 @@ class FitConfig:
         Seed for random initialization.
     n_starts : int
         Independent starts for fit_multistart (seeds seed, seed+1, ...).
-    loading_zero_threshold : float
-        |loading| cutoff used when reporting recovered structure.
     """
 
     max_outer_iters: int = 1000
@@ -54,7 +52,6 @@ class FitConfig:
     threads: int = 1
     seed: int = 0
     n_starts: int = 1
-    loading_zero_threshold: float = 0.01
 
     def __post_init__(self):
         if self.max_outer_iters < 1:
@@ -65,8 +62,6 @@ class FitConfig:
             raise ValueError("threads must be positive")
         if self.n_starts < 1:
             raise ValueError("n_starts must be positive")
-        if self.loading_zero_threshold < 0:
-            raise ValueError("loading_zero_threshold must be nonnegative")
 
 
 @dataclass
@@ -123,7 +118,8 @@ class _Workspace:
 
 
 def _check_state_shapes(data: ResponseData, state: ModelState,
-                        hyper: Hyperparameters) -> None:
+                        hyper: Hyperparameters | None = None) -> None:
+    """Raise unless state fits data (and hyper's factor count, when given)."""
     if state.n_respondents != data.n_respondents:
         raise ValueError(
             f"state has {state.n_respondents} respondents, data has "
@@ -133,7 +129,7 @@ def _check_state_shapes(data: ResponseData, state: ModelState,
         raise ValueError(
             f"state has {state.n_items} items, data has {data.n_items}"
         )
-    if state.n_factors != hyper.n_factors:
+    if hyper is not None and state.n_factors != hyper.n_factors:
         raise ValueError(
             f"state has K={state.n_factors}, hyper has K={hyper.n_factors}"
         )
@@ -164,6 +160,7 @@ def log_likelihood_value(data: ResponseData, state: ModelState) -> float:
 
     Equals model.log_likelihood up to floating-point addition order.
     """
+    _check_state_shapes(data, state)
     ws = _Workspace(data)
     d_pad, _ = eng.pad_intercepts(state.intercepts)
     return eng.log_likelihood(state.loadings, d_pad,
@@ -326,50 +323,45 @@ def fit_multistart(data: ResponseData, hyper: Hyperparameters,
     return best
 
 
+def _row_args(data: ResponseData, state: ModelState,
+              hyper: Hyperparameters | None, phase: str, index: int) -> tuple:
+    """Engine arguments for one respondent or one item, after the shape check.
+
+    phase "theta" gives theta_block's arguments up to sinv for respondent
+    index; "a" gives a_block's up to mf for item index (hyper may be None);
+    "d" gives d_block's up to sigma_d_sq.  The gradient heads take the same.
+    """
+    _check_state_shapes(data, state, hyper)
+    ws = _Workspace(data)
+    d_pad, nt = eng.pad_intercepts(state.intercepts)
+    du, dl, du_t, dl_t = ws.gather_intercepts(d_pad)
+    r = np.array([index])
+    if phase == "theta":
+        return (state.theta[r], np.ascontiguousarray(state.loadings.T), du[r],
+                dl[r], ws.y_is_min[r], ws.y_is_max[r], ws.mask_f[r],
+                hyper.sigma_theta_inv)
+    th_t = np.ascontiguousarray(state.theta.T)
+    cells = (ws.y_is_min_t[r], ws.y_is_max_t[r], ws.mask_f_t[r])
+    if phase == "a":
+        return (state.loadings[r], th_t, du_t[r], dl_t[r], *cells)
+    return (state.loadings[r], th_t, d_pad[r], nt[r], ws.yt[r], *cells,
+            ws.idx_u_t[r], ws.idx_l_t[r], hyper.sigma_d_sq)
+
+
 def update_theta(data: ResponseData, state: ModelState, hyper: Hyperparameters,
                  i: int) -> np.ndarray:
     """One line-searched gradient step for theta_i; state is not modified."""
-    _check_state_shapes(data, state, hyper)
-    ws = _Workspace(data)
-    d_pad, _ = eng.pad_intercepts(state.intercepts)
-    du, dl, _, _ = ws.gather_intercepts(d_pad)
-    a_t = np.ascontiguousarray(state.loadings.T)
-    rows = np.array([i])
-    out, _ = eng.theta_block(
-        state.theta[rows], a_t, du[rows], dl[rows], ws.y_is_min[rows],
-        ws.y_is_max[rows], ws.mask_f[rows], hyper.sigma_theta_inv,
-    )
-    return out[0]
+    return eng.theta_block(*_row_args(data, state, hyper, "theta", i))[0][0]
 
 
 def update_a(data: ResponseData, state: ModelState, hyper: Hyperparameters,
              j: int) -> np.ndarray:
     """One proximal gradient step for a_j; state is not modified."""
-    _check_state_shapes(data, state, hyper)
-    ws = _Workspace(data)
-    d_pad, _ = eng.pad_intercepts(state.intercepts)
-    _, _, du_t, dl_t = ws.gather_intercepts(d_pad)
-    th_t = np.ascontiguousarray(state.theta.T)
-    items = np.array([j])
-    out = eng.a_block(
-        state.loadings[items], th_t, du_t[items], dl_t[items],
-        ws.y_is_min_t[items], ws.y_is_max_t[items], ws.mask_f_t[items],
-        hyper.lam,
-    )
-    return out[0]
+    return eng.a_block(*_row_args(data, state, hyper, "a", j), hyper.lam)[0]
 
 
 def update_d(data: ResponseData, state: ModelState, hyper: Hyperparameters,
              j: int) -> np.ndarray:
     """One reparameterized gradient step for d_j; state is not modified."""
-    _check_state_shapes(data, state, hyper)
-    ws = _Workspace(data)
-    d_pad, nt = eng.pad_intercepts(state.intercepts)
-    th_t = np.ascontiguousarray(state.theta.T)
-    items = np.array([j])
-    out, _ = eng.d_block(
-        state.loadings[items], th_t, d_pad[items], nt[items], ws.yt[items],
-        ws.y_is_min_t[items], ws.y_is_max_t[items], ws.mask_f_t[items],
-        ws.idx_u_t[items], ws.idx_l_t[items], hyper.sigma_d_sq,
-    )
+    out, _ = eng.d_block(*_row_args(data, state, hyper, "d", j))
     return out[0, : state.intercepts[j].size]

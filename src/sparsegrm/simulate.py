@@ -17,8 +17,8 @@ from scipy.special import expit
 from .align import apply_alignment, best_alignment
 from .cv import tune_and_fit
 from .data import QMatrix, ResponseData, derive_seeds, split_row_indices
-from .metrics import (RecoveryReport, SelectionReport, q_from_loadings,
-                      recovery_metrics, selection_metrics)
+from .metrics import (LOADING_ZERO_THRESHOLD, RecoveryReport, SelectionReport,
+                      q_from_loadings, recovery_metrics, selection_metrics)
 from .model import Hyperparameters, ModelState
 from .optimizer import FitConfig, FitResult, fit_multistart
 
@@ -217,7 +217,7 @@ def run_replication(design: SimDesign, cfg: FitConfig,
         loadings=truth.loadings,
         intercepts=truth.intercepts,
     )
-    q_hat = q_from_loadings(aligned.loadings, cfg.loading_zero_threshold)
+    q_hat = q_from_loadings(aligned.loadings, LOADING_ZERO_THRESHOLD)
     selection = selection_metrics(q_hat, q_star)
     recovery = recovery_metrics(aligned, truth_test, q_star)
     return selection, recovery, result

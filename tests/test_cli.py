@@ -334,3 +334,29 @@ def test_config_boolean_parsing(tmp_path, capsys):
                    "--lambda", "1.0", "--out", tmp_path / "y")
     assert code == 1
     assert "not a boolean" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cell", ["inf", "1e30", "nan"])
+def test_fit_rejects_non_finite_and_huge_cells(tmp_path, capsys, cell):
+    path = tmp_path / "resp.csv"
+    path.write_text(f"0,1\n1,{cell}\n0,0\n")
+    assert run_cli("fit", "--responses", path, "--lambda", "1", "--k", "1",
+                   "--out", tmp_path / "fit") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and f"'{cell}' at (1, 1)" in err[0]
+
+
+@pytest.mark.parametrize("reps", [0, -1])
+def test_replicate_rejects_fewer_than_one_rep(tmp_path, capsys, reps):
+    out = tmp_path / "reps"
+    assert run_cli("replicate", *SIM_ARGS, "--reps", reps, "--lambda", "1",
+                   "--out", out) == 1
+    assert "--reps must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cvfit_rejects_one_fold(tmp_path, sim_dir, capsys):
+    assert run_cli("cv-fit", "--responses", sim_dir / "responses.csv", "--k", "3",
+                   "--folds", "1", "--out", tmp_path / "cv") == 1
+    assert "at least 2 folds" in capsys.readouterr().err

@@ -212,3 +212,12 @@ def test_tune_and_fit_warm_start_toggle_changes_only_cv_path():
     cold = tune_and_fit(data, hyper, cfg, seed=2, warm_start=False)
     # both run to completion and return positive weights
     assert warm[1] > 0 and cold[1] > 0
+
+
+@pytest.mark.parametrize("n_folds", [1, 0])
+def test_select_lambda_needs_two_folds(n_folds):
+    # one fold would hold out every observed cell of every fit
+    data = sim_data(seed=3, n=20)
+    hyper = Hyperparameters(sigma_theta=np.eye(2), lam=0.0)
+    with pytest.raises(ValueError, match="at least 2 folds"):
+        select_lambda(data, hyper, FitConfig(seed=0), n_folds=n_folds)

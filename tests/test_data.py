@@ -159,3 +159,11 @@ def test_derive_seeds_distinct_and_reproducible():
     assert a == b
     assert len(set(a)) == 5
     assert derive_seeds(43, 5) != a
+
+
+@pytest.mark.parametrize("cell", ["inf", "1e30", "nan"])
+def test_load_responses_rejects_non_finite_and_huge_cells(tmp_path, cell):
+    path = tmp_path / "resp.csv"
+    path.write_text(f"0,1\n1,{cell}\n")
+    with pytest.raises(ValueError, match=rf"resp\.csv: response '{cell}' at \(1, 1\)"):
+        load_responses(path)

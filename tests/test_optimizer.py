@@ -6,10 +6,12 @@ import pytest
 from sparsegrm import _engine as eng
 from sparsegrm import optimizer
 from sparsegrm.data import ResponseData
+from sparsegrm.gradients import grad_a_loglik, grad_d, grad_delta, grad_theta
 from sparsegrm.model import Hyperparameters, ModelState, objective
 from sparsegrm.optimizer import (FitConfig, _Workspace, fit, fit_multistart,
-                                 objective_value, random_init, soft_threshold,
-                                 update_a, update_d, update_theta)
+                                 log_likelihood_value, objective_value,
+                                 random_init, soft_threshold, update_a,
+                                 update_d, update_theta)
 from sparsegrm.simulate import SimDesign, gen_true_params, sample_responses
 
 
@@ -296,3 +298,29 @@ def test_fully_missing_rows_shrink_theta_to_zero():
     result = fit(blocked, hyper, FitConfig(seed=0, obj_tol=1e-4))
     for i in (4, 11):
         assert np.linalg.norm(result.state.theta[i]) < 1e-3
+
+
+@pytest.mark.parametrize("n_rows,item0,message", [
+    (6, [1.0, 0.0, -1.0], "item 0: 3 intercepts"),
+    (6, [0.5], "item 0: 1 intercepts"),
+    (5, [0.5, -0.5], "5 respondents"),
+], ids=["long-intercepts", "short-intercepts", "fewer-rows"])
+def test_single_row_and_likelihood_calls_check_state_shapes(n_rows, item0, message):
+    # 3 categories per item need 2 intercepts each.  Unchecked, the kernel
+    # scored a 3-vector with its surplus entry (-22.13 where the reference
+    # gives -22.60) and zero-padded a 1-vector (-13.83; the reference raises).
+    rng = np.random.default_rng(0)
+    data = ResponseData(responses=rng.integers(0, 3, size=(6, 2)),
+                        mask=np.ones((6, 2), dtype=bool), categories=[3, 3])
+    state = ModelState(theta=rng.normal(size=(n_rows, 1)),
+                       loadings=rng.normal(size=(2, 1)),
+                       intercepts=[np.array(item0), np.array([0.5, -0.5])])
+    hyper = Hyperparameters(sigma_theta=np.eye(1), lam=1.0)
+    calls = [lambda: log_likelihood_value(data, state),
+             lambda: grad_a_loglik(data, state, 1)]
+    calls += [lambda f=f: f(data, state, hyper, 1)
+              for f in (grad_theta, grad_d, grad_delta, update_theta, update_a,
+                        update_d)]
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()

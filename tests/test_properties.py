@@ -1,17 +1,21 @@
-"""Property tests of the vectorized engine: the kernel against the per-cell
-reference, and the line search's walk over its step grid."""
+"""Property tests of the vectorized engine: the kernel and the gradient
+heads against the per-cell reference, and the line search's walk over its
+step grid."""
 
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sparsegrm import _engine as eng
 from sparsegrm.data import ResponseData
-from sparsegrm.model import ModelState, log_likelihood
+from sparsegrm.gradients import grad_a_loglik, grad_delta, grad_theta, to_d, to_delta
+from sparsegrm.model import (Hyperparameters, ModelState, category_prob,
+                             log_likelihood, log_prior_d, log_prior_theta)
 from sparsegrm.optimizer import _Workspace, log_likelihood_value
+from sparsegrm.simulate import gen_sigma
 
 
 @st.composite
@@ -45,6 +49,53 @@ def test_kernel_log_likelihood_matches_per_cell_reference(instance):
     data, state = instance
     assert log_likelihood_value(data, state) == pytest.approx(
         log_likelihood(data, state), rel=1e-12)
+
+
+def _central_diff(f, x, eps=1e-5):
+    g = np.zeros_like(x)
+    for c in range(x.size):
+        hi, lo = x.copy(), x.copy()
+        hi[c] += eps
+        lo[c] -= eps
+        g[c] = (f(hi) - f(lo)) / (2 * eps)
+    return g
+
+
+def _with(state, part, index, value):
+    probe = state.copy()
+    getattr(probe, part)[index] = value
+    return probe
+
+
+@settings(derandomize=True, deadline=None)
+@given(tiny_instances())
+def test_gradient_heads_match_central_differences_of_per_cell_reference(instance):
+    data, state = instance
+    # a central difference of log P carries a rounding error of about
+    # 1e-16 / (P * eps); with eps = 1e-5 it stays near 1e-7 while every
+    # observed cell has P > 1e-4, and would swamp the tolerance near the floor
+    assume(min((category_prob(state.theta[i], state.loadings[j], state.intercepts[j],
+                              int(data.responses[i, j]))
+                for i, j in zip(*np.nonzero(data.mask))), default=1.0) > 1e-4)
+    hyper = Hyperparameters(sigma_theta=gen_sigma(state.n_factors, 0.3), lam=1.0,
+                            sigma_d_sq=4.0)
+
+    def check(analytic, f, x):
+        np.testing.assert_allclose(analytic, _central_diff(f, x), rtol=1e-5, atol=1e-6)
+
+    for i in range(data.n_respondents):
+        check(grad_theta(data, state, hyper, i),
+              lambda x: (log_likelihood(data, _with(state, "theta", i, x))
+                         + log_prior_theta(x, hyper)),
+              state.theta[i])
+    for j in range(data.n_items):
+        check(grad_a_loglik(data, state, j),
+              lambda x: log_likelihood(data, _with(state, "loadings", j, x)),
+              state.loadings[j])
+        check(grad_delta(data, state, hyper, j),
+              lambda x: (log_likelihood(data, _with(state, "intercepts", j, to_d(x)))
+                         + log_prior_d(to_d(x), hyper.sigma_d_sq)),
+              to_delta(state.intercepts[j]))
 
 
 @settings(derandomize=True, deadline=None)
