@@ -17,8 +17,13 @@ factor-score, loading and intercept updates differ only in the row value
 and the proposal they hand to it.  Each block's gradient comes from its
 head (:func:`theta_head`, :func:`loglik_head`, :func:`d_head`).
 
-Intercept vectors of unequal length are carried in a zero-padded J x Dmax
-matrix together with the per-item count of real entries.
+Intercept vectors of unequal length are stored in a zero-padded J x Dmax
+matrix together with the per-item count of real entries.  The kernel reads
+them through :func:`bracket_intercepts`, which widens item j's row to
+[+inf, d_1, ..., d_{C_j-1}, -inf, ..., -inf]: category y lies between
+columns y and y + 1, which states P(Y >= 0) = 1 and P(Y >= C_j) = 0 as
+intercepts.  expit(+inf) and expit(-inf) are exactly 1.0 and 0.0, so the
+lowest and highest categories need no case of their own.
 """
 
 from __future__ import annotations
@@ -56,6 +61,21 @@ def unpad_intercepts(d_pad, nt):
     return [d_pad[j, : int(nt[j])].copy() for j in range(d_pad.shape[0])]
 
 
+def bracket_intercepts(d_rows, nt_rows, yt):
+    """Upper and lower intercepts (du, dl) of each cell's category.
+
+    d_rows is a zero-padded intercept block with nt_rows real entries per
+    row, yt the categories of the rows' cells.  du and dl are columns y and
+    y + 1 of the bracket table (module docstring); unobserved cells are
+    stored as category 0, so every index is in range.
+    """
+    real = np.arange(d_rows.shape[1])[None, :] < nt_rows[:, None]
+    edge = np.full((d_rows.shape[0], 1), np.inf)
+    table = np.concatenate([edge, np.where(real, d_rows, -np.inf), -edge], axis=1)
+    return (np.take_along_axis(table, yt, axis=1),
+            np.take_along_axis(table[:, 1:], yt, axis=1))
+
+
 def outer_sum(u, vt):
     """Sum over k of u[:, k, None] * vt[k, None, :], accumulated in k order.
 
@@ -90,34 +110,31 @@ def soft_threshold(z, t):
 # cell kernel, gradient heads and line search
 
 
-def adjacent_cums(z, du, dl, y_is_min, y_is_max):
+def adjacent_cums(z, du, dl):
     """Upper/lower cumulative probabilities for each cell's own category."""
-    cu = np.where(y_is_min, 1.0, expit(z + du))
-    cl = np.where(y_is_max, 0.0, expit(z + dl))
-    return cu, cl
+    return expit(z + du), expit(z + dl)
 
 
-def cell_loglik(z, du, dl, y_is_min, y_is_max, mf):
+def cell_loglik(z, du, dl, mf):
     """Row sums of masked log category probabilities, plus (cu, cl, den).
 
     z is the linear predictor per cell, du/dl the intercepts bracketing the
     cell's category, mf the 0/1 cell mask; den = max(cu - cl, PROB_FLOOR)
     is the cell's category probability.
     """
-    cu, cl = adjacent_cums(z, du, dl, y_is_min, y_is_max)
+    cu, cl = adjacent_cums(z, du, dl)
     den = np.maximum(cu - cl, PROB_FLOOR)
     return (np.log(den) * mf).sum(axis=1), cu, cl, den
 
 
-def loglik_head(x_rows, vt, du, dl, y_is_min, y_is_max, mf):
+def loglik_head(x_rows, vt, du, dl, mf):
     """Row log-likelihoods and their gradients with respect to each row.
 
     A row is a factor-score row against the loadings (vt = a') or a loading
     row against the factor scores (vt = theta'); the gradient weight of a
     cell is w = [cu(1 - cu) - cl(1 - cl)] / den.
     """
-    ll, cu, cl, den = cell_loglik(outer_sum(x_rows, vt), du, dl, y_is_min,
-                                  y_is_max, mf)
+    ll, cu, cl, den = cell_loglik(outer_sum(x_rows, vt), du, dl, mf)
     w = ((cu * (1.0 - cu)) - (cl * (1.0 - cl))) / den * mf
     g = np.empty((w.shape[0], vt.shape[0]), dtype=np.float64)
     for k in range(vt.shape[0]):
@@ -125,14 +142,13 @@ def loglik_head(x_rows, vt, du, dl, y_is_min, y_is_max, mf):
     return ll, g
 
 
-def theta_head(th_rows, a_t, du, dl, y_is_min, y_is_max, mf, sinv):
+def theta_head(th_rows, a_t, du, dl, mf, sinv):
     """Row log-likelihoods and objective gradients of factor-score rows."""
-    ll, g = loglik_head(th_rows, a_t, du, dl, y_is_min, y_is_max, mf)
+    ll, g = loglik_head(th_rows, a_t, du, dl, mf)
     return ll, g - outer_sum(th_rows, sinv.T)
 
 
-def d_head(a_rows, th_t, d_rows, nt_rows, yt, y_is_min, y_is_max, mf, idx_u,
-           idx_l, sigma_d_sq):
+def d_head(a_rows, th_t, d_rows, nt_rows, yt, mf, sigma_d_sq):
     """Row log-likelihoods and objective gradients of intercept rows.
 
     Returns (ll, g_d, delta, g_delta, z): the gradients in d and in delta =
@@ -140,17 +156,14 @@ def d_head(a_rows, th_t, d_rows, nt_rows, yt, y_is_min, y_is_max, mf, idx_u,
     """
     valid = np.arange(d_rows.shape[1])[None, :] < nt_rows[:, None]
     z = outer_sum(a_rows, th_t)
-    ll, cu, cl, den = cell_loglik(z, np.take_along_axis(d_rows, idx_u, axis=1),
-                                  np.take_along_axis(d_rows, idx_l, axis=1),
-                                  y_is_min, y_is_max, mf)
+    ll, cu, cl, den = cell_loglik(z, *bracket_intercepts(d_rows, nt_rows, yt), mf)
 
     up_w = cu * (1.0 - cu) / den
     dn_w = cl * (1.0 - cl) / den
     g_d = np.zeros_like(d_rows)
     for m in range(d_rows.shape[1]):
         up = np.where((yt == m + 1) & (mf > 0), up_w, 0.0).sum(axis=1)
-        dn = np.where((yt == m) & (mf > 0) & ((m + 1) <= nt_rows[:, None]),
-                      dn_w, 0.0).sum(axis=1)
+        dn = np.where((yt == m) & (mf > 0), dn_w, 0.0).sum(axis=1)
         g_d[:, m] = up - dn
     g_d -= np.where(valid, d_rows, 0.0) / sigma_d_sq
     g_d = np.where(valid, g_d, 0.0)
@@ -217,7 +230,7 @@ def line_search(x0, gn2, f0, propose, value, pending=None, step=None):
 # respondent phase
 
 
-def theta_block(th_rows, a_t, du, dl, y_is_min, y_is_max, mf, sinv, step=None):
+def theta_block(th_rows, a_t, du, dl, mf, sinv, step=None):
     """One line-searched gradient step per respondent row in the block.
 
     step holds each row's start step (default GAMMA0); returns the new rows
@@ -227,13 +240,12 @@ def theta_block(th_rows, a_t, du, dl, y_is_min, y_is_max, mf, sinv, step=None):
     """
 
     def cells(rows, th):
-        return cell_loglik(outer_sum(th, a_t), du[rows], dl[rows],
-                           y_is_min[rows], y_is_max[rows], mf[rows])
+        return cell_loglik(outer_sum(th, a_t), du[rows], dl[rows], mf[rows])
 
     def prior(th):
         return 0.5 * quad_form_rows(th, sinv)
 
-    ll, g = theta_head(th_rows, a_t, du, dl, y_is_min, y_is_max, mf, sinv)
+    ll, g = theta_head(th_rows, a_t, du, dl, mf, sinv)
     return line_search(
         th_rows, row_norm_sq(g), ll - prior(th_rows),
         lambda idx, gamma: th_rows[idx] + gamma[:, None] * g[idx],
@@ -246,7 +258,7 @@ def theta_block(th_rows, a_t, du, dl, y_is_min, y_is_max, mf, sinv, step=None):
 # item phase: loadings
 
 
-def a_block(a_rows, th_t, du, dl, y_is_min, y_is_max, mf, lam):
+def a_block(a_rows, th_t, du, dl, mf, lam):
     """One line-searched proximal gradient step per item row in the block.
 
     The acceptance value is the column log-likelihood minus lam * ||a||_1,
@@ -257,13 +269,12 @@ def a_block(a_rows, th_t, du, dl, y_is_min, y_is_max, mf, lam):
     """
 
     def cells(rows, a):
-        return cell_loglik(outer_sum(a, th_t), du[rows], dl[rows],
-                           y_is_min[rows], y_is_max[rows], mf[rows])
+        return cell_loglik(outer_sum(a, th_t), du[rows], dl[rows], mf[rows])
 
     def penalty(a):
         return lam * np.abs(a).sum(axis=1)
 
-    ll, g = loglik_head(a_rows, th_t, du, dl, y_is_min, y_is_max, mf)
+    ll, g = loglik_head(a_rows, th_t, du, dl, mf)
     pending = np.ones(a_rows.shape[0], dtype=bool)
     if lam > 0:
         # rows pinned at zero by the threshold stay zero at every step size
@@ -281,8 +292,7 @@ def a_block(a_rows, th_t, du, dl, y_is_min, y_is_max, mf, lam):
 # item phase: intercepts
 
 
-def d_block(a_rows, th_t, d_rows, nt_rows, yt, y_is_min, y_is_max, mf, idx_u,
-            idx_l, sigma_d_sq, step=None):
+def d_block(a_rows, th_t, d_rows, nt_rows, yt, mf, sigma_d_sq, step=None):
     """One line-searched gradient step in delta space per item row.
 
     step holds each row's start step (default GAMMA0).  Returns a padded
@@ -292,14 +302,13 @@ def d_block(a_rows, th_t, d_rows, nt_rows, yt, y_is_min, y_is_max, mf, idx_u,
     warm start ends on the cold search's step except where the row's gain
     is at rounding level and acceptance is noise.
     """
-    ll, _, delta, g_delta, z = d_head(a_rows, th_t, d_rows, nt_rows, yt, y_is_min,
-                                      y_is_max, mf, idx_u, idx_l, sigma_d_sq)
+    ll, _, delta, g_delta, z = d_head(a_rows, th_t, d_rows, nt_rows, yt, mf,
+                                      sigma_d_sq)
     valid = np.arange(d_rows.shape[1])[None, :] < nt_rows[:, None]
 
     def cells(rows, d):
-        return cell_loglik(z[rows], np.take_along_axis(d, idx_u[rows], axis=1),
-                           np.take_along_axis(d, idx_l[rows], axis=1),
-                           y_is_min[rows], y_is_max[rows], mf[rows])
+        return cell_loglik(z[rows], *bracket_intercepts(d, nt_rows[rows], yt[rows]),
+                           mf[rows])
 
     def prior(rows, d):
         return 0.5 * (np.where(valid[rows], d, 0.0) ** 2).sum(axis=1) / sigma_d_sq
@@ -326,17 +335,14 @@ def d_block(a_rows, th_t, d_rows, nt_rows, yt, y_is_min, y_is_max, mf, idx_u,
 # full objective
 
 
-def log_likelihood(a, d_pad, th_t, y_is_min, y_is_max, mf, idx_u, idx_l):
+def log_likelihood(a, d_pad, nt, th_t, yt, mf):
     """Masked log-likelihood over an item-major (J x N) data set."""
-    ll, _, _, _ = cell_loglik(outer_sum(a, th_t),
-                              np.take_along_axis(d_pad, idx_u, axis=1),
-                              np.take_along_axis(d_pad, idx_l, axis=1),
-                              y_is_min, y_is_max, mf)
+    ll, _, _, _ = cell_loglik(outer_sum(a, th_t), *bracket_intercepts(d_pad, nt, yt),
+                              mf)
     return float(np.sum(ll))
 
 
-def full_objective(a, d_pad, nt, th_t, y_is_min, y_is_max, mf, idx_u, idx_l,
-                   sinv, log_det, lam, sigma_d_sq):
+def full_objective(a, d_pad, nt, th_t, yt, mf, sinv, log_det, lam, sigma_d_sq):
     """Objective over the whole data set in one deterministic global pass.
 
     Layout is item-major (J x N).  Matches the per-cell reference
@@ -346,7 +352,7 @@ def full_objective(a, d_pad, nt, th_t, y_is_min, y_is_max, mf, idx_u, idx_l,
     k = th_t.shape[0]
     valid = np.arange(d_pad.shape[1])[None, :] < nt[:, None]
 
-    ll = log_likelihood(a, d_pad, th_t, y_is_min, y_is_max, mf, idx_u, idx_l)
+    ll = log_likelihood(a, d_pad, nt, th_t, yt, mf)
 
     quad = quad_form_rows(np.ascontiguousarray(th_t.T), sinv)
     prior_theta = n * (-0.5 * k * np.log(2.0 * np.pi) - 0.5 * log_det) \

@@ -161,11 +161,26 @@ def _echo(settings: dict) -> list:
     return lines
 
 
+def _write_echo(fh, echo: list) -> None:
+    """Write the config-echo lines as the comment header of an output file."""
+    for line in echo:
+        fh.write(f"# {line}\n")
+
+
 def _ensure_out(settings: dict) -> str:
     _require(settings, "out")
     out = settings["out"]
     os.makedirs(out, exist_ok=True)
     return out
+
+
+def _sim_design(settings: dict, seed: int) -> SimDesign:
+    return SimDesign(
+        n_respondents=settings["n"], n_items=settings["j"],
+        n_factors=settings["k"], rho=settings["rho"],
+        n_categories=settings["c"] if settings["c"] is not None else 4,
+        seed=seed,
+    )
 
 
 def _fit_config(settings: dict) -> FitConfig:
@@ -193,8 +208,7 @@ def _load_fit_inputs(settings: dict):
 
 def _write_summary(path: str, settings: dict, result, extra=()):
     with open(path, "w") as fh:
-        for line in _echo(settings):
-            fh.write(f"# {line}\n")
+        _write_echo(fh, _echo(settings))
         for line in extra:
             fh.write(line + "\n")
         fh.write(f"converged = {result.converged}\n")
@@ -217,12 +231,7 @@ def cmd_simulate(settings: dict) -> None:
     _require(settings, "n", "j", "k", "rho")
     out = _ensure_out(settings)
     seeds = derive_seeds(settings["seed"], 2)
-    design = SimDesign(
-        n_respondents=settings["n"], n_items=settings["j"],
-        n_factors=settings["k"], rho=settings["rho"],
-        n_categories=settings["c"] if settings["c"] is not None else 4,
-        seed=seeds[0],
-    )
+    design = _sim_design(settings, seeds[0])
     truth, q_star = gen_true_params(design)
     data = sample_responses(truth, design.n_categories, seed=seeds[1])
     echo = _echo(settings)
@@ -262,8 +271,7 @@ def cmd_cvfit(settings: dict) -> None:
         data.n_respondents, settings["train_fraction"], split_seed)
     echo = _echo(settings)
     with open(os.path.join(out, "cv_table.csv"), "w") as fh:
-        for line in echo:
-            fh.write(f"# {line}\n")
+        _write_echo(fh, echo)
         folds = table[0].fold_errors.size
         fold_cols = ",".join(f"err_fold{m}" for m in range(folds))
         fh.write(f"# columns: stage,lambda,{fold_cols},total_error,selected\n")
@@ -306,10 +314,8 @@ def cmd_evaluate(settings: dict) -> None:
         ("n_excluded_a", recovery.n_excluded_a),
         ("n_excluded_d", recovery.n_excluded_d),
     ]
-    echo = _echo(settings)
     with open(os.path.join(out, "metrics.txt"), "w") as fh:
-        for line in echo:
-            fh.write(f"# {line}\n")
+        _write_echo(fh, _echo(settings))
         for name, value in fields:
             fh.write(f"{name} = {value}\n")
     with open(os.path.join(out, "metrics_row.csv"), "w") as fh:
@@ -338,8 +344,7 @@ def cmd_align(settings: dict) -> None:
         write_intercepts(os.path.join(out, "intercepts_aligned.csv"),
                          aligned.intercepts, echo)
     with open(os.path.join(out, "alignment.txt"), "w") as fh:
-        for line in echo:
-            fh.write(f"# {line}\n")
+        _write_echo(fh, echo)
         fh.write("permutation = " + ",".join(map(str, alignment.permutation)) + "\n")
         fh.write("signs = " + ",".join(format(s, ".0f") for s in alignment.signs) + "\n")
 
@@ -361,12 +366,7 @@ def cmd_replicate(settings: dict) -> None:
     rep_seeds = derive_seeds(settings["seed"], settings["reps"])
     rows = []
     for r in range(settings["reps"]):
-        design = SimDesign(
-            n_respondents=settings["n"], n_items=settings["j"],
-            n_factors=settings["k"], rho=settings["rho"],
-            n_categories=settings["c"] if settings["c"] is not None else 4,
-            seed=rep_seeds[r],
-        )
+        design = _sim_design(settings, rep_seeds[r])
         selection, recovery, result = run_replication(
             design, cfg, train_fraction=settings["train_fraction"],
             n_folds=settings["folds"], lam=settings.get("lam"),
@@ -383,8 +383,7 @@ def cmd_replicate(settings: dict) -> None:
     means = values.mean(axis=0)
     sds = values.std(axis=0, ddof=1) if len(rows) > 1 else np.zeros(values.shape[1])
     with open(os.path.join(out, "replications.csv"), "w") as fh:
-        for line in _echo(settings):
-            fh.write(f"# {line}\n")
+        _write_echo(fh, _echo(settings))
         fh.write("# columns: " + ",".join(_REPLICATE_COLUMNS) + "\n")
         for row in rows:
             fh.write(",".join(format(v, ".17g") if isinstance(v, float)

@@ -13,6 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DEFAULT_MISSING_TOKEN = "NA"
+# Most response categories an item may have: above any rating scale or 0-100
+# slider, and small enough that the per-item arrays a fit sizes by the count
+# stay small.
+MAX_CATEGORIES = 1000
 
 
 @dataclass
@@ -27,7 +31,7 @@ class ResponseData:
     mask : np.ndarray, shape (N, J)
         1 where the response was observed, 0 where it is missing.
     categories : np.ndarray, shape (J,)
-        Number of response categories per item, each >= 2.
+        Number of response categories per item, each in 2..MAX_CATEGORIES.
     """
 
     responses: np.ndarray
@@ -48,6 +52,10 @@ class ResponseData:
             raise ValueError("categories must have one entry per item")
         if np.any(self.categories < 2):
             raise ValueError("every item needs at least 2 categories")
+        if np.any(self.categories > MAX_CATEGORIES):
+            j = int(np.argmax(self.categories > MAX_CATEGORIES))
+            raise ValueError(f"item {j} has {int(self.categories[j])} categories; "
+                             f"at most {MAX_CATEGORIES} are supported")
         observed = self.responses[self.mask]
         if observed.size and observed.min() < 0:
             raise ValueError("negative response category")
@@ -131,8 +139,8 @@ def load_responses(
     ------
     ValueError
         For non-rectangular input, entries that are not finite integers
-        within the int64 range, negative entries, or an item column with no
-        observed values.
+        within the int64 range, negative entries, an item column with no
+        observed values, or more than MAX_CATEGORIES categories for an item.
     """
     rows = _parse_table(path, missing_token)
     n, j = len(rows), len(rows[0])

@@ -85,33 +85,20 @@ def soft_threshold(z, t):
 class _Workspace:
     """Fixed per-fit arrays shared by every phase.
 
-    Both orientations of the response/mask arrays are kept contiguous:
-    respondent-major for the theta phase, item-major for the item phase.
+    The mask is kept contiguous in both orientations: respondent-major for
+    the theta phase, item-major for the item phase.  Responses are only
+    read item-major.
     """
 
     def __init__(self, data: ResponseData):
-        self.y = data.responses
-        self.mask_f = data.mask.astype(np.float64)
         self.nt = data.categories - 1
-        self.d_max = int(self.nt.max())
-        self.y_is_min = self.y == 0
-        self.y_is_max = self.y == self.nt[None, :]
-        self.yt = np.ascontiguousarray(self.y.T)
+        self.yt = np.ascontiguousarray(data.responses.T)
+        self.mask_f = data.mask.astype(np.float64)
         self.mask_f_t = np.ascontiguousarray(self.mask_f.T)
-        self.y_is_min_t = np.ascontiguousarray(self.y_is_min.T)
-        self.y_is_max_t = np.ascontiguousarray(self.y_is_max.T)
-        self.idx_u_t = np.clip(self.yt - 1, 0, self.d_max - 1)
-        self.idx_l_t = np.clip(self.yt, 0, self.d_max - 1)
-
-    def item_cells(self):
-        """Item-major (y_is_min, y_is_max, mask, idx_u, idx_l) for a full pass."""
-        return (self.y_is_min_t, self.y_is_max_t, self.mask_f_t, self.idx_u_t,
-                self.idx_l_t)
 
     def gather_intercepts(self, d_pad):
         """Per-cell upper/lower intercepts in both orientations."""
-        du_t = np.take_along_axis(d_pad, self.idx_u_t, axis=1)
-        dl_t = np.take_along_axis(d_pad, self.idx_l_t, axis=1)
+        du_t, dl_t = eng.bracket_intercepts(d_pad, self.nt, self.yt)
         du = np.ascontiguousarray(du_t.T)
         dl = np.ascontiguousarray(dl_t.T)
         return du, dl, du_t, dl_t
@@ -150,7 +137,7 @@ def objective_value(data: ResponseData, state: ModelState,
     d_pad, nt = eng.pad_intercepts(state.intercepts)
     th_t = np.ascontiguousarray(state.theta.T)
     return eng.full_objective(
-        state.loadings, d_pad, nt, th_t, *ws.item_cells(), hyper.sigma_theta_inv,
+        state.loadings, d_pad, nt, th_t, ws.yt, ws.mask_f_t, hyper.sigma_theta_inv,
         hyper.log_det_sigma_theta, hyper.lam, hyper.sigma_d_sq,
     )
 
@@ -162,9 +149,9 @@ def log_likelihood_value(data: ResponseData, state: ModelState) -> float:
     """
     _check_state_shapes(data, state)
     ws = _Workspace(data)
-    d_pad, _ = eng.pad_intercepts(state.intercepts)
-    return eng.log_likelihood(state.loadings, d_pad,
-                              np.ascontiguousarray(state.theta.T), *ws.item_cells())
+    d_pad, nt = eng.pad_intercepts(state.intercepts)
+    return eng.log_likelihood(state.loadings, d_pad, nt,
+                              np.ascontiguousarray(state.theta.T), ws.yt, ws.mask_f_t)
 
 
 def _blocks(n: int, threads: int):
@@ -182,10 +169,8 @@ def _theta_phase(theta, step, ws: _Workspace, a_t, du, dl, sinv, blocks, pool):
     step_out = np.empty_like(step)
 
     def worker(rows):
-        return eng.theta_block(
-            theta[rows], a_t, du[rows], dl[rows], ws.y_is_min[rows],
-            ws.y_is_max[rows], ws.mask_f[rows], sinv, step[rows],
-        )
+        return eng.theta_block(theta[rows], a_t, du[rows], dl[rows],
+                               ws.mask_f[rows], sinv, step[rows])
 
     for rows, (th_new, s_new) in zip(blocks, _run_blocks(worker, blocks, pool)):
         out[rows] = th_new
@@ -200,16 +185,11 @@ def _item_phase(loadings, d_pad, d_step, ws: _Workspace, th_t, du_t, dl_t, lam,
     step_out = np.empty_like(d_step)
 
     def worker(items):
-        a_new = eng.a_block(
-            loadings[items], th_t, du_t[items], dl_t[items],
-            ws.y_is_min_t[items], ws.y_is_max_t[items], ws.mask_f_t[items],
-            lam,
-        )
-        d_new, s_new = eng.d_block(
-            a_new, th_t, d_pad[items], ws.nt[items], ws.yt[items],
-            ws.y_is_min_t[items], ws.y_is_max_t[items], ws.mask_f_t[items],
-            ws.idx_u_t[items], ws.idx_l_t[items], sigma_d_sq, d_step[items],
-        )
+        a_new = eng.a_block(loadings[items], th_t, du_t[items], dl_t[items],
+                            ws.mask_f_t[items], lam)
+        d_new, s_new = eng.d_block(a_new, th_t, d_pad[items], ws.nt[items],
+                                   ws.yt[items], ws.mask_f_t[items], sigma_d_sq,
+                                   d_step[items])
         return a_new, d_new, s_new
 
     for items, (a_new, d_new, s_new) in zip(blocks,
@@ -261,7 +241,7 @@ def fit(data: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
 
     def current_objective(th_t):
         return eng.full_objective(
-            loadings, d_pad, nt, th_t, *ws.item_cells(), sinv,
+            loadings, d_pad, nt, th_t, ws.yt, ws.mask_f_t, sinv,
             hyper.log_det_sigma_theta, hyper.lam, hyper.sigma_d_sq,
         )
 
@@ -338,14 +318,12 @@ def _row_args(data: ResponseData, state: ModelState,
     r = np.array([index])
     if phase == "theta":
         return (state.theta[r], np.ascontiguousarray(state.loadings.T), du[r],
-                dl[r], ws.y_is_min[r], ws.y_is_max[r], ws.mask_f[r],
-                hyper.sigma_theta_inv)
+                dl[r], ws.mask_f[r], hyper.sigma_theta_inv)
     th_t = np.ascontiguousarray(state.theta.T)
-    cells = (ws.y_is_min_t[r], ws.y_is_max_t[r], ws.mask_f_t[r])
     if phase == "a":
-        return (state.loadings[r], th_t, du_t[r], dl_t[r], *cells)
-    return (state.loadings[r], th_t, d_pad[r], nt[r], ws.yt[r], *cells,
-            ws.idx_u_t[r], ws.idx_l_t[r], hyper.sigma_d_sq)
+        return state.loadings[r], th_t, du_t[r], dl_t[r], ws.mask_f_t[r]
+    return (state.loadings[r], th_t, d_pad[r], nt[r], ws.yt[r], ws.mask_f_t[r],
+            hyper.sigma_d_sq)
 
 
 def update_theta(data: ResponseData, state: ModelState, hyper: Hyperparameters,

@@ -347,6 +347,16 @@ def test_fit_rejects_non_finite_and_huge_cells(tmp_path, capsys, cell):
     assert err[0].startswith("error: ") and f"'{cell}' at (1, 1)" in err[0]
 
 
+def test_fit_rejects_more_than_max_categories(tmp_path, capsys):
+    path = tmp_path / "resp.csv"
+    path.write_text("0,1\n1,1000000000000\n0,0\n")
+    assert run_cli("fit", "--responses", path, "--lambda", "1", "--k", "1",
+                   "--out", tmp_path / "fit") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and "item 1 has 1000000000001 categories" in err[0]
+
+
 @pytest.mark.parametrize("reps", [0, -1])
 def test_replicate_rejects_fewer_than_one_rep(tmp_path, capsys, reps):
     out = tmp_path / "reps"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparsegrm.data import (QMatrix, ResponseData, derive_seeds,
+from sparsegrm.data import (MAX_CATEGORIES, QMatrix, ResponseData, derive_seeds,
                             load_responses, read_intercepts, read_matrix,
                             save_responses, split_row_indices, split_rows,
                             take_rows, write_intercepts, write_matrix)
@@ -167,3 +167,21 @@ def test_load_responses_rejects_non_finite_and_huge_cells(tmp_path, cell):
     path.write_text(f"0,1\n1,{cell}\n")
     with pytest.raises(ValueError, match=rf"resp\.csv: response '{cell}' at \(1, 1\)"):
         load_responses(path)
+
+
+def test_response_data_rejects_more_than_max_categories():
+    cells = dict(responses=np.zeros((2, 2)), mask=np.ones((2, 2), dtype=bool))
+    assert ResponseData(**cells, categories=[2, MAX_CATEGORIES]).categories[1] \
+        == MAX_CATEGORIES
+    with pytest.raises(ValueError,
+                       match=rf"item 1 has {MAX_CATEGORIES + 1} categories"):
+        ResponseData(**cells, categories=[2, MAX_CATEGORIES + 1])
+
+
+def test_load_responses_rejects_more_than_max_categories(tmp_path):
+    path = tmp_path / "resp.csv"
+    path.write_text(f"0,1\n1,{MAX_CATEGORIES - 1}\n")
+    assert load_responses(str(path)).categories[1] == MAX_CATEGORIES
+    path.write_text("0,1\n1,1000000000000\n")
+    with pytest.raises(ValueError, match="item 1 has 1000000000001 categories"):
+        load_responses(str(path))

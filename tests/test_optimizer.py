@@ -233,8 +233,7 @@ def d_block(data, state, hyper, step=None):
     ws = _Workspace(data)
     d_pad, nt = eng.pad_intercepts(state.intercepts)
     return eng.d_block(state.loadings, np.ascontiguousarray(state.theta.T), d_pad,
-                       nt, ws.yt, ws.y_is_min_t, ws.y_is_max_t, ws.mask_f_t,
-                       ws.idx_u_t, ws.idx_l_t, hyper.sigma_d_sq, step)
+                       nt, ws.yt, ws.mask_f_t, hyper.sigma_d_sq, step)
 
 
 @pytest.mark.parametrize("k,props", [(1, (1.0, 0.0, 0.0)), (2, (0.5, 0.5, 0.0)),

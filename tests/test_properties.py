@@ -1,6 +1,6 @@
 """Property tests of the vectorized engine: the kernel and the gradient
-heads against the per-cell reference, and the line search's walk over its
-step grid."""
+heads against the per-cell reference, the line search's walk over its
+step grid, the exclusion of missing cells and the ordering of intercepts."""
 
 from unittest import mock
 
@@ -14,7 +14,8 @@ from sparsegrm.data import ResponseData
 from sparsegrm.gradients import grad_a_loglik, grad_delta, grad_theta, to_d, to_delta
 from sparsegrm.model import (Hyperparameters, ModelState, category_prob,
                              log_likelihood, log_prior_d, log_prior_theta)
-from sparsegrm.optimizer import _Workspace, log_likelihood_value
+from sparsegrm.optimizer import (_Workspace, log_likelihood_value, update_a, update_d,
+                                 update_theta)
 from sparsegrm.simulate import gen_sigma
 
 
@@ -140,7 +141,7 @@ def _theta_block(data, state, step=None):
     with mock.patch.object(eng, "line_search", wraps=eng.line_search) as spy:
         rows, steps = eng.theta_block(
             state.theta, np.ascontiguousarray(state.loadings.T), du, dl,
-            ws.y_is_min, ws.y_is_max, ws.mask_f, np.eye(state.n_factors), step)
+            ws.mask_f, np.eye(state.n_factors), step)
     _, gn2, f0, propose, value = spy.call_args.args
     idx = np.arange(data.n_respondents)
 
@@ -167,3 +168,49 @@ def test_theta_warm_start_matches_cold_search(instance, draws):
     assert np.all(ok(steps) | kept)
     doubled = steps / eng.SHRINK
     assert np.all((doubled > eng.GAMMA0) | ~ok(doubled))
+
+
+@settings(derandomize=True, deadline=None)
+@given(tiny_instances(), st.data())
+def test_missing_cells_are_excluded_exactly(instance, draws):
+    # unobserved cells are stored as category 0 and read the intercept
+    # bracket's first two columns; the mask alone must keep them out
+    data, state = instance
+    hyper = Hyperparameters(sigma_theta=np.eye(state.n_factors), lam=1.0)
+    row = int(np.flatnonzero(~data.mask.any(axis=1))[0])
+    item = int(np.flatnonzero(~data.mask.any(axis=0))[0])
+    scale = draws.draw(st.sampled_from([1.0, 30.0]))
+    rng = np.random.default_rng(draws.draw(st.integers(0, 2**32 - 1)))
+    moved_item = state.copy()
+    moved_item.loadings[item] = scale * rng.normal(size=state.n_factors)
+    moved_item.intercepts[item] = scale * (rng.uniform(-3.0, 3.0) - np.cumsum(
+        rng.uniform(0.05, 2.0, size=state.intercepts[item].size)))
+    moved_row = state.copy()
+    moved_row.theta[row] = scale * rng.normal(size=state.n_factors)
+
+    assert log_likelihood_value(data, moved_item) == log_likelihood_value(data, state)
+    for i in range(data.n_respondents):
+        np.testing.assert_array_equal(update_theta(data, moved_item, hyper, i),
+                                      update_theta(data, state, hyper, i))
+    for j in range(data.n_items):
+        np.testing.assert_array_equal(update_a(data, moved_row, hyper, j),
+                                      update_a(data, state, hyper, j))
+        np.testing.assert_array_equal(update_d(data, moved_row, hyper, j),
+                                      update_d(data, state, hyper, j))
+
+
+@settings(derandomize=True, deadline=None)
+@given(tiny_instances(), st.data())
+def test_intercept_step_keeps_intercepts_ordered(instance, draws):
+    data, state = instance
+    exps = draws.draw(st.lists(st.integers(0, eng.MAX_BACKTRACKS),
+                               min_size=data.n_items, max_size=data.n_items))
+    start = eng.GAMMA0 * eng.SHRINK ** np.array(exps, dtype=np.float64)
+    ws = _Workspace(data)
+    d_pad, nt = eng.pad_intercepts(state.intercepts)
+    rows, _ = eng.d_block(state.loadings, np.ascontiguousarray(state.theta.T), d_pad,
+                          nt, ws.yt, ws.mask_f_t, 4.0, start)
+    real = np.arange(d_pad.shape[1])[None, :] < nt[:, None]
+    assert np.all(np.isfinite(rows))
+    assert np.all(rows[~real] == 0.0)
+    assert np.all((np.diff(rows, axis=1) < 0.0) | ~real[:, 1:])
