@@ -13,8 +13,8 @@ determinism contract).  Two rules make that hold:
 
 Every block evaluates its cells through one kernel, :func:`cell_loglik`,
 and steps through one backtracking routine, :func:`line_search`; the
-factor-score, loading and intercept updates differ only in the row value
-and the proposal they hand to it.  Each block's gradient comes from its
+factor-score, loading and intercept updates differ only in the penalty,
+the proposal and the gradient mapping they hand to it.  Each block's gradient comes from its
 head (:func:`theta_head`, :func:`loglik_head`, :func:`d_head`).
 
 Intercept vectors of unequal length are stored in a zero-padded J x Dmax
@@ -34,8 +34,12 @@ from scipy.special import expit
 from .model import PROB_FLOOR
 
 # Backtracking line search on the step grid GAMMA0 * SHRINK**i, i = 0..
-# MAX_BACKTRACKS: a step is accepted when the row value gains at least
-# SUFFICIENT_INCREASE * gamma * ||grad||^2.  Each row starts at its own step
+# MAX_BACKTRACKS: a step gamma is accepted when the row value gains at least
+# SUFFICIENT_INCREASE * gamma * ||G||^2, where G is the row's gradient
+# mapping: the gradient itself for the smooth factor-score and intercept
+# steps, (a+ - a) / gamma for the proximal loading step (the backtracking
+# rule of Beck & Teboulle 2009, which small steps meet even at a KKT point,
+# where the gradient itself stays large).  Each row starts at its own step
 # (GAMMA0 for a cold search, the row's last accepted step when warm) and
 # keeps the largest accepted step reachable from there; see line_search.
 GAMMA0 = 1.0
@@ -178,40 +182,50 @@ def d_head(a_rows, th_t, d_rows, nt_rows, yt, mf, sigma_d_sq):
     return ll, g_d, delta, np.where(valid, g_delta, 0.0), z
 
 
-def line_search(x0, gn2, f0, propose, value, pending=None, step=None):
-    """Row-wise backtracking ascent from x0; returns (rows, accepted steps).
+def line_search(x0, ll0, penalty, loglik, propose, mapping_sq, pending=None,
+                step=None):
+    """Row-wise backtracking ascent from x0.
 
+    Returns (rows, accepted steps, row log-likelihoods).  A row's value is
+    loglik(idx, x) - penalty(idx, x) for the rows idx (penalty(_ALL, x0) at
+    the start); ll0 is loglik at x0, which the block's head has computed.
     propose(idx, gamma) returns candidate rows for the pending rows idx at
-    their step sizes and value(idx, cand) their row values.  A step is
-    accepted when the value is at least f0 + SUFFICIENT_INCREASE * gamma *
-    gn2 (a NaN value never is).  Each row starts at its entry of step
-    (default GAMMA0), a point of the grid GAMMA0 * SHRINK**i.  If that step
-    is accepted, the row divides it by SHRINK while the result is accepted
-    and at most GAMMA0, and keeps the last accepted step; otherwise it
-    multiplies it by SHRINK until a step is accepted.  A start at GAMMA0 is
-    the plain backtracking search.  Wherever a row's accepted steps on the
-    grid are closed downwards, every start gives the same row: the one at
-    its largest accepted step.
+    their step sizes and mapping_sq(idx, gamma, cand) the squared norms of
+    their gradient mappings.  A step is accepted when the value gains at
+    least SUFFICIENT_INCREASE * gamma * mapping_sq (a NaN value never
+    does).  Each row starts at its entry of step (default GAMMA0), a point
+    of the grid GAMMA0 * SHRINK**i.  If that step is accepted, the row
+    divides it by SHRINK while the result is accepted and at most GAMMA0,
+    and keeps the last accepted step; otherwise it multiplies it by SHRINK
+    until a step is accepted.  A start at GAMMA0 is the plain backtracking
+    search.  Wherever a row's accepted steps on the grid are closed
+    downwards, every start gives the same row: the one at its largest
+    accepted step.
 
-    Rows not pending at the start keep x0 and their start step; rows that
-    run out of grid keep x0 and report GAMMA_FLOOR.
+    Rows not pending at the start keep x0, ll0 and their start step; rows
+    that run out of grid keep x0 and ll0 and report GAMMA_FLOOR.  Every
+    other row's log-likelihood is the one its accepted step was judged by.
     """
     out = x0.copy()
+    ll = ll0.copy()
+    f0 = ll0 - penalty(_ALL, x0)
     gamma = np.full(x0.shape[0], GAMMA0) if step is None else step.copy()
     step = gamma.copy()  # the row's last accepted step, once it has one
     # +1 once a row's start is accepted (growing), -1 once it is rejected
     heading = np.zeros(x0.shape[0], dtype=np.int8)
-    if pending is None:
-        pending = np.ones(x0.shape[0], dtype=bool)
+    pending = np.ones(x0.shape[0], dtype=bool) if pending is None else pending.copy()
     # every row visits the grid in one direction, so at most its size
     for _ in range(MAX_BACKTRACKS + 1):
         idx = np.flatnonzero(pending)
         if idx.size == 0:
             break
         cand = propose(idx, gamma[idx])
-        ok = value(idx, cand) >= f0[idx] + SUFFICIENT_INCREASE * gamma[idx] * gn2[idx]
+        cand_ll = loglik(idx, cand)
+        ok = cand_ll - penalty(idx, cand) >= f0[idx] + (
+            SUFFICIENT_INCREASE * gamma[idx] * mapping_sq(idx, gamma[idx], cand))
         acc, rej = idx[ok], idx[~ok]
         out[acc] = cand[ok]
+        ll[acc] = cand_ll[ok]
         step[acc] = gamma[acc]
         # a growing row stops at its first rejection, a shrinking row at its
         # first acceptance
@@ -223,11 +237,16 @@ def line_search(x0, gn2, f0, propose, value, pending=None, step=None):
         pending[grow] = gamma[grow] <= GAMMA0
         pending[shrink] = gamma[shrink] >= GAMMA_FLOOR
         step[shrink[gamma[shrink] < GAMMA_FLOOR]] = GAMMA_FLOOR
-    return out, step
+    return out, step, ll
 
 
 # ---------------------------------------------------------------------------
 # respondent phase
+
+
+def _loglik_against(vt, du, dl, mf):
+    """line_search's loglik for rows x of the block rows idx against vt."""
+    return lambda idx, x: cell_loglik(outer_sum(x, vt), du[idx], dl[idx], mf[idx])[0]
 
 
 def theta_block(th_rows, a_t, du, dl, mf, sinv, step=None):
@@ -238,54 +257,46 @@ def theta_block(th_rows, a_t, du, dl, mf, sinv, step=None):
     objective is strictly concave, so its accepted steps are closed
     downwards and every start gives the row a cold search gives.
     """
-
-    def cells(rows, th):
-        return cell_loglik(outer_sum(th, a_t), du[rows], dl[rows], mf[rows])
-
-    def prior(th):
-        return 0.5 * quad_form_rows(th, sinv)
-
     ll, g = theta_head(th_rows, a_t, du, dl, mf, sinv)
+    gn2 = row_norm_sq(g)
     return line_search(
-        th_rows, row_norm_sq(g), ll - prior(th_rows),
+        th_rows, ll, lambda idx, th: 0.5 * quad_form_rows(th, sinv),
+        _loglik_against(a_t, du, dl, mf),
         lambda idx, gamma: th_rows[idx] + gamma[:, None] * g[idx],
-        lambda idx, th: cells(idx, th)[0] - prior(th),
+        lambda idx, gamma, th: gn2[idx],
         step=step,
-    )
+    )[:2]
 
 
 # ---------------------------------------------------------------------------
 # item phase: loadings
 
 
-def a_block(a_rows, th_t, du, dl, mf, lam):
+def a_block(a_rows, th_t, du, dl, mf, lam, step=None):
     """One line-searched proximal gradient step per item row in the block.
 
-    The acceptance value is the column log-likelihood minus lam * ||a||_1,
-    evaluated at the post-threshold point; the sufficient-increase test uses
-    the smooth-part gradient norm.  The search always starts at GAMMA0:
-    through the threshold, acceptance need not be monotone in the step, so
-    a warm start could end on a different step than the cold search.
+    step holds each row's start step (default GAMMA0); returns the new rows
+    and their accepted steps.  The row value is the item's log-likelihood
+    minus lam * ||a||_1 at the post-threshold point a+, and a step is
+    accepted on the gradient mapping (a+ - a) / gamma, so a row at or near
+    a KKT point still accepts every step up to about the inverse curvature
+    of its smooth part.  Where a row's accepted steps are closed downwards,
+    every start gives the row a cold search gives; through the threshold
+    they need not be, and a warm start can then end on another step.
     """
-
-    def cells(rows, a):
-        return cell_loglik(outer_sum(a, th_t), du[rows], dl[rows], mf[rows])
-
-    def penalty(a):
-        return lam * np.abs(a).sum(axis=1)
-
     ll, g = loglik_head(a_rows, th_t, du, dl, mf)
     pending = np.ones(a_rows.shape[0], dtype=bool)
     if lam > 0:
         # rows pinned at zero by the threshold stay zero at every step size
         pending &= ~(np.all(a_rows == 0.0, axis=1) & np.all(np.abs(g) <= lam, axis=1))
     return line_search(
-        a_rows, row_norm_sq(g), ll - penalty(a_rows),
+        a_rows, ll, lambda idx, a: lam * np.abs(a).sum(axis=1),
+        _loglik_against(th_t, du, dl, mf),
         lambda idx, gamma: soft_threshold(a_rows[idx] + gamma[:, None] * g[idx],
                                           (lam * gamma)[:, None]),
-        lambda idx, a: cells(idx, a)[0] - penalty(a),
-        pending,
-    )[0]
+        lambda idx, gamma, a: row_norm_sq((a - a_rows[idx]) / gamma[:, None]),
+        pending, step,
+    )[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -296,19 +307,21 @@ def d_block(a_rows, th_t, d_rows, nt_rows, yt, mf, sigma_d_sq, step=None):
     """One line-searched gradient step in delta space per item row.
 
     step holds each row's start step (default GAMMA0).  Returns a padded
-    intercept block whose rows stay strictly decreasing, and the accepted
-    steps; proposals whose mapped intercepts are not finite and strictly
-    decreasing come back as NaN rows, which the line search rejects.  A
-    warm start ends on the cold search's step except where the row's gain
-    is at rounding level and acceptance is noise.
+    intercept block whose rows stay strictly decreasing, the accepted steps
+    and each row's log-likelihood at the returned intercepts; proposals
+    whose mapped intercepts are not finite and strictly decreasing come
+    back as NaN rows, which the line search rejects.  A warm start ends on
+    the cold search's step except where the row's gain is at rounding level
+    and acceptance is noise.
     """
     ll, _, delta, g_delta, z = d_head(a_rows, th_t, d_rows, nt_rows, yt, mf,
                                       sigma_d_sq)
     valid = np.arange(d_rows.shape[1])[None, :] < nt_rows[:, None]
+    gn2 = row_norm_sq(g_delta)
 
-    def cells(rows, d):
+    def loglik(rows, d):
         return cell_loglik(z[rows], *bracket_intercepts(d, nt_rows[rows], yt[rows]),
-                           mf[rows])
+                           mf[rows])[0]
 
     def prior(rows, d):
         return 0.5 * (np.where(valid[rows], d, 0.0) ** 2).sum(axis=1) / sigma_d_sq
@@ -326,33 +339,31 @@ def d_block(a_rows, th_t, d_rows, nt_rows, yt, mf, sigma_d_sq, step=None):
         return np.where(usable[:, None], d, np.nan)
 
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        return line_search(d_rows, row_norm_sq(g_delta), ll - prior(_ALL, d_rows),
-                           propose, lambda idx, d: cells(idx, d)[0] - prior(idx, d),
-                           step=step)
+        return line_search(d_rows, ll, prior, loglik, propose,
+                           lambda idx, gamma, d: gn2[idx], step=step)
 
 
 # ---------------------------------------------------------------------------
 # full objective
 
 
-def log_likelihood(a, d_pad, nt, th_t, yt, mf):
-    """Masked log-likelihood over an item-major (J x N) data set."""
-    ll, _, _, _ = cell_loglik(outer_sum(a, th_t), *bracket_intercepts(d_pad, nt, yt),
-                              mf)
-    return float(np.sum(ll))
+def item_loglik(a, d_pad, nt, th_t, yt, mf):
+    """Masked log-likelihood of each item row of an item-major (J x N) data set."""
+    return cell_loglik(outer_sum(a, th_t), *bracket_intercepts(d_pad, nt, yt), mf)[0]
 
 
-def full_objective(a, d_pad, nt, th_t, yt, mf, sinv, log_det, lam, sigma_d_sq):
-    """Objective over the whole data set in one deterministic global pass.
+def objective(ll_items, a, d_pad, nt, th_t, sinv, log_det, lam, sigma_d_sq):
+    """Objective from the items' row log-likelihoods and the priors.
 
-    Layout is item-major (J x N).  Matches the per-cell reference
-    implementation up to floating-point addition order.
+    ll_items holds each item's log-likelihood as item_loglik or d_block
+    computes it; fit's trace and full_objective both sum them here, so an
+    iterate's trace entry and its full_objective agree bit for bit.
     """
     n = th_t.shape[1]
     k = th_t.shape[0]
     valid = np.arange(d_pad.shape[1])[None, :] < nt[:, None]
 
-    ll = log_likelihood(a, d_pad, nt, th_t, yt, mf)
+    ll = float(np.sum(ll_items))
 
     quad = quad_form_rows(np.ascontiguousarray(th_t.T), sinv)
     prior_theta = n * (-0.5 * k * np.log(2.0 * np.pi) - 0.5 * log_det) \
@@ -369,3 +380,14 @@ def full_objective(a, d_pad, nt, th_t, yt, mf, sinv, log_det, lam, sigma_d_sq):
         - 0.5 * quad_d / sigma_d_sq
 
     return float(ll + prior_theta + prior_a + prior_d)
+
+
+def full_objective(a, d_pad, nt, th_t, yt, mf, sinv, log_det, lam, sigma_d_sq):
+    """Objective over the whole data set in one deterministic global pass.
+
+    Layout is item-major (J x N).  Matches the per-cell reference
+    implementation up to floating-point addition order; fit calls it at the
+    start only, and takes later trace entries from d_block's row values.
+    """
+    return objective(item_loglik(a, d_pad, nt, th_t, yt, mf), a, d_pad, nt, th_t,
+                     sinv, log_det, lam, sigma_d_sq)

@@ -102,10 +102,11 @@ class Hyperparameters:
     sigma_theta : ndarray
         K x K symmetric positive definite covariance of the factor scores.
     lam : float
-        Nonnegative Laplace rate on the loadings.  lam = 0 disables the
-        sparsity penalty.
+        Finite nonnegative Laplace rate on the loadings.  lam = 0 disables
+        the sparsity penalty.
     sigma_d_sq : float
-        Variance of the normal prior on each intercept (default 100**2).
+        Finite positive variance of the normal prior on each intercept
+        (default 100**2).
     """
 
     sigma_theta: np.ndarray
@@ -135,10 +136,12 @@ class Hyperparameters:
         self.log_det_sigma_theta = float(logdet)
         self.lam = float(self.lam)
         self.sigma_d_sq = float(self.sigma_d_sq)
-        if self.lam < 0:
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
-        if self.sigma_d_sq <= 0:
-            raise ValueError(f"sigma_d_sq must be positive, got {self.sigma_d_sq}")
+        # chained comparisons with nan are False, so these also reject nan
+        if not 0.0 <= self.lam < np.inf:
+            raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
+        if not 0.0 < self.sigma_d_sq < np.inf:
+            raise ValueError(
+                f"sigma_d_sq must be finite and positive, got {self.sigma_d_sq}")
 
     @property
     def n_factors(self) -> int:

@@ -4,9 +4,11 @@ Each outer iteration updates every factor-score row by a line-searched
 gradient step, then every item's loading row by a line-searched proximal
 gradient step (soft thresholding gives exact zeros) followed by an
 intercept step in the order-preserving reparameterized space.  Iteration
-stops when the objective change drops below ``obj_tol``.  The factor-score
-and intercept line searches of each row start at that row's last accepted
-step; the loading searches start at the engine's GAMMA0 every time.
+stops when the objective change drops below ``obj_tol``.  Every line search
+of a row (factor scores, loadings, intercepts) starts at that row's last
+accepted step.  Each trace entry after the first is summed from the item
+rows' log-likelihoods that the intercept step accepted, with no further
+pass over the cells.
 
 Respondent and item updates inside a phase are independent, so they run
 over contiguous blocks, one per thread, on one thread pool per fit.  The
@@ -150,8 +152,9 @@ def log_likelihood_value(data: ResponseData, state: ModelState) -> float:
     _check_state_shapes(data, state)
     ws = _Workspace(data)
     d_pad, nt = eng.pad_intercepts(state.intercepts)
-    return eng.log_likelihood(state.loadings, d_pad, nt,
-                              np.ascontiguousarray(state.theta.T), ws.yt, ws.mask_f_t)
+    return float(np.sum(eng.item_loglik(state.loadings, d_pad, nt,
+                                        np.ascontiguousarray(state.theta.T), ws.yt,
+                                        ws.mask_f_t)))
 
 
 def _blocks(n: int, threads: int):
@@ -178,26 +181,22 @@ def _theta_phase(theta, step, ws: _Workspace, a_t, du, dl, sinv, blocks, pool):
     return out, step_out
 
 
-def _item_phase(loadings, d_pad, d_step, ws: _Workspace, th_t, du_t, dl_t, lam,
-                sigma_d_sq, blocks, pool):
-    a_out = np.empty_like(loadings)
-    d_out = np.empty_like(d_pad)
-    step_out = np.empty_like(d_step)
+def _item_phase(loadings, a_step, d_pad, d_step, ws: _Workspace, th_t, du_t, dl_t,
+                lam, sigma_d_sq, blocks, pool):
+    """New loadings, their steps, intercepts, their steps and item log-likelihoods."""
+    outs = [np.empty_like(x) for x in (loadings, a_step, d_pad, d_step, d_step)]
 
     def worker(items):
-        a_new = eng.a_block(loadings[items], th_t, du_t[items], dl_t[items],
-                            ws.mask_f_t[items], lam)
-        d_new, s_new = eng.d_block(a_new, th_t, d_pad[items], ws.nt[items],
-                                   ws.yt[items], ws.mask_f_t[items], sigma_d_sq,
-                                   d_step[items])
-        return a_new, d_new, s_new
+        a_new, a_s = eng.a_block(loadings[items], th_t, du_t[items], dl_t[items],
+                                 ws.mask_f_t[items], lam, a_step[items])
+        return (a_new, a_s, *eng.d_block(a_new, th_t, d_pad[items], ws.nt[items],
+                                         ws.yt[items], ws.mask_f_t[items], sigma_d_sq,
+                                         d_step[items]))
 
-    for items, (a_new, d_new, s_new) in zip(blocks,
-                                            _run_blocks(worker, blocks, pool)):
-        a_out[items] = a_new
-        d_out[items] = d_new
-        step_out[items] = s_new
-    return a_out, d_out, step_out
+    for items, parts in zip(blocks, _run_blocks(worker, blocks, pool)):
+        for out, part in zip(outs, parts):
+            out[items] = part
+    return outs
 
 
 def random_init(data: ResponseData, hyper: Hyperparameters,
@@ -239,19 +238,17 @@ def fit(data: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
     loadings = init.loadings.copy()
     d_pad, nt = eng.pad_intercepts(init.intercepts)
 
-    def current_objective(th_t):
-        return eng.full_objective(
-            loadings, d_pad, nt, th_t, ws.yt, ws.mask_f_t, sinv,
-            hyper.log_det_sigma_theta, hyper.lam, hyper.sigma_d_sq,
-        )
-
-    trace = [current_objective(np.ascontiguousarray(theta.T))]
+    trace = [eng.full_objective(
+        loadings, d_pad, nt, np.ascontiguousarray(theta.T), ws.yt, ws.mask_f_t, sinv,
+        hyper.log_det_sigma_theta, hyper.lam, hyper.sigma_d_sq,
+    )]
     if not np.isfinite(trace[0]):
         raise ValueError("objective is not finite at the starting state")
 
-    # each respondent's and item's last accepted step starts its next
-    # search; rows are independent, so blocking cannot change a bit
+    # each respondent's and item's last accepted steps start their next
+    # searches; rows are independent, so blocking cannot change a bit
     theta_step = np.full(theta.shape[0], eng.GAMMA0)
+    a_step = np.full(loadings.shape[0], eng.GAMMA0)
     d_step = np.full(loadings.shape[0], eng.GAMMA0)
     converged = False
     n_iters = 0
@@ -265,11 +262,13 @@ def fit(data: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
             theta, theta_step = _theta_phase(theta, theta_step, ws, a_t, du, dl,
                                              sinv, row_blocks, pool)
             th_t = np.ascontiguousarray(theta.T)
-            loadings, d_pad, d_step = _item_phase(
-                loadings, d_pad, d_step, ws, th_t, du_t, dl_t, hyper.lam,
+            loadings, a_step, d_pad, d_step, ll_items = _item_phase(
+                loadings, a_step, d_pad, d_step, ws, th_t, du_t, dl_t, hyper.lam,
                 hyper.sigma_d_sq, item_blocks, pool,
             )
-            obj = current_objective(th_t)
+            obj = eng.objective(ll_items, loadings, d_pad, nt, th_t, sinv,
+                                hyper.log_det_sigma_theta, hyper.lam,
+                                hyper.sigma_d_sq)
             if not np.isfinite(obj):
                 raise ValueError("objective became non-finite during fitting")
             trace.append(obj)
@@ -335,11 +334,11 @@ def update_theta(data: ResponseData, state: ModelState, hyper: Hyperparameters,
 def update_a(data: ResponseData, state: ModelState, hyper: Hyperparameters,
              j: int) -> np.ndarray:
     """One proximal gradient step for a_j; state is not modified."""
-    return eng.a_block(*_row_args(data, state, hyper, "a", j), hyper.lam)[0]
+    return eng.a_block(*_row_args(data, state, hyper, "a", j), hyper.lam)[0][0]
 
 
 def update_d(data: ResponseData, state: ModelState, hyper: Hyperparameters,
              j: int) -> np.ndarray:
     """One reparameterized gradient step for d_j; state is not modified."""
-    out, _ = eng.d_block(*_row_args(data, state, hyper, "d", j))
+    out = eng.d_block(*_row_args(data, state, hyper, "d", j))[0]
     return out[0, : state.intercepts[j].size]

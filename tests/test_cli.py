@@ -357,6 +357,15 @@ def test_fit_rejects_more_than_max_categories(tmp_path, capsys):
     assert err[0].startswith("error: ") and "item 1 has 1000000000001 categories" in err[0]
 
 
+@pytest.mark.parametrize("lam", ["nan", "inf"])
+def test_fit_rejects_non_finite_lambda(tmp_path, sim_dir, capsys, lam):
+    assert run_cli("fit", "--responses", sim_dir / "responses.csv", "--lambda", lam,
+                   "--k", "3", "--c", "3", "--out", tmp_path / "fit") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0] == f"error: lam must be finite and nonnegative, got {lam}"
+
+
 @pytest.mark.parametrize("reps", [0, -1])
 def test_replicate_rejects_fewer_than_one_rep(tmp_path, capsys, reps):
     out = tmp_path / "reps"

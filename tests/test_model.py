@@ -146,6 +146,16 @@ def test_hyperparameters_validation():
         Hyperparameters(sigma_theta=np.eye(2), lam=1.0, sigma_d_sq=0.0)
 
 
+@pytest.mark.parametrize("field", ["lam", "sigma_d_sq"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_hyperparameters_reject_non_finite_values(field, value):
+    # nan < 0 is False, so a sign check alone let lam = nan through to a fit
+    # that reported convergence at a nan objective
+    kwargs = {"lam": 1.0, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        Hyperparameters(sigma_theta=np.eye(2), **kwargs)
+
+
 def test_model_state_validation():
     with pytest.raises(ValueError):
         ModelState(theta=np.zeros((2, 2)), loadings=np.zeros((1, 3)),

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -92,6 +93,21 @@ def test_objective_value_equals_trace_exactly():
     cfg = FitConfig(obj_tol=1e-2, seed=0)
     result = fit(data, hyper, cfg)
     assert objective_value(data, result.state, hyper) == result.objective_trace[-1]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_every_trace_entry_equals_objective_value(threads):
+    # entries after the first are summed from the intercept step's accepted
+    # row log-likelihoods, not from a separate pass over the cells
+    data, hyper, _ = sim_ragged(2, (0.5, 0.5, 0.0))
+    init = random_init(data, hyper, seed=5)
+    cfg = FitConfig(max_outer_iters=6, obj_tol=1e-12, threads=threads)
+    trace = fit(data, hyper, cfg, init=init).objective_trace
+    assert trace.size == cfg.max_outer_iters + 1
+    assert trace[0] == objective_value(data, init, hyper)
+    for t in range(1, cfg.max_outer_iters + 1):
+        state = fit(data, hyper, replace(cfg, max_outer_iters=t), init=init).state
+        assert trace[t] == objective_value(data, state, hyper)
 
 
 def test_objective_value_matches_reference_sum():
@@ -229,16 +245,18 @@ def test_intercept_step_rejects_unusable_proposals(seed):
 
 
 def d_block(data, state, hyper, step=None):
-    """The engine's intercept step over every item, from per-item start steps."""
+    """The engine's intercept step over every item, from per-item start steps.
+
+    Returns the new padded intercepts and their accepted steps.
+    """
     ws = _Workspace(data)
     d_pad, nt = eng.pad_intercepts(state.intercepts)
     return eng.d_block(state.loadings, np.ascontiguousarray(state.theta.T), d_pad,
-                       nt, ws.yt, ws.mask_f_t, hyper.sigma_d_sq, step)
+                       nt, ws.yt, ws.mask_f_t, hyper.sigma_d_sq, step)[:2]
 
 
-@pytest.mark.parametrize("k,props", [(1, (1.0, 0.0, 0.0)), (2, (0.5, 0.5, 0.0)),
-                                     (3, (0.6, 0.2, 0.2))])
-def test_intercept_warm_start_matches_cold_search(k, props):
+def sim_ragged(k, props):
+    """20 items with 2 to 7 categories, 20% of cells missing; (data, hyper, rng)."""
     design = SimDesign(n_respondents=120, n_items=20, n_factors=k, n_categories=7,
                        rho=0.2, q_proportions=props, seed=k)
     truth, _ = gen_true_params(design)
@@ -249,7 +267,15 @@ def test_intercept_warm_start_matches_cold_search(k, props):
     data = ResponseData(
         responses=np.where(mask, np.minimum(full.responses, categories - 1), 0),
         mask=mask, categories=categories)
-    hyper = Hyperparameters(sigma_theta=np.eye(k), lam=2.0)
+    return data, Hyperparameters(sigma_theta=np.eye(k), lam=2.0), rng
+
+
+RAGGED_CASES = [(1, (1.0, 0.0, 0.0)), (2, (0.5, 0.5, 0.0)), (3, (0.6, 0.2, 0.2))]
+
+
+@pytest.mark.parametrize("k,props", RAGGED_CASES)
+def test_intercept_warm_start_matches_cold_search(k, props):
+    data, hyper, rng = sim_ragged(k, props)
     init = random_init(data, hyper, seed=k)
     moved = fit(data, hyper, FitConfig(seed=k, max_outer_iters=3, obj_tol=1e-9),
                 init=init).state
@@ -274,6 +300,94 @@ def test_intercept_row_that_exhausts_the_grid_keeps_its_start(start):
     np.testing.assert_array_equal(d[1], state.intercepts[1])
     assert steps[1] == eng.GAMMA_FLOOR
     assert np.all(np.isfinite(d))
+
+
+def a_block(data, state, hyper, step=None):
+    """The engine's loading step over every item, from per-item start steps.
+
+    Returns (rows, steps, ok, pending): ok(gamma) is the engine's own
+    acceptance test for every item row at the per-row steps gamma, and
+    pending marks the rows the line search was asked to move.
+    """
+    ws = _Workspace(data)
+    d_pad, _ = eng.pad_intercepts(state.intercepts)
+    _, _, du_t, dl_t = ws.gather_intercepts(d_pad)
+    with mock.patch.object(eng, "line_search", wraps=eng.line_search) as spy:
+        rows, steps = eng.a_block(state.loadings, np.ascontiguousarray(state.theta.T),
+                                  du_t, dl_t, ws.mask_f_t, hyper.lam, step)
+    x0, ll0, penalty, loglik, propose, mapping_sq, pending, _ = spy.call_args.args
+    idx = np.arange(data.n_items)
+
+    def ok(gamma):
+        cand = propose(idx, gamma)
+        return loglik(idx, cand) - penalty(idx, cand) >= (
+            ll0 - penalty(idx, x0)
+            + eng.SUFFICIENT_INCREASE * gamma * mapping_sq(idx, gamma, cand))
+
+    return rows, steps, ok, pending
+
+
+@pytest.mark.parametrize("k,props", RAGGED_CASES)
+def test_loading_warm_start_matches_cold_search(k, props):
+    data, hyper, rng = sim_ragged(k, props)
+    init = random_init(data, hyper, seed=k)
+    moved = fit(data, hyper, FitConfig(seed=k, max_outer_iters=3, obj_tol=1e-9),
+                init=init).state
+    grid = eng.GAMMA0 * eng.SHRINK ** np.arange(eng.MAX_BACKTRACKS + 1.0)
+    for state in (init, moved):
+        cold, cold_steps, ok, pending = a_block(data, state, hyper)
+        # accepted[:, i]: grid step i accepted; closed downwards when every
+        # accepted step's smaller neighbour is accepted too
+        accepted = np.stack([ok(np.full(data.n_items, g)) for g in grid], axis=1)
+        closed = pending & np.all(~accepted[:, :-1] | accepted[:, 1:], axis=1)
+        assert closed.sum() >= data.n_items // 2
+        for _ in range(5):
+            start = grid[rng.integers(0, grid.size, size=data.n_items)]
+            warm, steps, _, _ = a_block(data, state, hyper, start)
+            np.testing.assert_array_equal(warm[closed], cold[closed])
+            np.testing.assert_array_equal(steps[closed], cold_steps[closed])
+            np.testing.assert_array_equal(warm[~pending], state.loadings[~pending])
+            np.testing.assert_array_equal(steps[~pending], start[~pending])
+
+
+@pytest.mark.parametrize("start", [eng.GAMMA0, 2.0 ** -10, eng.GAMMA_FLOOR])
+def test_loading_row_that_exhausts_the_grid_keeps_its_start(start):
+    # Against factor scores of order 1e5 a zero loading row's gradient is so
+    # large that even the smallest step saturates every cell of the item.
+    data, hyper = sim_small(seed=18, c=3)
+    state = random_init(data, hyper, seed=0)
+    state.theta *= 1e5
+    state.loadings[1] = 0.0
+    a, steps, _, pending = a_block(data, state, hyper, np.full(data.n_items, start))
+    assert pending[1]
+    np.testing.assert_array_equal(a[1], 0.0)
+    assert steps[1] == eng.GAMMA_FLOOR
+    assert np.all(np.isfinite(a))
+
+
+def test_loading_row_near_a_kkt_point_does_not_exhaust_the_grid():
+    # At a KKT point ||g||^2 >= lam^2 * nnz while the gain of every step goes
+    # to 0, so a sufficient-increase test on the smooth gradient g rejects
+    # the whole grid there; the gradient-mapping test still accepts steps up
+    # to about the inverse curvature.  Each row runs its own cold search.
+    design = SimDesign(n_respondents=100, n_items=10, n_factors=3, n_categories=4,
+                       rho=0.1, seed=11)
+    truth, _ = gen_true_params(design)
+    data = sample_responses(truth, design.n_categories, seed=12)
+    hyper = Hyperparameters(sigma_theta=np.eye(3), lam=5.0)
+    state = fit(data, hyper, FitConfig(obj_tol=1e-3, seed=3)).state
+    evals = []
+    for j in range(data.n_items):
+        one = ModelState(theta=state.theta, loadings=state.loadings[j:j + 1],
+                         intercepts=[state.intercepts[j]])
+        row = ResponseData(responses=data.responses[:, j:j + 1],
+                           mask=data.mask[:, j:j + 1], categories=[data.categories[j]])
+        with mock.patch.object(eng, "cell_loglik", wraps=eng.cell_loglik) as spy:
+            _, steps, _, _ = a_block(row, one, hyper)
+        evals.append(spy.call_count - 1)  # less the head's evaluation
+        assert steps[0] != eng.GAMMA_FLOOR
+    assert max(evals) < eng.MAX_BACKTRACKS + 1
+    assert np.mean(evals) <= 6
 
 
 def test_fit_opens_one_thread_pool():

@@ -114,12 +114,16 @@ def test_line_search_walks_the_grid_once_from_each_start(rows):
         evals[idx] += 1
         return gamma[:, None]
 
-    def value(idx, cand):
+    def loglik(idx, cand):
         return np.where(cand[:, 0] <= largest[idx], np.inf, -np.inf)
 
+    def penalty(idx, x):
+        return np.zeros(x.shape[0])
+
     start = eng.GAMMA0 * eng.SHRINK ** s.astype(np.float64)
-    out, steps = eng.line_search(np.zeros((k.size, 1)), np.ones(k.size),
-                                 np.zeros(k.size), propose, value, step=start)
+    out, steps, _ = eng.line_search(np.zeros((k.size, 1)), np.zeros(k.size), penalty,
+                                    loglik, propose, lambda idx, gamma, cand: 1.0,
+                                    step=start)
     found = k <= eng.MAX_BACKTRACKS
     np.testing.assert_array_equal(out[:, 0], np.where(found, largest, 0.0))
     np.testing.assert_array_equal(steps, np.where(found, largest, eng.GAMMA_FLOOR))
@@ -142,12 +146,14 @@ def _theta_block(data, state, step=None):
         rows, steps = eng.theta_block(
             state.theta, np.ascontiguousarray(state.loadings.T), du, dl,
             ws.mask_f, np.eye(state.n_factors), step)
-    _, gn2, f0, propose, value = spy.call_args.args
+    x0, ll0, penalty, loglik, propose, mapping_sq = spy.call_args.args
     idx = np.arange(data.n_respondents)
 
     def ok(gamma):
-        return value(idx, propose(idx, gamma)) >= (
-            f0 + eng.SUFFICIENT_INCREASE * gamma * gn2)
+        cand = propose(idx, gamma)
+        return loglik(idx, cand) - penalty(idx, cand) >= (
+            ll0 - penalty(idx, x0)
+            + eng.SUFFICIENT_INCREASE * gamma * mapping_sq(idx, gamma, cand))
 
     return rows, steps, ok
 
@@ -208,8 +214,8 @@ def test_intercept_step_keeps_intercepts_ordered(instance, draws):
     start = eng.GAMMA0 * eng.SHRINK ** np.array(exps, dtype=np.float64)
     ws = _Workspace(data)
     d_pad, nt = eng.pad_intercepts(state.intercepts)
-    rows, _ = eng.d_block(state.loadings, np.ascontiguousarray(state.theta.T), d_pad,
-                          nt, ws.yt, ws.mask_f_t, 4.0, start)
+    rows = eng.d_block(state.loadings, np.ascontiguousarray(state.theta.T), d_pad,
+                       nt, ws.yt, ws.mask_f_t, 4.0, start)[0]
     real = np.arange(d_pad.shape[1])[None, :] < nt[:, None]
     assert np.all(np.isfinite(rows))
     assert np.all(rows[~real] == 0.0)
