@@ -131,15 +131,25 @@ def cell_loglik(z, du, dl, mf):
     return (np.log(den) * mf).sum(axis=1), cu, cl, den
 
 
+def live_cells(den, mf):
+    """mf with the cells whose probability is floored set to 0.
+
+    Where cu - cl <= PROB_FLOOR, den is PROB_FLOOR and cell_loglik's
+    log(den) is constant, so such a cell adds nothing to any gradient.
+    """
+    return mf * (den > PROB_FLOOR)
+
+
 def loglik_head(x_rows, vt, du, dl, mf):
     """Row log-likelihoods and their gradients with respect to each row.
 
     A row is a factor-score row against the loadings (vt = a') or a loading
     row against the factor scores (vt = theta'); the gradient weight of a
-    cell is w = [cu(1 - cu) - cl(1 - cl)] / den.
+    cell is w = [cu(1 - cu) - cl(1 - cl)] / den, and 0 where the cell's
+    probability is floored (live_cells).
     """
     ll, cu, cl, den = cell_loglik(outer_sum(x_rows, vt), du, dl, mf)
-    w = ((cu * (1.0 - cu)) - (cl * (1.0 - cl))) / den * mf
+    w = ((cu * (1.0 - cu)) - (cl * (1.0 - cl))) / den * live_cells(den, mf)
     g = np.empty((w.shape[0], vt.shape[0]), dtype=np.float64)
     for k in range(vt.shape[0]):
         g[:, k] = (w * vt[k][None, :]).sum(axis=1)
@@ -157,6 +167,7 @@ def d_head(a_rows, th_t, d_rows, nt_rows, yt, mf, sigma_d_sq):
 
     Returns (ll, g_d, delta, g_delta, z): the gradients in d and in delta =
     (d_1, log(d_1 - d_2), ...), delta (0 where padded) and the cells' z.
+    Cells whose probability is floored have weight 0 (live_cells).
     """
     valid = np.arange(d_rows.shape[1])[None, :] < nt_rows[:, None]
     z = outer_sum(a_rows, th_t)
@@ -164,10 +175,11 @@ def d_head(a_rows, th_t, d_rows, nt_rows, yt, mf, sigma_d_sq):
 
     up_w = cu * (1.0 - cu) / den
     dn_w = cl * (1.0 - cl) / den
+    live = live_cells(den, mf) > 0
     g_d = np.zeros_like(d_rows)
     for m in range(d_rows.shape[1]):
-        up = np.where((yt == m + 1) & (mf > 0), up_w, 0.0).sum(axis=1)
-        dn = np.where((yt == m) & (mf > 0), dn_w, 0.0).sum(axis=1)
+        up = np.where((yt == m + 1) & live, up_w, 0.0).sum(axis=1)
+        dn = np.where((yt == m) & live, dn_w, 0.0).sum(axis=1)
         g_d[:, m] = up - dn
     g_d -= np.where(valid, d_rows, 0.0) / sigma_d_sq
     g_d = np.where(valid, g_d, 0.0)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -25,7 +26,7 @@ from .metrics import (LOADING_ZERO_THRESHOLD, q_from_loadings,
                       recovery_metrics, selection_metrics)
 from .model import Hyperparameters, ModelState
 from .optimizer import FitConfig, fit_multistart
-from .simulate import (SimDesign, gen_sigma, gen_true_params, run_replication,
+from .simulate import (SimDesign, _replicate, gen_sigma, gen_true_params,
                        sample_responses)
 
 
@@ -45,7 +46,9 @@ _OPTIONS = {
     "sigma_theta": ("--sigma-theta", str, None,
                     "factor covariance CSV (identity when omitted)"),
     "lam": ("--lambda", float, None, "sparsity weight"),
-    "threads": ("--threads", int, 1, "update blocks per phase"),
+    "threads": ("--threads", int, 1,
+                "update blocks per phase; also divides the CPUs among the "
+                "process workers that run CV folds and starts"),
     "seed": ("--seed", int, 0, "master seed"),
     "out": ("--out", str, None, "output directory"),
     "n_starts": ("--n-starts", int, 1, "independent random starts"),
@@ -364,14 +367,18 @@ def cmd_replicate(settings: dict) -> None:
     out = _ensure_out(settings)
     cfg = _fit_config(settings)
     rep_seeds = derive_seeds(settings["seed"], settings["reps"])
+    lam_key = "lambda" if settings.get("lam") is not None else "lambda_hat"
     rows = []
     for r in range(settings["reps"]):
         design = _sim_design(settings, rep_seeds[r])
-        selection, recovery, result = run_replication(
-            design, cfg, train_fraction=settings["train_fraction"],
-            n_folds=settings["folds"], lam=settings.get("lam"),
-            warm_start=settings["warm_start"],
+        t0 = time.perf_counter()
+        selection, recovery, result, lam = _replicate(
+            design, cfg, settings["train_fraction"], settings["folds"],
+            settings.get("lam"), settings["warm_start"],
         )
+        print(f"replicate: rep {r + 1}/{settings['reps']} seed {rep_seeds[r]} "
+              f"{lam_key} {lam:.6g} n_iters {result.n_iters} "
+              f"seconds {time.perf_counter() - t0:.2f}", file=sys.stderr, flush=True)
         rows.append([
             r, rep_seeds[r], selection.msr, selection.fpr, selection.fnr,
             recovery.error_a, recovery.error_d, recovery.relbias_a,

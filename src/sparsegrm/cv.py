@@ -6,6 +6,12 @@ out individual observed cells (not whole rows): each fold's cells are
 masked during fitting and scored by their out-of-sample log loss.  The
 end-to-end pipeline splits respondents in half, selects lambda on one
 half, and fits the other half at the selected value.
+
+Warm starts chain the fits of one fold along a stage's grid; the folds
+themselves are independent.  Each fold's chain, and each start of the
+final fit, is one task on a bounded process pool (sparsegrm._pool), and
+results merge in fold and start order, so every number matches a serial
+run bit for bit.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import _pool
 from .data import ResponseData, split_rows
 # category_prob is unused here; perfbench's tracer counts holdout cells by this name
 from .model import Hyperparameters, category_prob  # noqa: F401
@@ -126,23 +133,34 @@ def second_stage_grid(lambda_hat: float) -> LambdaGrid:
     return LambdaGrid(np.maximum(values, np.finfo(np.float64).tiny))
 
 
-def _scan_stage(stage: int, data: ResponseData, folds: FoldAssignment,
-                grid: LambdaGrid, hyper: Hyperparameters, cfg: FitConfig,
-                warm_start: bool):
-    """Per-fold CV errors over one candidate grid, ascending lambda.
+def _fold_chain(data: ResponseData, folds: FoldAssignment, m: int, lams,
+                hyper: Hyperparameters, cfg: FitConfig, warm_start: bool):
+    """Holdout losses of fold m along lams, in order.
 
     With warm starts on, each candidate's fold fit starts from the previous
-    candidate's solution for that fold.
+    candidate's solution for this fold.
     """
-    errors = np.zeros((grid.values.size, folds.n_folds))
-    for m in range(folds.n_folds):
-        init = None
-        for gi, lam in enumerate(grid.values):
-            loss, result = _fold_fit(data, folds, m, replace(hyper, lam=float(lam)),
-                                     cfg, init=init)
-            errors[gi, m] = loss
-            if warm_start:
-                init = result.state
+    losses = np.zeros(len(lams))
+    init = None
+    for gi, lam in enumerate(lams):
+        losses[gi], result = _fold_fit(data, folds, m, replace(hyper, lam=float(lam)),
+                                       cfg, init=init)
+        if warm_start:
+            init = result.state
+    return losses
+
+
+def _scan_stage(stage: int, data: ResponseData, folds: FoldAssignment,
+                grid: LambdaGrid, hyper: Hyperparameters, cfg: FitConfig,
+                warm_start: bool, pool=None):
+    """Per-fold CV errors over one candidate grid, ascending lambda.
+
+    Each fold's chain of fits is one task on `pool` (serial when None).
+    """
+    columns = _pool.run_tasks(pool, _fold_chain, [
+        (data, folds, m, grid.values, hyper, cfg, warm_start)
+        for m in range(folds.n_folds)])
+    errors = np.column_stack(columns)
     entries = [
         CvEntry(stage=stage, lam=float(lam), fold_errors=errors[gi],
                 total_error=float(errors[gi].sum()))
@@ -158,19 +176,22 @@ def _pick(entries):
 
 
 def select_lambda(train: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
-                  n_folds: int = 5, warm_start: bool = True):
+                  n_folds: int = 5, warm_start: bool = True, pool=None):
     """Two-stage CV search; returns (lambda_hat, list of CvEntry rows).
 
     The same fold assignment (seeded by cfg.seed) is reused in both stages
-    so stage comparisons see identical holdout sets.
+    so stage comparisons see identical holdout sets.  The folds run on
+    `pool` (an enclosing call's process pool) or, by default, on a pool of
+    their own.
     """
     folds = make_folds(train.mask, n_folds, cfg.seed)
-    stage1 = _scan_stage(1, train, folds, LambdaGrid(np.asarray(STAGE1_GRID)),
-                         hyper, cfg, warm_start)
-    pick1 = _pick(stage1)
-    stage1[pick1].selected = True
-    stage2 = _scan_stage(2, train, folds, second_stage_grid(stage1[pick1].lam),
-                         hyper, cfg, warm_start)
+    with _pool.shared_pool(pool, n_folds, cfg.threads) as pool:
+        stage1 = _scan_stage(1, train, folds, LambdaGrid(np.asarray(STAGE1_GRID)),
+                             hyper, cfg, warm_start, pool)
+        pick1 = _pick(stage1)
+        stage1[pick1].selected = True
+        stage2 = _scan_stage(2, train, folds, second_stage_grid(stage1[pick1].lam),
+                             hyper, cfg, warm_start, pool)
     pick2 = _pick(stage2)
     stage2[pick2].selected = True
     return stage2[pick2].lam, stage1 + stage2
@@ -183,10 +204,12 @@ def tune_and_fit(data: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
 
     Returns (FitResult on the test half, lambda_hat, CV table).  The final
     fit honors cfg.n_starts.  The row split is reproducible from the seed
-    via data.split_row_indices.
+    via data.split_row_indices.  One process pool serves both CV stages
+    and the final starts.
     """
     train, test = split_rows(data, train_fraction, seed)
-    lam_hat, table = select_lambda(train, hyper, cfg, n_folds=n_folds,
-                                   warm_start=warm_start)
-    result = fit_multistart(test, replace(hyper, lam=lam_hat), cfg)
+    with _pool.task_pool(max(n_folds, cfg.n_starts), cfg.threads) as pool:
+        lam_hat, table = select_lambda(train, hyper, cfg, n_folds=n_folds,
+                                       warm_start=warm_start, pool=pool)
+        result = fit_multistart(test, replace(hyper, lam=lam_hat), cfg, pool=pool)
     return result, lam_hat, table

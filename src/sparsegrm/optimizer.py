@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _engine as eng
+from . import _pool
 from .data import ResponseData
 from .model import Hyperparameters, ModelState
 
@@ -43,6 +44,8 @@ class FitConfig:
         default 5 is coarse; use 1e-2 for publication-grade fits.
     threads : int
         Number of update blocks per phase.  Results do not depend on it.
+        It also divides the usable CPUs among the process workers that
+        run CV folds and multistart starts (sparsegrm._pool).
     seed : int
         Seed for random initialization.
     n_starts : int
@@ -291,13 +294,26 @@ def fit(data: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
     )
 
 
+def _start(data: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
+           s: int) -> FitResult:
+    """Start s of fit_multistart: one fit from seed cfg.seed + s."""
+    return fit(data, hyper, replace(cfg, seed=cfg.seed + s, n_starts=1))
+
+
 def fit_multistart(data: ResponseData, hyper: Hyperparameters,
-                   cfg: FitConfig) -> FitResult:
-    """Run fit from n_starts random initializations; keep the best objective."""
-    best = None
-    for s in range(cfg.n_starts):
-        result = fit(data, hyper, replace(cfg, seed=cfg.seed + s, n_starts=1))
-        if best is None or result.objective_trace[-1] > best.objective_trace[-1]:
+                   cfg: FitConfig, pool=None) -> FitResult:
+    """Run fit from n_starts random initializations; keep the best objective.
+
+    The starts run as tasks on `pool` (an enclosing call's process pool) or,
+    by default, on a pool of their own; see sparsegrm._pool.  Ties go to the
+    earliest start, so the result is bit-identical to a serial run.
+    """
+    with _pool.shared_pool(pool, cfg.n_starts, cfg.threads) as pool:
+        results = _pool.run_tasks(pool, _start,
+                                  [(data, hyper, cfg, s) for s in range(cfg.n_starts)])
+    best = results[0]
+    for result in results[1:]:
+        if result.objective_trace[-1] > best.objective_trace[-1]:
             best = result
     return best
 

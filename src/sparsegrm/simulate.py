@@ -191,6 +191,12 @@ def run_replication(design: SimDesign, cfg: FitConfig,
     lam the whole data set is fitted directly.  Returns
     (SelectionReport, RecoveryReport, FitResult).
     """
+    return _replicate(design, cfg, train_fraction, n_folds, lam, warm_start)[:3]
+
+
+def _replicate(design: SimDesign, cfg: FitConfig, train_fraction: float,
+               n_folds: int, lam: float | None, warm_start: bool):
+    """run_replication's reports and fit, plus the weight of the final fit."""
     seeds = derive_seeds(design.seed, 4)
     truth, q_star = gen_true_params(replace(design, seed=seeds[0]))
     data = sample_responses(truth, design.n_categories, seed=seeds[1])
@@ -206,7 +212,8 @@ def run_replication(design: SimDesign, cfg: FitConfig,
         _, test_rows = split_row_indices(design.n_respondents, train_fraction,
                                          seeds[3])
     else:
-        hyper = Hyperparameters(sigma_theta=sigma, lam=float(lam))
+        lam_hat = float(lam)
+        hyper = Hyperparameters(sigma_theta=sigma, lam=lam_hat)
         result = fit_multistart(data, hyper, cfg_fit)
         test_rows = np.arange(design.n_respondents)
 
@@ -220,4 +227,4 @@ def run_replication(design: SimDesign, cfg: FitConfig,
     q_hat = q_from_loadings(aligned.loadings, LOADING_ZERO_THRESHOLD)
     selection = selection_metrics(q_hat, q_star)
     recovery = recovery_metrics(aligned, truth_test, q_star)
-    return selection, recovery, result
+    return selection, recovery, result, lam_hat

@@ -5,9 +5,13 @@ Each test drives ``main`` in-process with a small simulated corpus
 item counts) and checks the written artifacts.
 """
 
+import re
+
 import numpy as np
 import pytest
 
+from sparsegrm import _pool
+from sparsegrm import cv
 from sparsegrm.cli import main
 from sparsegrm.data import (load_responses, read_intercepts, read_matrix,
                             write_intercepts, write_matrix)
@@ -379,3 +383,38 @@ def test_cvfit_rejects_one_fold(tmp_path, sim_dir, capsys):
     assert run_cli("cv-fit", "--responses", sim_dir / "responses.csv", "--k", "3",
                    "--folds", "1", "--out", tmp_path / "cv") == 1
     assert "at least 2 folds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lam_args,key", [(["--lambda", "1.5"], "lambda"),
+                                          (["--max-iters", "3"], "lambda_hat")])
+def test_replicate_prints_one_progress_line_per_replication(tmp_path, capsys,
+                                                            lam_args, key):
+    out = tmp_path / "reps"
+    reps = 2
+    assert run_cli("replicate", *SIM_ARGS, "--reps", reps, *lam_args,
+                   "--out", out) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == reps
+    rows = [line.split(",") for line in open(out / "replications.csv")
+            if not line.startswith("#")][:reps]
+    for r, (line, row) in enumerate(zip(err, rows)):
+        m = re.fullmatch(rf"replicate: rep (\d+)/{reps} seed (\d+) {key} (\S+) "
+                         r"n_iters (\d+) seconds (\d+\.\d\d)", line)
+        assert m, line
+        assert int(m[1]) == r + 1
+        assert m[2] == row[1]  # the replication's seed
+        assert m[4] == row[12]  # its final fit's iterations
+        assert float(m[3]) == 1.5 if key == "lambda" else float(m[3]) > 0
+
+
+def test_cvfit_error_in_a_fold_task_prints_one_error_line(tmp_path, sim_dir, capsys,
+                                                          monkeypatch):
+    def failing(data, folds, m, hyper, cfg, init=None):
+        raise ValueError(f"fold {m} cannot be fitted")
+
+    monkeypatch.setattr(cv, "_fold_fit", failing)
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: 2)
+    assert run_cli("cv-fit", "--responses", sim_dir / "responses.csv", "--k", "3",
+                   "--out", tmp_path / "cv") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: fold 0 cannot be fitted"]

@@ -1,7 +1,12 @@
+import multiprocessing
+from unittest import mock
+
 import numpy as np
 import pytest
 
 import sparsegrm.cv as cv
+import sparsegrm.optimizer as optimizer
+from sparsegrm import _pool
 from sparsegrm.cv import (STAGE1_GRID, CvEntry, FoldAssignment, LambdaGrid,
                           cv_error, make_folds, second_stage_grid,
                           select_lambda, tune_and_fit)
@@ -140,6 +145,8 @@ def test_select_lambda_tie_prefers_larger(monkeypatch):
 
 
 def test_select_lambda_runs_fifty_fold_fits(monkeypatch):
+    # the fake records its calls in this process, so the folds run here
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: 1)
     calls = []
 
     def fake(data, folds, m, hyper, cfg, init=None):
@@ -221,3 +228,135 @@ def test_select_lambda_needs_two_folds(n_folds):
     hyper = Hyperparameters(sigma_theta=np.eye(2), lam=0.0)
     with pytest.raises(ValueError, match="at least 2 folds"):
         select_lambda(data, hyper, FitConfig(seed=0), n_folds=n_folds)
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the process pool needs the fork start method")
+
+
+def _use_cpus(monkeypatch, n):
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: n)
+
+
+def test_worker_count_is_bounded_by_tasks_and_by_cpus_per_thread_count():
+    assert _pool.worker_count(5, 1, 2) == 2
+    assert _pool.worker_count(5, 1, 16) == 5  # bound by tasks
+    assert _pool.worker_count(5, 2, 8) == 4  # bound by CPUs // threads
+    assert _pool.worker_count(5, 3, 8) == 2
+
+
+@pytest.mark.parametrize("n_tasks,threads,cpus",
+                         [(5, 1, 1), (5, 2, 2), (5, 3, 5), (1, 1, 8), (0, 1, 8)])
+def test_task_pool_runs_serially_below_two_workers(monkeypatch, n_tasks, threads,
+                                                   cpus):
+    _use_cpus(monkeypatch, cpus)
+    with mock.patch.object(_pool, "ProcessPoolExecutor") as executor:
+        with _pool.task_pool(n_tasks, threads) as pool:
+            assert pool is None
+    executor.assert_not_called()
+
+
+@needs_fork
+def test_task_pool_forks_the_bounded_worker_count(monkeypatch):
+    _use_cpus(monkeypatch, 8)
+    with mock.patch.object(_pool, "ProcessPoolExecutor") as executor:
+        with _pool.task_pool(5, 2) as pool:
+            assert pool is executor.return_value
+    (workers,), kwargs = executor.call_args
+    assert workers == 4
+    assert kwargs["mp_context"].get_start_method() == "fork"
+    pool.shutdown.assert_called_once()
+
+
+def _table_bytes(table):
+    return [(e.stage, e.lam, e.fold_errors.tobytes(), e.total_error, e.selected)
+            for e in table]
+
+
+def _result_bytes(result):
+    state = result.state
+    return ([x.tobytes() for x in (state.theta, state.loadings, *state.intercepts,
+                                   result.objective_trace)],
+            result.n_iters, result.converged)
+
+
+@needs_fork
+def test_select_lambda_table_is_bit_identical_on_one_and_two_workers(monkeypatch):
+    data = sim_data(seed=9, n=60)
+    hyper = Hyperparameters(sigma_theta=np.eye(2), lam=0.0)
+    cfg = FitConfig(seed=0, max_outer_iters=6, obj_tol=1e-2)
+    runs = []
+    for cpus in (1, 2):
+        _use_cpus(monkeypatch, cpus)
+        with mock.patch.object(_pool, "ProcessPoolExecutor",
+                               wraps=_pool.ProcessPoolExecutor) as executor:
+            lam_hat, table = select_lambda(data, hyper, cfg, n_folds=3)
+        assert executor.call_count == cpus - 1
+        runs.append((lam_hat, _table_bytes(table)))
+    assert runs[0] == runs[1]
+
+
+@needs_fork
+def test_tune_and_fit_is_bit_identical_on_one_and_two_workers(monkeypatch):
+    data = sim_data(seed=10, n=60)
+    hyper = Hyperparameters(sigma_theta=np.eye(2), lam=0.0)
+    cfg = FitConfig(seed=0, max_outer_iters=6, obj_tol=1e-2, n_starts=3)
+    runs = []
+    for cpus in (1, 2):
+        _use_cpus(monkeypatch, cpus)
+        with mock.patch.object(_pool, "ProcessPoolExecutor",
+                               wraps=_pool.ProcessPoolExecutor) as executor:
+            result, lam_hat, table = tune_and_fit(data, hyper, cfg, seed=4)
+        # one pool serves both CV stages and the final starts
+        assert executor.call_count == cpus - 1
+        runs.append((lam_hat, _table_bytes(table), _result_bytes(result)))
+    assert runs[0] == runs[1]
+
+
+@needs_fork
+def test_fit_multistart_keeps_the_earliest_of_tied_starts_on_two_workers(
+        monkeypatch):
+    real_fit = optimizer.fit
+
+    def tied_fit(data, hyper, cfg, init=None):
+        # starts 2k and 2k + 1 reach the same objective, k; the factor
+        # scores record which start it was
+        result = real_fit(data, hyper, cfg, init=init)
+        result.objective_trace = np.array([float(cfg.seed // 2)])
+        result.state.theta[:] = cfg.seed
+        return result
+
+    monkeypatch.setattr(optimizer, "fit", tied_fit)
+    data = sim_data(seed=11, n=30)
+    hyper = Hyperparameters(sigma_theta=np.eye(2), lam=1.0)
+    cfg = FitConfig(seed=0, max_outer_iters=2, obj_tol=1e-8, n_starts=4)
+    runs = []
+    for cpus in (1, 2):
+        _use_cpus(monkeypatch, cpus)
+        best = optimizer.fit_multistart(data, hyper, cfg)
+        assert np.all(best.state.theta == 2.0)  # start 2, not start 3
+        runs.append(_result_bytes(best))
+    assert runs[0] == runs[1]
+    monkeypatch.setattr(optimizer, "fit", real_fit)
+    cfg = FitConfig(seed=3, max_outer_iters=4, obj_tol=1e-8, n_starts=3)
+    runs = []
+    for cpus in (1, 2):
+        _use_cpus(monkeypatch, cpus)
+        runs.append(_result_bytes(optimizer.fit_multistart(data, hyper, cfg)))
+    assert runs[0] == runs[1]
+
+
+@needs_fork
+def test_value_error_in_a_pool_task_reaches_the_caller(monkeypatch):
+    def failing(data, folds, m, hyper, cfg, init=None):
+        if m == 1:
+            raise ValueError(f"fold {m} cannot be fitted")
+        return 1.0, _StubResult()
+
+    monkeypatch.setattr(cv, "_fold_fit", failing)
+    _use_cpus(monkeypatch, 2)
+    data = sim_data(seed=3, n=20)
+    hyper = Hyperparameters(sigma_theta=np.eye(2), lam=0.0)
+    with pytest.raises(ValueError, match="fold 1 cannot be fitted"):
+        select_lambda(data, hyper, FitConfig(seed=0), n_folds=3)

@@ -4,8 +4,11 @@ import pytest
 from sparsegrm.data import ResponseData
 from sparsegrm.gradients import (grad_a_loglik, grad_d, grad_delta,
                                  grad_theta, to_d, to_delta)
-from sparsegrm.model import (Hyperparameters, ModelState, log_likelihood,
-                             log_prior_d, log_prior_theta)
+from sparsegrm.model import (PROB_FLOOR, Hyperparameters, ModelState,
+                             category_prob, log_likelihood, log_prior_d,
+                             log_prior_theta)
+from sparsegrm.optimizer import random_init
+from sparsegrm.simulate import SimDesign, gen_true_params, sample_responses
 
 
 def random_instance(seed, n=6, j=4, k=2, categories=(2, 3, 4, 5),
@@ -154,3 +157,35 @@ def test_masked_cells_do_not_contribute():
     np.testing.assert_allclose(g, -hyper.sigma_theta_inv @ state.theta[0],
                                rtol=1e-12)
     assert np.array_equal(grad_a_loglik(blocked, state, 1), np.zeros(2))
+
+
+def test_gradients_are_flat_at_floored_cells():
+    # Factor scores scaled by 100 push many cells' category probabilities
+    # under PROB_FLOOR, where log P is the constant log(PROB_FLOOR); their
+    # gradient weights must vanish like their central differences do.
+    design = SimDesign(n_respondents=40, n_items=8, n_factors=2, n_categories=3,
+                       rho=0.2, seed=18, q_proportions=(0.5, 0.5, 0.0))
+    truth, _ = gen_true_params(design)
+    data = sample_responses(truth, design.n_categories, seed=19)
+    hyper = Hyperparameters(sigma_theta=np.eye(2), lam=2.0)
+    state = random_init(data, hyper, seed=0)
+    state.theta *= 100.0
+    floored = [(i, j) for i, j in np.argwhere(data.mask)
+               if category_prob(state.theta[i], state.loadings[j], state.intercepts[j],
+                                int(data.responses[i, j])) == PROB_FLOOR]
+    assert len(floored) >= 20
+
+    def check(g, f, x):
+        np.testing.assert_allclose(g, central_diff(f, x, eps=1e-5), rtol=1e-6,
+                                   atol=1e-2)
+
+    for i in range(data.n_respondents):
+        check(grad_theta(data, state, hyper, i),
+              lambda x, i=i: theta_objective_part(data, state, hyper, i, x),
+              state.theta[i])
+    for j in range(data.n_items):
+        check(grad_a_loglik(data, state, j),
+              lambda x, j=j: a_loglik_part(data, state, j, x), state.loadings[j])
+        check(grad_delta(data, state, hyper, j),
+              lambda x, j=j: d_objective_part(data, state, hyper, j, to_d(x)),
+              to_delta(state.intercepts[j]))
