@@ -23,7 +23,10 @@ them through :func:`bracket_intercepts`, which widens item j's row to
 [+inf, d_1, ..., d_{C_j-1}, -inf, ..., -inf]: category y lies between
 columns y and y + 1, which states P(Y >= 0) = 1 and P(Y >= C_j) = 0 as
 intercepts.  expit(+inf) and expit(-inf) are exactly 1.0 and 0.0, so the
-lowest and highest categories need no case of their own.
+lowest and highest categories need no case of their own.  Padded entries
+are exactly 0.0: pad_intercepts zero-fills them and d_block's proposals
+keep them 0.0 (or reject the whole row), so the intercept prior's sums of
+squares and its gradient need no mask.
 """
 
 from __future__ import annotations
@@ -53,12 +56,11 @@ _ALL = np.s_[:]
 
 
 def pad_intercepts(intercepts):
-    """Stack per-item intercept vectors into (J x Dmax pad, length vector)."""
-    nt = np.array([d.size for d in intercepts], dtype=np.int64)
-    d_pad = np.zeros((len(intercepts), int(nt.max())), dtype=np.float64)
+    """Stack per-item intercept vectors into a zero-padded J x Dmax block."""
+    d_pad = np.zeros((len(intercepts), max(d.size for d in intercepts)))
     for j, d in enumerate(intercepts):
         d_pad[j, : d.size] = d
-    return d_pad, nt
+    return d_pad
 
 
 def unpad_intercepts(d_pad, nt):
@@ -181,7 +183,7 @@ def d_head(a_rows, th_t, d_rows, nt_rows, yt, mf, sigma_d_sq):
         up = np.where((yt == m + 1) & live, up_w, 0.0).sum(axis=1)
         dn = np.where((yt == m) & live, dn_w, 0.0).sum(axis=1)
         g_d[:, m] = up - dn
-    g_d -= np.where(valid, d_rows, 0.0) / sigma_d_sq
+    g_d -= d_rows / sigma_d_sq
     g_d = np.where(valid, g_d, 0.0)
 
     delta = np.empty_like(d_rows)
@@ -336,7 +338,7 @@ def d_block(a_rows, th_t, d_rows, nt_rows, yt, mf, sigma_d_sq, step=None):
                            mf[rows])[0]
 
     def prior(rows, d):
-        return 0.5 * (np.where(valid[rows], d, 0.0) ** 2).sum(axis=1) / sigma_d_sq
+        return 0.5 * (d ** 2).sum(axis=1) / sigma_d_sq
 
     def propose(idx, gamma):
         step = delta[idx] + gamma[:, None] * g_delta[idx]
@@ -364,8 +366,8 @@ def item_loglik(a, d_pad, nt, th_t, yt, mf):
     return cell_loglik(outer_sum(a, th_t), *bracket_intercepts(d_pad, nt, yt), mf)[0]
 
 
-def objective(ll_items, a, d_pad, nt, th_t, sinv, log_det, lam, sigma_d_sq):
-    """Objective from the items' row log-likelihoods and the priors.
+def objective(ll_items, a, d_pad, nt, th_t, hyper):
+    """Objective from the items' row log-likelihoods and hyper's priors.
 
     ll_items holds each item's log-likelihood as item_loglik or d_block
     computes it; fit's trace and full_objective both sum them here, so an
@@ -373,13 +375,13 @@ def objective(ll_items, a, d_pad, nt, th_t, sinv, log_det, lam, sigma_d_sq):
     """
     n = th_t.shape[1]
     k = th_t.shape[0]
-    valid = np.arange(d_pad.shape[1])[None, :] < nt[:, None]
+    lam, sigma_d_sq = hyper.lam, hyper.sigma_d_sq
 
     ll = float(np.sum(ll_items))
 
-    quad = quad_form_rows(np.ascontiguousarray(th_t.T), sinv)
-    prior_theta = n * (-0.5 * k * np.log(2.0 * np.pi) - 0.5 * log_det) \
-        - 0.5 * float(np.sum(quad))
+    quad = quad_form_rows(np.ascontiguousarray(th_t.T), hyper.sigma_theta_inv)
+    prior_theta = n * (-0.5 * k * np.log(2.0 * np.pi)
+                       - 0.5 * hyper.log_det_sigma_theta) - 0.5 * float(np.sum(quad))
 
     if lam > 0:
         prior_a = a.size * np.log(lam / 2.0) - lam * float(np.sum(np.abs(a)))
@@ -387,14 +389,14 @@ def objective(ll_items, a, d_pad, nt, th_t, sinv, log_det, lam, sigma_d_sq):
         prior_a = 0.0
 
     n_thresh = float(np.sum(nt))
-    quad_d = float(np.sum((np.where(valid, d_pad, 0.0) ** 2).sum(axis=1)))
+    quad_d = float(np.sum((d_pad ** 2).sum(axis=1)))
     prior_d = -0.5 * n_thresh * np.log(2.0 * np.pi * sigma_d_sq) \
         - 0.5 * quad_d / sigma_d_sq
 
     return float(ll + prior_theta + prior_a + prior_d)
 
 
-def full_objective(a, d_pad, nt, th_t, yt, mf, sinv, log_det, lam, sigma_d_sq):
+def full_objective(a, d_pad, nt, th_t, yt, mf, hyper):
     """Objective over the whole data set in one deterministic global pass.
 
     Layout is item-major (J x N).  Matches the per-cell reference
@@ -402,4 +404,4 @@ def full_objective(a, d_pad, nt, th_t, yt, mf, sinv, log_det, lam, sigma_d_sq):
     start only, and takes later trace entries from d_block's row values.
     """
     return objective(item_loglik(a, d_pad, nt, th_t, yt, mf), a, d_pad, nt, th_t,
-                     sinv, log_det, lam, sigma_d_sq)
+                     hyper)

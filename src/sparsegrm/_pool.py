@@ -60,8 +60,9 @@ def shared_pool(pool, n_tasks: int, threads: int):
 def run_tasks(pool, fn, arg_lists) -> list:
     """[fn(*args) for args in arg_lists], on the pool when there is one.
 
-    fn must be a module-level function, so a worker can find it by name.
-    A task's exception is raised here, with its own type.
+    The pool may also be a fit's thread pool (optimizer._phase).  On a
+    process pool, fn must be a module-level function, so a worker can find
+    it by name.  A task's exception is raised here, with its own type.
     """
     if pool is None or len(arg_lists) < 2:
         return [fn(*args) for args in arg_lists]

@@ -63,6 +63,8 @@ class LambdaGrid:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 1 or self.values.size == 0:
             raise ValueError("grid must be a nonempty 1-D vector")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError(f"grid values must be finite, got {self.values}")
         if np.any(self.values <= 0):
             raise ValueError("grid values must be positive")
         if np.any(np.diff(self.values) <= 0):
@@ -126,10 +128,10 @@ def cv_error(data: ResponseData, folds: FoldAssignment, m: int, lam: float,
 
 def second_stage_grid(lambda_hat: float) -> LambdaGrid:
     """Five equally spaced values on [lambda_hat / 5, 5 * lambda_hat]."""
-    if lambda_hat <= 0:
-        raise ValueError(f"lambda_hat must be positive, got {lambda_hat}")
-    lo = max(0.0, lambda_hat / 5.0)
-    values = np.linspace(lo, 5.0 * lambda_hat, 5)
+    # a chained comparison with nan is False, so this also rejects nan
+    if not 0.0 < lambda_hat < np.inf:
+        raise ValueError(f"lambda_hat must be finite and positive, got {lambda_hat}")
+    values = np.linspace(lambda_hat / 5.0, 5.0 * lambda_hat, 5)
     return LambdaGrid(np.maximum(values, np.finfo(np.float64).tiny))
 
 

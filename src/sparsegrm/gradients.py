@@ -48,7 +48,7 @@ def to_d(delta_j) -> np.ndarray:
 def grad_theta(data: ResponseData, state: ModelState, hyper: Hyperparameters,
                i: int) -> np.ndarray:
     """Gradient of the objective with respect to theta_i."""
-    return eng.theta_head(*_row_args(data, state, hyper, "theta", i))[1][0]
+    return eng.theta_head(*_row_args(data, state, hyper, "theta", [i]))[1][0]
 
 
 def grad_a_loglik(data: ResponseData, state: ModelState, j: int) -> np.ndarray:
@@ -56,12 +56,12 @@ def grad_a_loglik(data: ResponseData, state: ModelState, j: int) -> np.ndarray:
 
     The Laplace prior is excluded; the proximal step absorbs it.
     """
-    return eng.loglik_head(*_row_args(data, state, None, "a", j))[1][0]
+    return eng.loglik_head(*_row_args(data, state, None, "a", [j]))[1][0]
 
 
 def _intercept_grads(data, state, hyper, j):
     """Objective gradients of item j in d and in delta space."""
-    _, g_d, _, g_delta, _ = eng.d_head(*_row_args(data, state, hyper, "d", j))
+    _, g_d, _, g_delta, _ = eng.d_head(*_row_args(data, state, hyper, "d", [j]))
     n = state.intercepts[j].size
     return g_d[0, :n], g_delta[0, :n]
 

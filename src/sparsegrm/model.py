@@ -119,6 +119,8 @@ class Hyperparameters:
         self.sigma_theta = np.asarray(self.sigma_theta, dtype=np.float64)
         if self.sigma_theta.ndim != 2 or self.sigma_theta.shape[0] != self.sigma_theta.shape[1]:
             raise ValueError(f"sigma_theta must be square, got shape {self.sigma_theta.shape}")
+        if self.sigma_theta.size == 0:
+            raise ValueError("sigma_theta must be at least 1 x 1, got 0 x 0")
         if not np.allclose(self.sigma_theta, self.sigma_theta.T, atol=1e-10):
             raise ValueError("sigma_theta must be symmetric")
         sign, logdet = np.linalg.slogdet(self.sigma_theta)

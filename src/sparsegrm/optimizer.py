@@ -61,8 +61,9 @@ class FitConfig:
     def __post_init__(self):
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be positive")
-        if self.obj_tol <= 0:
-            raise ValueError("obj_tol must be positive")
+        # a chained comparison with nan is False, so this also rejects nan
+        if not 0.0 < self.obj_tol < np.inf:
+            raise ValueError(f"obj_tol must be finite and positive, got {self.obj_tol}")
         if self.threads < 1:
             raise ValueError("threads must be positive")
         if self.n_starts < 1:
@@ -109,9 +110,12 @@ class _Workspace:
         return du, dl, du_t, dl_t
 
 
-def _check_state_shapes(data: ResponseData, state: ModelState,
-                        hyper: Hyperparameters | None = None) -> None:
-    """Raise unless state fits data (and hyper's factor count, when given)."""
+def _prepare(data: ResponseData, state: ModelState,
+             hyper: Hyperparameters | None = None):
+    """(workspace, padded intercepts, theta') of state, after the shape check.
+
+    Raises unless state fits data (and hyper's factor count, when given).
+    """
     if state.n_respondents != data.n_respondents:
         raise ValueError(
             f"state has {state.n_respondents} respondents, data has "
@@ -132,19 +136,16 @@ def _check_state_shapes(data: ResponseData, state: ModelState,
                 f"item {j}: {state.intercepts[j].size} intercepts for "
                 f"{int(data.categories[j])} categories"
             )
+    return (_Workspace(data), eng.pad_intercepts(state.intercepts),
+            np.ascontiguousarray(state.theta.T))
 
 
 def objective_value(data: ResponseData, state: ModelState,
                     hyper: Hyperparameters) -> float:
     """Objective as computed inside fit (identical code path to the trace)."""
-    _check_state_shapes(data, state, hyper)
-    ws = _Workspace(data)
-    d_pad, nt = eng.pad_intercepts(state.intercepts)
-    th_t = np.ascontiguousarray(state.theta.T)
-    return eng.full_objective(
-        state.loadings, d_pad, nt, th_t, ws.yt, ws.mask_f_t, hyper.sigma_theta_inv,
-        hyper.log_det_sigma_theta, hyper.lam, hyper.sigma_d_sq,
-    )
+    ws, d_pad, th_t = _prepare(data, state, hyper)
+    return eng.full_objective(state.loadings, d_pad, ws.nt, th_t, ws.yt, ws.mask_f_t,
+                              hyper)
 
 
 def log_likelihood_value(data: ResponseData, state: ModelState) -> float:
@@ -152,11 +153,8 @@ def log_likelihood_value(data: ResponseData, state: ModelState) -> float:
 
     Equals model.log_likelihood up to floating-point addition order.
     """
-    _check_state_shapes(data, state)
-    ws = _Workspace(data)
-    d_pad, nt = eng.pad_intercepts(state.intercepts)
-    return float(np.sum(eng.item_loglik(state.loadings, d_pad, nt,
-                                        np.ascontiguousarray(state.theta.T), ws.yt,
+    ws, d_pad, th_t = _prepare(data, state)
+    return float(np.sum(eng.item_loglik(state.loadings, d_pad, ws.nt, th_t, ws.yt,
                                         ws.mask_f_t)))
 
 
@@ -164,42 +162,10 @@ def _blocks(n: int, threads: int):
     return [b for b in np.array_split(np.arange(n), threads) if b.size > 0]
 
 
-def _run_blocks(worker, blocks, pool):
-    if pool is None or len(blocks) == 1:
-        return [worker(b) for b in blocks]
-    return list(pool.map(worker, blocks))
-
-
-def _theta_phase(theta, step, ws: _Workspace, a_t, du, dl, sinv, blocks, pool):
-    out = np.empty_like(theta)
-    step_out = np.empty_like(step)
-
-    def worker(rows):
-        return eng.theta_block(theta[rows], a_t, du[rows], dl[rows],
-                               ws.mask_f[rows], sinv, step[rows])
-
-    for rows, (th_new, s_new) in zip(blocks, _run_blocks(worker, blocks, pool)):
-        out[rows] = th_new
-        step_out[rows] = s_new
-    return out, step_out
-
-
-def _item_phase(loadings, a_step, d_pad, d_step, ws: _Workspace, th_t, du_t, dl_t,
-                lam, sigma_d_sq, blocks, pool):
-    """New loadings, their steps, intercepts, their steps and item log-likelihoods."""
-    outs = [np.empty_like(x) for x in (loadings, a_step, d_pad, d_step, d_step)]
-
-    def worker(items):
-        a_new, a_s = eng.a_block(loadings[items], th_t, du_t[items], dl_t[items],
-                                 ws.mask_f_t[items], lam, a_step[items])
-        return (a_new, a_s, *eng.d_block(a_new, th_t, d_pad[items], ws.nt[items],
-                                         ws.yt[items], ws.mask_f_t[items], sigma_d_sq,
-                                         d_step[items]))
-
-    for items, parts in zip(blocks, _run_blocks(worker, blocks, pool)):
-        for out, part in zip(outs, parts):
-            out[items] = part
-    return outs
+def _phase(worker, blocks, pool):
+    """worker's outputs over the contiguous blocks, each concatenated in block order."""
+    parts = _pool.run_tasks(pool, worker, [(b,) for b in blocks])
+    return [np.concatenate(out) for out in zip(*parts)]
 
 
 def random_init(data: ResponseData, hyper: Hyperparameters,
@@ -233,18 +199,12 @@ def fit(data: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
     t0 = time.perf_counter()
     if init is None:
         init = random_init(data, hyper, cfg.seed)
-    _check_state_shapes(data, init, hyper)
-
-    ws = _Workspace(data)
-    sinv = hyper.sigma_theta_inv
+    ws, d_pad, th_t = _prepare(data, init, hyper)
     theta = init.theta.copy()
     loadings = init.loadings.copy()
-    d_pad, nt = eng.pad_intercepts(init.intercepts)
 
-    trace = [eng.full_objective(
-        loadings, d_pad, nt, np.ascontiguousarray(theta.T), ws.yt, ws.mask_f_t, sinv,
-        hyper.log_det_sigma_theta, hyper.lam, hyper.sigma_d_sq,
-    )]
+    trace = [eng.full_objective(loadings, d_pad, ws.nt, th_t, ws.yt, ws.mask_f_t,
+                                hyper)]
     if not np.isfinite(trace[0]):
         raise ValueError("objective is not finite at the starting state")
 
@@ -257,21 +217,29 @@ def fit(data: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
     n_iters = 0
     row_blocks = _blocks(theta.shape[0], cfg.threads)
     item_blocks = _blocks(loadings.shape[0], cfg.threads)
+
+    # the workers read the loop's current arrays when a phase calls them
+    def theta_worker(rows):
+        return eng.theta_block(theta[rows], a_t, du[rows], dl[rows], ws.mask_f[rows],
+                               hyper.sigma_theta_inv, theta_step[rows])
+
+    def item_worker(items):
+        a_new, a_s = eng.a_block(loadings[items], th_t, du_t[items], dl_t[items],
+                                 ws.mask_f_t[items], hyper.lam, a_step[items])
+        return (a_new, a_s, *eng.d_block(a_new, th_t, d_pad[items], ws.nt[items],
+                                         ws.yt[items], ws.mask_f_t[items],
+                                         hyper.sigma_d_sq, d_step[items]))
+
     with (ThreadPoolExecutor(max_workers=cfg.threads) if cfg.threads > 1
           else nullcontext()) as pool:
         for _ in range(cfg.max_outer_iters):
             du, dl, du_t, dl_t = ws.gather_intercepts(d_pad)
             a_t = np.ascontiguousarray(loadings.T)
-            theta, theta_step = _theta_phase(theta, theta_step, ws, a_t, du, dl,
-                                             sinv, row_blocks, pool)
+            theta, theta_step = _phase(theta_worker, row_blocks, pool)
             th_t = np.ascontiguousarray(theta.T)
-            loadings, a_step, d_pad, d_step, ll_items = _item_phase(
-                loadings, a_step, d_pad, d_step, ws, th_t, du_t, dl_t, hyper.lam,
-                hyper.sigma_d_sq, item_blocks, pool,
-            )
-            obj = eng.objective(ll_items, loadings, d_pad, nt, th_t, sinv,
-                                hyper.log_det_sigma_theta, hyper.lam,
-                                hyper.sigma_d_sq)
+            loadings, a_step, d_pad, d_step, ll_items = _phase(item_worker,
+                                                               item_blocks, pool)
+            obj = eng.objective(ll_items, loadings, d_pad, ws.nt, th_t, hyper)
             if not np.isfinite(obj):
                 raise ValueError("objective became non-finite during fitting")
             trace.append(obj)
@@ -283,7 +251,7 @@ def fit(data: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
     state = ModelState(
         theta=theta,
         loadings=loadings,
-        intercepts=eng.unpad_intercepts(d_pad, nt),
+        intercepts=eng.unpad_intercepts(d_pad, ws.nt),
     )
     return FitResult(
         state=state,
@@ -311,50 +279,42 @@ def fit_multistart(data: ResponseData, hyper: Hyperparameters,
     with _pool.shared_pool(pool, cfg.n_starts, cfg.threads) as pool:
         results = _pool.run_tasks(pool, _start,
                                   [(data, hyper, cfg, s) for s in range(cfg.n_starts)])
-    best = results[0]
-    for result in results[1:]:
-        if result.objective_trace[-1] > best.objective_trace[-1]:
-            best = result
-    return best
+    return max(results, key=lambda result: result.objective_trace[-1])
 
 
 def _row_args(data: ResponseData, state: ModelState,
-              hyper: Hyperparameters | None, phase: str, index: int) -> tuple:
-    """Engine arguments for one respondent or one item, after the shape check.
+              hyper: Hyperparameters | None, phase: str, rows) -> tuple:
+    """Engine arguments for the respondents or items of the index array rows.
 
-    phase "theta" gives theta_block's arguments up to sinv for respondent
-    index; "a" gives a_block's up to mf for item index (hyper may be None);
-    "d" gives d_block's up to sigma_d_sq.  The gradient heads take the same.
+    phase "theta" gives theta_block's arguments up to sinv; "a" gives
+    a_block's up to mf (hyper may be None); "d" gives d_block's up to
+    sigma_d_sq.  The gradient heads take the same.
     """
-    _check_state_shapes(data, state, hyper)
-    ws = _Workspace(data)
-    d_pad, nt = eng.pad_intercepts(state.intercepts)
+    ws, d_pad, th_t = _prepare(data, state, hyper)
     du, dl, du_t, dl_t = ws.gather_intercepts(d_pad)
-    r = np.array([index])
     if phase == "theta":
-        return (state.theta[r], np.ascontiguousarray(state.loadings.T), du[r],
-                dl[r], ws.mask_f[r], hyper.sigma_theta_inv)
-    th_t = np.ascontiguousarray(state.theta.T)
+        return (state.theta[rows], np.ascontiguousarray(state.loadings.T), du[rows],
+                dl[rows], ws.mask_f[rows], hyper.sigma_theta_inv)
     if phase == "a":
-        return state.loadings[r], th_t, du_t[r], dl_t[r], ws.mask_f_t[r]
-    return (state.loadings[r], th_t, d_pad[r], nt[r], ws.yt[r], ws.mask_f_t[r],
-            hyper.sigma_d_sq)
+        return state.loadings[rows], th_t, du_t[rows], dl_t[rows], ws.mask_f_t[rows]
+    return (state.loadings[rows], th_t, d_pad[rows], ws.nt[rows], ws.yt[rows],
+            ws.mask_f_t[rows], hyper.sigma_d_sq)
 
 
 def update_theta(data: ResponseData, state: ModelState, hyper: Hyperparameters,
                  i: int) -> np.ndarray:
     """One line-searched gradient step for theta_i; state is not modified."""
-    return eng.theta_block(*_row_args(data, state, hyper, "theta", i))[0][0]
+    return eng.theta_block(*_row_args(data, state, hyper, "theta", [i]))[0][0]
 
 
 def update_a(data: ResponseData, state: ModelState, hyper: Hyperparameters,
              j: int) -> np.ndarray:
     """One proximal gradient step for a_j; state is not modified."""
-    return eng.a_block(*_row_args(data, state, hyper, "a", j), hyper.lam)[0][0]
+    return eng.a_block(*_row_args(data, state, hyper, "a", [j]), hyper.lam)[0][0]
 
 
 def update_d(data: ResponseData, state: ModelState, hyper: Hyperparameters,
              j: int) -> np.ndarray:
     """One reparameterized gradient step for d_j; state is not modified."""
-    out = eng.d_block(*_row_args(data, state, hyper, "d", j))[0]
+    out = eng.d_block(*_row_args(data, state, hyper, "d", [j]))[0]
     return out[0, : state.intercepts[j].size]

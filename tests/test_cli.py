@@ -370,6 +370,22 @@ def test_fit_rejects_non_finite_lambda(tmp_path, sim_dir, capsys, lam):
     assert err[0] == f"error: lam must be finite and nonnegative, got {lam}"
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_fit_rejects_non_finite_obj_tol(tmp_path, sim_dir, capsys, tol):
+    assert run_cli("fit", "--responses", sim_dir / "responses.csv", "--lambda", "1",
+                   "--k", "3", "--c", "3", "--obj-tol", tol,
+                   "--out", tmp_path / "fit") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: obj_tol must be finite and positive, got {tol}"]
+
+
+def test_fit_rejects_zero_factors(tmp_path, sim_dir, capsys):
+    assert run_cli("fit", "--responses", sim_dir / "responses.csv", "--lambda", "1",
+                   "--k", "0", "--c", "3", "--out", tmp_path / "fit") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: sigma_theta must be at least 1 x 1, got 0 x 0"]
+
+
 @pytest.mark.parametrize("reps", [0, -1])
 def test_replicate_rejects_fewer_than_one_rep(tmp_path, capsys, reps):
     out = tmp_path / "reps"

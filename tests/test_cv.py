@@ -45,6 +45,13 @@ def test_second_stage_grid_rejects_nonpositive():
         second_stage_grid(0.0)
 
 
+@pytest.mark.parametrize("lambda_hat", [np.nan, np.inf])
+def test_second_stage_grid_rejects_non_finite(lambda_hat):
+    # unchecked, inf gave the grid [nan nan nan nan inf] and nan an all-nan grid
+    with pytest.raises(ValueError, match="lambda_hat must be finite"):
+        second_stage_grid(lambda_hat)
+
+
 def test_lambda_grid_validation():
     with pytest.raises(ValueError):
         LambdaGrid(np.array([1.0, 1.0]))
@@ -52,6 +59,9 @@ def test_lambda_grid_validation():
         LambdaGrid(np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
         LambdaGrid(np.array([2.0, 1.0]))
+    for values in ([np.nan], [1.0, np.inf], [1.0, np.nan, 3.0]):
+        with pytest.raises(ValueError, match="grid values must be finite"):
+            LambdaGrid(np.array(values))
 
 
 def test_make_folds_partitions_observed_cells():

@@ -9,7 +9,7 @@ from sparsegrm import optimizer
 from sparsegrm.data import ResponseData
 from sparsegrm.gradients import grad_a_loglik, grad_d, grad_delta, grad_theta
 from sparsegrm.model import Hyperparameters, ModelState, objective
-from sparsegrm.optimizer import (FitConfig, _Workspace, fit, fit_multistart,
+from sparsegrm.optimizer import (FitConfig, _row_args, fit, fit_multistart,
                                  log_likelihood_value, objective_value,
                                  random_init, soft_threshold, update_a,
                                  update_d, update_theta)
@@ -67,6 +67,11 @@ def test_fit_config_validation():
         FitConfig(threads=0)
     with pytest.raises(ValueError):
         FitConfig(n_starts=0)
+    # nan <= 0 is False, so a sign check alone let nan run every fit to
+    # max_outer_iters, and inf stopped every fit after one iteration
+    for value in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="obj_tol must be finite and positive"):
+            FitConfig(obj_tol=value)
 
 
 def test_fit_trace_monotone_and_converged():
@@ -249,10 +254,8 @@ def d_block(data, state, hyper, step=None):
 
     Returns the new padded intercepts and their accepted steps.
     """
-    ws = _Workspace(data)
-    d_pad, nt = eng.pad_intercepts(state.intercepts)
-    return eng.d_block(state.loadings, np.ascontiguousarray(state.theta.T), d_pad,
-                       nt, ws.yt, ws.mask_f_t, hyper.sigma_d_sq, step)[:2]
+    items = np.arange(data.n_items)
+    return eng.d_block(*_row_args(data, state, hyper, "d", items), step)[:2]
 
 
 def sim_ragged(k, props):
@@ -309,12 +312,9 @@ def a_block(data, state, hyper, step=None):
     acceptance test for every item row at the per-row steps gamma, and
     pending marks the rows the line search was asked to move.
     """
-    ws = _Workspace(data)
-    d_pad, _ = eng.pad_intercepts(state.intercepts)
-    _, _, du_t, dl_t = ws.gather_intercepts(d_pad)
+    args = _row_args(data, state, hyper, "a", np.arange(data.n_items))
     with mock.patch.object(eng, "line_search", wraps=eng.line_search) as spy:
-        rows, steps = eng.a_block(state.loadings, np.ascontiguousarray(state.theta.T),
-                                  du_t, dl_t, ws.mask_f_t, hyper.lam, step)
+        rows, steps = eng.a_block(*args, hyper.lam, step)
     x0, ll0, penalty, loglik, propose, mapping_sq, pending, _ = spy.call_args.args
     idx = np.arange(data.n_items)
 

@@ -14,7 +14,7 @@ from sparsegrm.data import ResponseData
 from sparsegrm.gradients import grad_a_loglik, grad_delta, grad_theta, to_d, to_delta
 from sparsegrm.model import (Hyperparameters, ModelState, category_prob,
                              log_likelihood, log_prior_d, log_prior_theta)
-from sparsegrm.optimizer import (_Workspace, log_likelihood_value, update_a, update_d,
+from sparsegrm.optimizer import (_row_args, log_likelihood_value, update_a, update_d,
                                  update_theta)
 from sparsegrm.simulate import gen_sigma
 
@@ -139,13 +139,10 @@ def _theta_block(data, state, step=None):
     Returns (rows, steps, ok) where ok(gamma) is the engine's own acceptance
     test for every row at the per-row steps gamma.
     """
-    ws = _Workspace(data)
-    d_pad, _ = eng.pad_intercepts(state.intercepts)
-    du, dl, _, _ = ws.gather_intercepts(d_pad)
+    hyper = Hyperparameters(sigma_theta=np.eye(state.n_factors), lam=0.0)
+    args = _row_args(data, state, hyper, "theta", np.arange(data.n_respondents))
     with mock.patch.object(eng, "line_search", wraps=eng.line_search) as spy:
-        rows, steps = eng.theta_block(
-            state.theta, np.ascontiguousarray(state.loadings.T), du, dl,
-            ws.mask_f, np.eye(state.n_factors), step)
+        rows, steps = eng.theta_block(*args, step)
     x0, ll0, penalty, loglik, propose, mapping_sq = spy.call_args.args
     idx = np.arange(data.n_respondents)
 
@@ -212,11 +209,11 @@ def test_intercept_step_keeps_intercepts_ordered(instance, draws):
     exps = draws.draw(st.lists(st.integers(0, eng.MAX_BACKTRACKS),
                                min_size=data.n_items, max_size=data.n_items))
     start = eng.GAMMA0 * eng.SHRINK ** np.array(exps, dtype=np.float64)
-    ws = _Workspace(data)
-    d_pad, nt = eng.pad_intercepts(state.intercepts)
-    rows = eng.d_block(state.loadings, np.ascontiguousarray(state.theta.T), d_pad,
-                       nt, ws.yt, ws.mask_f_t, 4.0, start)[0]
-    real = np.arange(d_pad.shape[1])[None, :] < nt[:, None]
+    hyper = Hyperparameters(sigma_theta=np.eye(state.n_factors), lam=0.0,
+                            sigma_d_sq=4.0)
+    rows = eng.d_block(*_row_args(data, state, hyper, "d", np.arange(data.n_items)),
+                       start)[0]
+    real = np.arange(rows.shape[1])[None, :] < (data.categories - 1)[:, None]
     assert np.all(np.isfinite(rows))
     assert np.all(rows[~real] == 0.0)
     assert np.all((np.diff(rows, axis=1) < 0.0) | ~real[:, 1:])
