@@ -16,7 +16,7 @@ from .data import (QMatrix, ResponseData, derive_seeds, load_responses,
                    write_intercepts, write_matrix)
 from .gradients import grad_a_loglik, grad_d, grad_delta, grad_theta, to_d, to_delta
 from .metrics import (RecoveryReport, SelectionReport, q_from_loadings,
-                      recovery_metrics, selection_metrics)
+                      recovery_metrics, score, selection_metrics)
 from .model import (PROB_FLOOR, Hyperparameters, ModelState, category_prob,
                     cumulative_probs, inverse_logit, log_likelihood,
                     log_prior_a, log_prior_d, log_prior_theta, objective)

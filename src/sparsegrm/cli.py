@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 
@@ -22,8 +22,8 @@ from .cv import tune_and_fit
 from .data import (QMatrix, derive_seeds, load_responses, read_intercepts,
                    read_matrix, save_responses, split_row_indices,
                    write_intercepts, write_matrix)
-from .metrics import (LOADING_ZERO_THRESHOLD, q_from_loadings,
-                      recovery_metrics, selection_metrics)
+from .metrics import (LOADING_ZERO_THRESHOLD, RecoveryReport,
+                      SelectionReport, score)
 from .model import Hyperparameters, ModelState
 from .optimizer import FitConfig, fit_multistart
 from .simulate import (SimDesign, _replicate, gen_sigma, gen_true_params,
@@ -164,10 +164,30 @@ def _echo(settings: dict) -> list:
     return lines
 
 
-def _write_echo(fh, echo: list) -> None:
-    """Write the config-echo lines as the comment header of an output file."""
-    for line in echo:
-        fh.write(f"# {line}\n")
+def _write_pairs(path: str, echo: list, pairs) -> None:
+    """Write the config echo, then one 'name = value' line per pair."""
+    with open(path, "w") as fh:
+        fh.writelines(f"# {line}\n" for line in echo)
+        fh.writelines(f"{name} = {value}\n" for name, value in pairs)
+
+
+def _write_table(path: str, echo: list, columns, rows) -> None:
+    """Write the config echo, a '# columns:' line, and comma-separated rows.
+
+    A float is written at .17g, so it reads back exactly; anything else
+    through str.
+    """
+    with open(path, "w") as fh:
+        fh.writelines(f"# {line}\n" for line in echo)
+        fh.write("# columns: " + ",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(format(v, ".17g") if isinstance(v, float)
+                              else str(v) for v in row) + "\n")
+
+
+# metric columns of metrics.txt, metrics_row.csv and replications.csv
+_METRIC_NAMES = [f.name for report in (SelectionReport, RecoveryReport)
+                 for f in fields(report)]
 
 
 def _ensure_out(settings: dict) -> str:
@@ -203,23 +223,27 @@ def _load_fit_inputs(settings: dict):
     if settings.get("sigma_theta"):
         sigma = read_matrix(settings["sigma_theta"])
     else:
-        if settings.get("k") is None:
+        k = settings.get("k")
+        if k is None:
             raise ValueError("provide --k or --sigma-theta to set the factor count")
-        sigma = np.eye(settings["k"])
+        if k < 1:
+            raise ValueError(
+                f"{settings['command']}: --k must be at least 1, got {k}")
+        sigma = np.eye(k)
     return data, sigma
 
 
-def _write_summary(path: str, settings: dict, result, extra=()):
-    with open(path, "w") as fh:
-        _write_echo(fh, _echo(settings))
-        for line in extra:
-            fh.write(line + "\n")
-        fh.write(f"converged = {result.converged}\n")
-        fh.write(f"n_iters = {result.n_iters}\n")
-        fh.write(f"elapsed_seconds = {result.elapsed_seconds:.3f}\n")
-        fh.write(f"objective_final = {result.objective_trace[-1]:.17g}\n")
-        trace = ",".join(format(v, ".17g") for v in result.objective_trace)
-        fh.write(f"objective_trace = {trace}\n")
+def _write_summary(out: str, settings: dict, lam_key: str, lam: float,
+                   result) -> None:
+    trace = result.objective_trace
+    _write_pairs(os.path.join(out, "summary.txt"), _echo(settings), [
+        (lam_key, format(lam, ".17g")),
+        ("converged", result.converged),
+        ("n_iters", result.n_iters),
+        ("elapsed_seconds", format(result.elapsed_seconds, ".3f")),
+        ("objective_final", format(trace[-1], ".17g")),
+        ("objective_trace", ",".join(format(v, ".17g") for v in trace)),
+    ])
 
 
 def _write_fit_files(out: str, settings: dict, result) -> None:
@@ -255,8 +279,7 @@ def cmd_fit(settings: dict) -> None:
     hyper = Hyperparameters(sigma_theta=sigma, lam=settings["lam"])
     result = fit_multistart(data, hyper, _fit_config(settings))
     _write_fit_files(out, settings, result)
-    _write_summary(os.path.join(out, "summary.txt"), settings, result,
-                   extra=[f"lambda = {settings['lam']:.17g}"])
+    _write_summary(out, settings, "lambda", settings["lam"], result)
 
 
 def cmd_cvfit(settings: dict) -> None:
@@ -273,21 +296,16 @@ def cmd_cvfit(settings: dict) -> None:
     train_rows, test_rows = split_row_indices(
         data.n_respondents, settings["train_fraction"], split_seed)
     echo = _echo(settings)
-    with open(os.path.join(out, "cv_table.csv"), "w") as fh:
-        _write_echo(fh, echo)
-        folds = table[0].fold_errors.size
-        fold_cols = ",".join(f"err_fold{m}" for m in range(folds))
-        fh.write(f"# columns: stage,lambda,{fold_cols},total_error,selected\n")
-        for entry in table:
-            cells = [str(entry.stage), format(entry.lam, ".17g")]
-            cells += [format(e, ".17g") for e in entry.fold_errors]
-            cells += [format(entry.total_error, ".17g"), str(int(entry.selected))]
-            fh.write(",".join(cells) + "\n")
+    fold_cols = [f"err_fold{m}" for m in range(table[0].fold_errors.size)]
+    _write_table(
+        os.path.join(out, "cv_table.csv"), echo,
+        ["stage", "lambda", *fold_cols, "total_error", "selected"],
+        [[e.stage, e.lam, *e.fold_errors, e.total_error, int(e.selected)]
+         for e in table])
     write_matrix(os.path.join(out, "train_rows.csv"), train_rows[None, :], echo)
     write_matrix(os.path.join(out, "test_rows.csv"), test_rows[None, :], echo)
     _write_fit_files(out, settings, result)
-    _write_summary(os.path.join(out, "summary.txt"), settings, result,
-                   extra=[f"lambda_hat = {lam_hat:.17g}"])
+    _write_summary(out, settings, "lambda_hat", lam_hat, result)
 
 
 def cmd_evaluate(settings: dict) -> None:
@@ -298,32 +316,18 @@ def cmd_evaluate(settings: dict) -> None:
     a_star = read_matrix(os.path.join(settings["truth"], "loadings_true.csv"))
     d_star = read_intercepts(os.path.join(settings["truth"], "intercepts_true.csv"))
     q_star = QMatrix(entries=read_matrix(
-        os.path.join(settings["truth"], "q_true.csv")).astype(np.int64))
+        os.path.join(settings["truth"], "q_true.csv")))
 
     k = a_hat.shape[1]
-    state_hat = ModelState(theta=np.zeros((0, k)), loadings=a_hat, intercepts=d_hat)
-    state_star = ModelState(theta=np.zeros((0, k)), loadings=a_star,
-                            intercepts=d_star)
-    alignment = best_alignment(state_hat.loadings, state_star.loadings)
-    aligned = apply_alignment(state_hat, alignment)
-    q_hat = q_from_loadings(aligned.loadings, settings["threshold"])
-    selection = selection_metrics(q_hat, q_star)
-    recovery = recovery_metrics(aligned, state_star, q_star)
-
-    fields = [
-        ("msr", selection.msr), ("fpr", selection.fpr), ("fnr", selection.fnr),
-        ("error_a", recovery.error_a), ("error_d", recovery.error_d),
-        ("relbias_a", recovery.relbias_a), ("relbias_d", recovery.relbias_d),
-        ("n_excluded_a", recovery.n_excluded_a),
-        ("n_excluded_d", recovery.n_excluded_d),
-    ]
-    with open(os.path.join(out, "metrics.txt"), "w") as fh:
-        _write_echo(fh, _echo(settings))
-        for name, value in fields:
-            fh.write(f"{name} = {value}\n")
-    with open(os.path.join(out, "metrics_row.csv"), "w") as fh:
-        fh.write("# columns: " + ",".join(name for name, _ in fields) + "\n")
-        fh.write(",".join(format(float(v), ".17g") for _, v in fields) + "\n")
+    estimate = ModelState(theta=np.zeros((0, k)), loadings=a_hat, intercepts=d_hat)
+    truth = ModelState(theta=np.zeros((0, k)), loadings=a_star, intercepts=d_star)
+    selection, recovery = score(estimate, truth, q_star, settings["threshold"])
+    values = [*astuple(selection), *astuple(recovery)]
+    echo = _echo(settings)
+    _write_pairs(os.path.join(out, "metrics.txt"), echo,
+                 zip(_METRIC_NAMES, values))
+    _write_table(os.path.join(out, "metrics_row.csv"), echo, _METRIC_NAMES,
+                 [values])
 
 
 def cmd_align(settings: dict) -> None:
@@ -346,17 +350,10 @@ def cmd_align(settings: dict) -> None:
     if settings.get("intercepts"):
         write_intercepts(os.path.join(out, "intercepts_aligned.csv"),
                          aligned.intercepts, echo)
-    with open(os.path.join(out, "alignment.txt"), "w") as fh:
-        _write_echo(fh, echo)
-        fh.write("permutation = " + ",".join(map(str, alignment.permutation)) + "\n")
-        fh.write("signs = " + ",".join(format(s, ".0f") for s in alignment.signs) + "\n")
-
-
-_REPLICATE_COLUMNS = [
-    "rep", "seed", "msr", "fpr", "fnr", "error_a", "error_d", "relbias_a",
-    "relbias_d", "n_excluded_a", "n_excluded_d", "objective", "n_iters",
-    "converged", "elapsed_seconds",
-]
+    _write_pairs(os.path.join(out, "alignment.txt"), echo, [
+        ("permutation", ",".join(map(str, alignment.permutation))),
+        ("signs", ",".join(format(s, ".0f") for s in alignment.signs)),
+    ])
 
 
 def cmd_replicate(settings: dict) -> None:
@@ -380,23 +377,18 @@ def cmd_replicate(settings: dict) -> None:
               f"{lam_key} {lam:.6g} n_iters {result.n_iters} "
               f"seconds {time.perf_counter() - t0:.2f}", file=sys.stderr, flush=True)
         rows.append([
-            r, rep_seeds[r], selection.msr, selection.fpr, selection.fnr,
-            recovery.error_a, recovery.error_d, recovery.relbias_a,
-            recovery.relbias_d, recovery.n_excluded_a, recovery.n_excluded_d,
+            r, rep_seeds[r], *astuple(selection), *astuple(recovery),
             result.objective_trace[-1], result.n_iters,
             int(result.converged), result.elapsed_seconds,
         ])
     values = np.array([row[2:] for row in rows], dtype=float)
     means = values.mean(axis=0)
     sds = values.std(axis=0, ddof=1) if len(rows) > 1 else np.zeros(values.shape[1])
-    with open(os.path.join(out, "replications.csv"), "w") as fh:
-        _write_echo(fh, _echo(settings))
-        fh.write("# columns: " + ",".join(_REPLICATE_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(format(v, ".17g") if isinstance(v, float)
-                              else str(v) for v in row) + "\n")
-        fh.write("mean,," + ",".join(format(v, ".17g") for v in means) + "\n")
-        fh.write("sd,," + ",".join(format(v, ".17g") for v in sds) + "\n")
+    _write_table(
+        os.path.join(out, "replications.csv"), _echo(settings),
+        ["rep", "seed", *_METRIC_NAMES, "objective", "n_iters", "converged",
+         "elapsed_seconds"],
+        rows + [["mean", "", *means], ["sd", "", *sds]])
 
 
 _HANDLERS = {

@@ -81,11 +81,13 @@ class QMatrix:
     entries: np.ndarray = field()
 
     def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=np.int64)
-        if self.entries.ndim != 2:
+        # checked before the int cast, which would truncate 0.5 to 0
+        entries = np.asarray(self.entries)
+        if entries.ndim != 2:
             raise ValueError("Q matrix must be 2-D")
-        if not np.isin(self.entries, (0, 1)).all():
+        if not np.isin(entries, (0, 1)).all():
             raise ValueError("Q matrix entries must be 0 or 1")
+        self.entries = entries.astype(np.int64)
 
     @property
     def shape(self):

@@ -2,8 +2,9 @@
 
 Selection compares the recovered zero/nonzero loading pattern against the
 true pattern; recovery measures loading error on the truly nonzero
-entries and intercept error across all items.  Callers must align the
-estimated state to the truth first (see the align module).
+entries and intercept error across all items.  selection_metrics and
+recovery_metrics expect an estimate already aligned to the truth (see the
+align module); score aligns first and then runs both.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .align import apply_alignment, best_alignment
 from .data import QMatrix
 from .model import ModelState
 
@@ -133,3 +135,17 @@ def recovery_metrics(state_hat: ModelState, state_star: ModelState,
         n_excluded_a=n_excluded_a,
         n_excluded_d=n_excluded_d,
     )
+
+
+def score(estimate: ModelState, truth: ModelState, q_star: QMatrix,
+          threshold: float = LOADING_ZERO_THRESHOLD):
+    """Align the estimate to the truth, then score its structure and recovery.
+
+    The recovered structure keeps loadings whose magnitude strictly
+    exceeds threshold.  Returns (SelectionReport, RecoveryReport).
+    """
+    aligned = apply_alignment(
+        estimate, best_alignment(estimate.loadings, truth.loadings))
+    q_hat = q_from_loadings(aligned.loadings, threshold)
+    return (selection_metrics(q_hat, q_star),
+            recovery_metrics(aligned, truth, q_star))

@@ -14,13 +14,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import expit
 
-from .align import apply_alignment, best_alignment
 from .cv import tune_and_fit
-from .data import QMatrix, ResponseData, derive_seeds, split_row_indices
-from .metrics import (LOADING_ZERO_THRESHOLD, RecoveryReport, SelectionReport,
-                      q_from_loadings, recovery_metrics, selection_metrics)
+from .data import QMatrix, ResponseData, derive_seeds
+from .metrics import score
 from .model import Hyperparameters, ModelState
-from .optimizer import FitConfig, FitResult, fit_multistart
+from .optimizer import FitConfig, fit_multistart
 
 
 @dataclass
@@ -209,22 +207,9 @@ def _replicate(design: SimDesign, cfg: FitConfig, train_fraction: float,
             data, hyper, cfg_fit, train_fraction=train_fraction,
             seed=seeds[3], n_folds=n_folds, warm_start=warm_start,
         )
-        _, test_rows = split_row_indices(design.n_respondents, train_fraction,
-                                         seeds[3])
     else:
         lam_hat = float(lam)
         hyper = Hyperparameters(sigma_theta=sigma, lam=lam_hat)
         result = fit_multistart(data, hyper, cfg_fit)
-        test_rows = np.arange(design.n_respondents)
-
-    alignment = best_alignment(result.state.loadings, truth.loadings)
-    aligned = apply_alignment(result.state, alignment)
-    truth_test = ModelState(
-        theta=truth.theta[test_rows],
-        loadings=truth.loadings,
-        intercepts=truth.intercepts,
-    )
-    q_hat = q_from_loadings(aligned.loadings, LOADING_ZERO_THRESHOLD)
-    selection = selection_metrics(q_hat, q_star)
-    recovery = recovery_metrics(aligned, truth_test, q_star)
+    selection, recovery = score(result.state, truth, q_star)
     return selection, recovery, result, lam_hat

@@ -6,6 +6,7 @@ item counts) and checks the written artifacts.
 """
 
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from sparsegrm import cv
 from sparsegrm.cli import main
 from sparsegrm.data import (load_responses, read_intercepts, read_matrix,
                             write_intercepts, write_matrix)
+from sparsegrm.metrics import RecoveryReport, SelectionReport
 from sparsegrm.simulate import gen_sigma
 
 SIM_ARGS = ["--n", "40", "--j", "5", "--k", "3", "--c", "3",
@@ -215,16 +217,20 @@ def test_cvfit_no_warm_start_flag(tmp_path, sim_dir):
     assert read_summary(out / "summary.txt")["warm_start"] == "False"
 
 
-def test_evaluate_perfect_estimates_score_zero(tmp_path, sim_dir):
-    est = tmp_path / "est"
+def shuffled_truth_estimate(est, sim_dir):
+    """Write the truth back as an estimate, columns permuted and signs flipped."""
     est.mkdir()
     loadings = read_matrix(str(sim_dir / "loadings_true.csv"))
-    intercepts = read_intercepts(str(sim_dir / "intercepts_true.csv"))
-    # hand the truth back as the estimate, with columns permuted and a
-    # sign flipped: evaluate must align before scoring
     shuffled = loadings[:, [2, 0, 1]] * np.array([-1.0, 1.0, -1.0])
     write_matrix(str(est / "loadings_est.csv"), shuffled)
-    write_intercepts(str(est / "intercepts_est.csv"), intercepts)
+    write_intercepts(str(est / "intercepts_est.csv"),
+                     read_intercepts(str(sim_dir / "intercepts_true.csv")))
+
+
+def test_evaluate_perfect_estimates_score_zero(tmp_path, sim_dir):
+    # evaluate must align before scoring
+    est = tmp_path / "est"
+    shuffled_truth_estimate(est, sim_dir)
     out = tmp_path / "metrics"
     code = run_cli("evaluate", "--est", est, "--truth", sim_dir, "--out", out)
     assert code == 0
@@ -237,6 +243,45 @@ def test_evaluate_perfect_estimates_score_zero(tmp_path, sim_dir):
     row = np.loadtxt(out / "metrics_row.csv", delimiter=",", comments="#")
     assert row.shape == (9,)
     assert np.all(row[:5] < 1e-12)
+
+
+def test_evaluate_rejects_a_fractional_structure_entry(tmp_path, sim_dir, capsys):
+    est = tmp_path / "est"
+    shuffled_truth_estimate(est, sim_dir)
+    truth = tmp_path / "truth"
+    truth.mkdir()
+    for name in ("loadings_true.csv", "intercepts_true.csv"):
+        (truth / name).write_text((sim_dir / name).read_text())
+    q = read_matrix(str(sim_dir / "q_true.csv"))
+    q[q == 1.0] = 0.5
+    write_matrix(str(truth / "q_true.csv"), q)
+    assert run_cli("evaluate", "--est", est, "--truth", truth,
+                   "--out", tmp_path / "metrics") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: Q matrix entries must be 0 or 1"]
+
+
+def test_metric_columns_are_the_report_fields(tmp_path, sim_dir):
+    names = [f.name for report in (SelectionReport, RecoveryReport)
+             for f in fields(report)]
+    est = tmp_path / "est"
+    shuffled_truth_estimate(est, sim_dir)
+    out = tmp_path / "metrics"
+    assert run_cli("evaluate", "--est", est, "--truth", sim_dir, "--out", out) == 0
+    keys = [line.partition(" = ")[0] for line in open(out / "metrics.txt")
+            if not line.startswith("#")]
+    assert keys == names
+    header = [line.strip() for line in open(out / "metrics_row.csv")
+              if line.startswith("#")]
+    assert header[0] == "# sparsegrm evaluate"  # the config echo
+    assert header[-1] == "# columns: " + ",".join(names)
+
+    reps = tmp_path / "reps"
+    assert run_cli("replicate", *SIM_ARGS, "--reps", 1, "--lambda", 1,
+                   "--out", reps) == 0
+    columns = [line for line in open(reps / "replications.csv")
+               if line.startswith("# columns: ")]
+    assert columns[0][len("# columns: "):].split(",")[2:2 + len(names)] == names
 
 
 def test_align_recovers_signed_permutation(tmp_path):
@@ -383,7 +428,17 @@ def test_fit_rejects_zero_factors(tmp_path, sim_dir, capsys):
     assert run_cli("fit", "--responses", sim_dir / "responses.csv", "--lambda", "1",
                    "--k", "0", "--c", "3", "--out", tmp_path / "fit") == 1
     err = capsys.readouterr().err.splitlines()
-    assert err == ["error: sigma_theta must be at least 1 x 1, got 0 x 0"]
+    assert err == ["error: fit: --k must be at least 1, got 0"]
+
+
+@pytest.mark.parametrize("command", ["fit", "cv-fit"])
+def test_fit_commands_reject_a_negative_factor_count(tmp_path, sim_dir, capsys,
+                                                     command):
+    lam = ["--lambda", "1"] if command == "fit" else []
+    assert run_cli(command, "--responses", sim_dir / "responses.csv", *lam,
+                   "--k", "-1", "--c", "3", "--out", tmp_path / "fit") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {command}: --k must be at least 1, got -1"]
 
 
 @pytest.mark.parametrize("reps", [0, -1])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,15 @@ def test_response_data_shape_mismatch():
 def test_qmatrix_rejects_non_binary():
     with pytest.raises(ValueError):
         QMatrix(entries=np.array([[0, 2]]))
+
+
+@pytest.mark.parametrize("entry", [0.5, np.nan])
+def test_qmatrix_checks_entries_before_the_int_cast(entry):
+    # the cast would truncate 0.5 to a valid 0 and warn on nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="entries must be 0 or 1"):
+            QMatrix(entries=np.array([[1.0, entry]]))
 
 
 def test_save_load_round_trip(tmp_path):

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from sparsegrm.align import Alignment, apply_alignment
+from sparsegrm.align import Alignment, apply_alignment, best_alignment
 from sparsegrm.data import QMatrix
-from sparsegrm.metrics import (RecoveryReport, SelectionReport,
-                               q_from_loadings, recovery_metrics,
-                               selection_metrics)
+from sparsegrm.metrics import (LOADING_ZERO_THRESHOLD, RecoveryReport,
+                               SelectionReport, q_from_loadings,
+                               recovery_metrics, score, selection_metrics)
 from sparsegrm.model import ModelState
 
 
@@ -178,3 +178,30 @@ def test_recovery_report_validates_errors():
     with pytest.raises(ValueError):
         RecoveryReport(error_a=-0.1, error_d=0.0, relbias_a=0.0,
                        relbias_d=0.0)
+
+
+def test_score_of_a_signed_permuted_truth_is_zero():
+    _, star, q = state_pair()
+    shuffled = apply_alignment(star, Alignment(permutation=np.array([1, 0]),
+                                               signs=np.array([-1.0, 1.0])))
+    selection, recovery = score(shuffled, star, q)
+    assert (selection.msr, selection.fpr, selection.fnr) == (0.0, 0.0, 0.0)
+    assert (recovery.error_a, recovery.error_d) == (0.0, 0.0)
+    assert (recovery.relbias_a, recovery.relbias_d) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("threshold", [LOADING_ZERO_THRESHOLD, 0.5])
+def test_score_aligns_thresholds_and_scores(threshold):
+    rng = np.random.default_rng(4)
+    _, star, q = state_pair()
+    hat = ModelState(
+        theta=np.zeros((3, 2)),
+        loadings=rng.normal(size=(3, 2)),
+        intercepts=[d + rng.uniform(-0.1, 0.1) for d in star.intercepts],
+    )
+    aligned = apply_alignment(hat, best_alignment(hat.loadings, star.loadings))
+    expected = (
+        selection_metrics(q_from_loadings(aligned.loadings, threshold), q),
+        recovery_metrics(aligned, star, q),
+    )
+    assert score(hat, star, q, threshold) == expected

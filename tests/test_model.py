@@ -146,6 +146,11 @@ def test_hyperparameters_validation():
         Hyperparameters(sigma_theta=np.eye(2), lam=1.0, sigma_d_sq=0.0)
 
 
+def test_hyperparameters_reject_empty_sigma_theta():
+    with pytest.raises(ValueError, match="sigma_theta must be at least 1 x 1"):
+        Hyperparameters(np.zeros((0, 0)), lam=1.0)
+
+
 @pytest.mark.parametrize("field", ["lam", "sigma_d_sq"])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_hyperparameters_reject_non_finite_values(field, value):

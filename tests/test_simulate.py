@@ -1,6 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from sparsegrm.data import derive_seeds
+from sparsegrm.metrics import score
 from sparsegrm.model import ModelState, category_prob
 from sparsegrm.optimizer import FitConfig
 from sparsegrm.simulate import (SimDesign, default_intercept_ranges,
@@ -186,3 +190,16 @@ def test_run_replication_deterministic():
     b = run_replication(design, cfg, lam=5.0)
     assert a[0] == b[0]
     assert a[1] == b[1]
+
+
+@pytest.mark.parametrize("lam", [5.0, None])
+def test_run_replication_scores_its_fit_against_the_regenerated_truth(lam):
+    design = SimDesign(n_respondents=40, n_items=6, n_factors=3, rho=0.1,
+                       n_categories=3, seed=23,
+                       q_proportions=(0.5, 0.5, 0.0))
+    cfg = FitConfig(seed=0, max_outer_iters=10, obj_tol=1.0)
+    selection, recovery, result = run_replication(design, cfg, n_folds=2,
+                                                  lam=lam)
+    truth_seed = derive_seeds(design.seed, 4)[0]
+    truth, q_star = gen_true_params(replace(design, seed=truth_seed))
+    assert (selection, recovery) == score(result.state, truth, q_star)
