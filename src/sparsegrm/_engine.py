@@ -82,6 +82,19 @@ def bracket_intercepts(d_rows, nt_rows, yt):
             np.take_along_axis(table[:, 1:], yt, axis=1))
 
 
+def to_delta(d_rows, valid):
+    """Rows of delta = (d_1, log(d_1 - d_2), ...), 0.0 where not valid."""
+    gaps = np.where(valid[:, 1:], d_rows[:, :-1] - d_rows[:, 1:], 1.0)
+    return np.concatenate([d_rows[:, :1], np.log(gaps)], axis=1)
+
+
+def to_d(delta_rows, valid):
+    """Inverse of to_delta: d_c = delta_1 - sum_{1 < c' <= c} exp(delta_c')."""
+    head = delta_rows[:, :1]
+    d = np.concatenate([head, head - np.cumsum(np.exp(delta_rows[:, 1:]), axis=1)], axis=1)
+    return np.where(valid, d, 0.0)
+
+
 def outer_sum(u, vt):
     """Sum over k of u[:, k, None] * vt[k, None, :], accumulated in k order.
 
@@ -167,8 +180,8 @@ def theta_head(th_rows, a_t, du, dl, mf, sinv):
 def d_head(a_rows, th_t, d_rows, nt_rows, yt, mf, sigma_d_sq):
     """Row log-likelihoods and objective gradients of intercept rows.
 
-    Returns (ll, g_d, delta, g_delta, z): the gradients in d and in delta =
-    (d_1, log(d_1 - d_2), ...), delta (0 where padded) and the cells' z.
+    Returns (ll, g_d, delta, g_delta, z): the gradients in d and in delta
+    (to_delta; 0 where padded), delta itself and the cells' z.
     Cells whose probability is floored have weight 0 (live_cells).
     """
     valid = np.arange(d_rows.shape[1])[None, :] < nt_rows[:, None]
@@ -183,17 +196,12 @@ def d_head(a_rows, th_t, d_rows, nt_rows, yt, mf, sigma_d_sq):
         up = np.where((yt == m + 1) & live, up_w, 0.0).sum(axis=1)
         dn = np.where((yt == m) & live, dn_w, 0.0).sum(axis=1)
         g_d[:, m] = up - dn
-    g_d -= d_rows / sigma_d_sq
-    g_d = np.where(valid, g_d, 0.0)
+    g_d = np.where(valid, g_d - d_rows / sigma_d_sq, 0.0)
 
-    delta = np.empty_like(d_rows)
-    delta[:, 0] = d_rows[:, 0]
-    delta[:, 1:] = np.log(np.where(valid[:, 1:], d_rows[:, :-1] - d_rows[:, 1:], 1.0))
+    delta = to_delta(d_rows, valid)
     trail = np.cumsum(g_d[:, ::-1], axis=1)[:, ::-1]
-    g_delta = np.empty_like(g_d)
-    g_delta[:, 0] = trail[:, 0]
-    g_delta[:, 1:] = -np.exp(delta[:, 1:]) * trail[:, 1:]
-    return ll, g_d, delta, np.where(valid, g_delta, 0.0), z
+    jac = np.concatenate([np.ones_like(delta[:, :1]), -np.exp(delta[:, 1:])], axis=1)
+    return ll, g_d, delta, np.where(valid, trail * jac, 0.0), z
 
 
 def line_search(x0, ll0, penalty, loglik, propose, mapping_sq, pending=None,
@@ -337,15 +345,8 @@ def d_block(a_rows, th_t, d_rows, nt_rows, yt, mf, sigma_d_sq, step=None):
         return cell_loglik(z[rows], *bracket_intercepts(d, nt_rows[rows], yt[rows]),
                            mf[rows])[0]
 
-    def prior(rows, d):
-        return 0.5 * (d ** 2).sum(axis=1) / sigma_d_sq
-
     def propose(idx, gamma):
-        step = delta[idx] + gamma[:, None] * g_delta[idx]
-        # d_1 = delta_1, d_c = delta_1 - sum_{c' <= c} exp(delta_c')
-        drop = np.cumsum(np.exp(step[:, 1:]), axis=1)
-        d = np.where(valid[idx], np.concatenate([step[:, :1], step[:, :1] - drop], axis=1),
-                     0.0)
+        d = to_d(delta[idx] + gamma[:, None] * g_delta[idx], valid[idx])
         # exp terms that overflow, underflow to 0, or vanish against d_1 in
         # rounding leave d non-finite or not strictly decreasing
         usable = np.isfinite(d).all(axis=1) & (
@@ -353,8 +354,9 @@ def d_block(a_rows, th_t, d_rows, nt_rows, yt, mf, sigma_d_sq, step=None):
         return np.where(usable[:, None], d, np.nan)
 
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        return line_search(d_rows, ll, prior, loglik, propose,
-                           lambda idx, gamma, d: gn2[idx], step=step)
+        return line_search(d_rows, ll,
+                           lambda rows, d: 0.5 * (d ** 2).sum(axis=1) / sigma_d_sq,
+                           loglik, propose, lambda idx, gamma, d: gn2[idx], step=step)
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +375,7 @@ def objective(ll_items, a, d_pad, nt, th_t, hyper):
     computes it; fit's trace and full_objective both sum them here, so an
     iterate's trace entry and its full_objective agree bit for bit.
     """
-    n = th_t.shape[1]
-    k = th_t.shape[0]
+    k, n = th_t.shape
     lam, sigma_d_sq = hyper.lam, hyper.sigma_d_sq
 
     ll = float(np.sum(ll_items))
@@ -383,10 +384,8 @@ def objective(ll_items, a, d_pad, nt, th_t, hyper):
     prior_theta = n * (-0.5 * k * np.log(2.0 * np.pi)
                        - 0.5 * hyper.log_det_sigma_theta) - 0.5 * float(np.sum(quad))
 
-    if lam > 0:
-        prior_a = a.size * np.log(lam / 2.0) - lam * float(np.sum(np.abs(a)))
-    else:
-        prior_a = 0.0
+    prior_a = (a.size * np.log(lam / 2.0) - lam * float(np.sum(np.abs(a)))
+               if lam > 0 else 0.0)
 
     n_thresh = float(np.sum(nt))
     quad_d = float(np.sum((d_pad ** 2).sum(axis=1)))

@@ -30,15 +30,6 @@ from .simulate import (SimDesign, _replicate, gen_sigma, gen_true_params,
                        sample_responses)
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 # dest: (flag, type, default, help); None default means "must be given
 # on the command line or in the config file if the command needs it"
 _OPTIONS = {
@@ -65,8 +56,6 @@ _OPTIONS = {
           "from the data when fitting)"),
     "rho": ("--rho", float, None, "factor correlation"),
     "reps": ("--reps", int, 10, "replication count"),
-    "warm_start": ("--no-warm-start", bool, True,
-                   "disable warm starts between CV candidates"),
     "threshold": ("--threshold", float, LOADING_ZERO_THRESHOLD,
                   "|loading| cutoff for recovered structure"),
     "est": ("--est", str, None, "directory with estimated parameter files"),
@@ -83,12 +72,12 @@ _COMMAND_OPTS = {
             "n_starts", "max_iters", "obj_tol", "out"],
     "cv-fit": ["responses", "sigma_theta", "k", "c", "threads", "seed",
                "n_starts", "max_iters", "obj_tol", "train_fraction", "folds",
-               "warm_start", "out"],
+               "out"],
     "evaluate": ["est", "truth", "threshold", "out"],
     "align": ["loadings", "ref_loadings", "theta", "intercepts", "out"],
     "replicate": ["n", "j", "k", "c", "rho", "reps", "lam", "threads", "seed",
                   "n_starts", "max_iters", "obj_tol", "train_fraction",
-                  "folds", "warm_start", "out"],
+                  "folds", "out"],
 }
 
 
@@ -104,12 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="key = value settings file")
         for key in keys:
             flag, typ, _, help_text = _OPTIONS[key]
-            if typ is bool:
-                p.add_argument(flag, dest=key, action="store_const",
-                               const=False, default=None, help=help_text)
-            else:
-                p.add_argument(flag, dest=key, type=typ, default=None,
-                               help=help_text)
+            p.add_argument(flag, dest=key, type=typ, default=None, help=help_text)
     return parser
 
 
@@ -139,8 +123,7 @@ def _resolve(args: argparse.Namespace) -> dict:
         if cli_value is not None:
             settings[key] = cli_value
         elif key in config:
-            raw = config[key]
-            settings[key] = _parse_bool(raw) if typ is bool else typ(raw)
+            settings[key] = typ(config[key])
         else:
             settings[key] = default
     unknown = set(config) - set(_COMMAND_OPTS[args.command])
@@ -154,6 +137,19 @@ def _require(settings: dict, *keys: str) -> None:
         if settings.get(key) is None:
             flag = _OPTIONS[key][0]
             raise ValueError(f"{settings['command']}: {flag} is required")
+
+
+def _at_least(settings: dict, key: str, lo: int) -> None:
+    if settings[key] < lo:
+        raise ValueError(f"{settings['command']}: {_OPTIONS[key][0]} must be at "
+                         f"least {lo}, got {settings[key]}")
+
+
+def _require_design(settings: dict) -> None:
+    """Check the simulation sizes before anything is written."""
+    _require(settings, "n", "j", "k", "rho")
+    for key, lo in (("n", 2), ("j", 1), ("k", 1)):
+        _at_least(settings, key, lo)
 
 
 def _echo(settings: dict) -> list:
@@ -220,17 +216,19 @@ def _load_fit_inputs(settings: dict):
     _require(settings, "responses")
     categories = settings.get("c")
     data = load_responses(settings["responses"], categories=categories)
+    k = settings.get("k")
     if settings.get("sigma_theta"):
         sigma = read_matrix(settings["sigma_theta"])
-    else:
-        k = settings.get("k")
-        if k is None:
-            raise ValueError("provide --k or --sigma-theta to set the factor count")
-        if k < 1:
+        if k is not None and k != sigma.shape[0]:
             raise ValueError(
-                f"{settings['command']}: --k must be at least 1, got {k}")
-        sigma = np.eye(k)
-    return data, sigma
+                f"{settings['command']}: --k {k} does not match --sigma-theta "
+                f"{settings['sigma_theta']}, which is "
+                f"{sigma.shape[0]} x {sigma.shape[1]}")
+        return data, sigma
+    if k is None:
+        raise ValueError("provide --k or --sigma-theta to set the factor count")
+    _at_least(settings, "k", 1)
+    return data, np.eye(k)
 
 
 def _write_summary(out: str, settings: dict, lam_key: str, lam: float,
@@ -255,7 +253,7 @@ def _write_fit_files(out: str, settings: dict, result) -> None:
 
 
 def cmd_simulate(settings: dict) -> None:
-    _require(settings, "n", "j", "k", "rho")
+    _require_design(settings)
     out = _ensure_out(settings)
     seeds = derive_seeds(settings["seed"], 2)
     design = _sim_design(settings, seeds[0])
@@ -290,9 +288,7 @@ def cmd_cvfit(settings: dict) -> None:
     cfg = replace(_fit_config(settings), seed=fit_seed)
     result, lam_hat, table = tune_and_fit(
         data, hyper, cfg, train_fraction=settings["train_fraction"],
-        seed=split_seed, n_folds=settings["folds"],
-        warm_start=settings["warm_start"],
-    )
+        seed=split_seed, n_folds=settings["folds"])
     train_rows, test_rows = split_row_indices(
         data.n_respondents, settings["train_fraction"], split_seed)
     echo = _echo(settings)
@@ -357,10 +353,8 @@ def cmd_align(settings: dict) -> None:
 
 
 def cmd_replicate(settings: dict) -> None:
-    _require(settings, "n", "j", "k", "rho")
-    if settings["reps"] < 1:
-        raise ValueError(
-            f"replicate: --reps must be at least 1, got {settings['reps']}")
+    _require_design(settings)
+    _at_least(settings, "reps", 1)
     out = _ensure_out(settings)
     cfg = _fit_config(settings)
     rep_seeds = derive_seeds(settings["seed"], settings["reps"])
@@ -371,8 +365,7 @@ def cmd_replicate(settings: dict) -> None:
         t0 = time.perf_counter()
         selection, recovery, result, lam = _replicate(
             design, cfg, settings["train_fraction"], settings["folds"],
-            settings.get("lam"), settings["warm_start"],
-        )
+            settings.get("lam"))
         print(f"replicate: rep {r + 1}/{settings['reps']} seed {rep_seeds[r]} "
               f"{lam_key} {lam:.6g} n_iters {result.n_iters} "
               f"seconds {time.perf_counter() - t0:.2f}", file=sys.stderr, flush=True)

@@ -7,11 +7,12 @@ masked during fitting and scored by their out-of-sample log loss.  The
 end-to-end pipeline splits respondents in half, selects lambda on one
 half, and fits the other half at the selected value.
 
-Warm starts chain the fits of one fold along a stage's grid; the folds
-themselves are independent.  Each fold's chain, and each start of the
-final fit, is one task on a bounded process pool (sparsegrm._pool), and
-results merge in fold and start order, so every number matches a serial
-run bit for bit.
+Each fold fits a stage's candidates in ascending lambda, each fit
+starting from the previous candidate's solution (the pathwise warm start
+of Friedman, Hastie & Tibshirani 2010); the folds themselves are
+independent.  Each fold's chain, and each start of the final fit, is one
+task on a bounded process pool (sparsegrm._pool), and results merge in
+fold and start order, so every number matches a serial run bit for bit.
 """
 
 from __future__ import annotations
@@ -136,31 +137,29 @@ def second_stage_grid(lambda_hat: float) -> LambdaGrid:
 
 
 def _fold_chain(data: ResponseData, folds: FoldAssignment, m: int, lams,
-                hyper: Hyperparameters, cfg: FitConfig, warm_start: bool):
+                hyper: Hyperparameters, cfg: FitConfig):
     """Holdout losses of fold m along lams, in order.
 
-    With warm starts on, each candidate's fold fit starts from the previous
-    candidate's solution for this fold.
+    The first candidate's fit starts from random_init at cfg.seed; every
+    later one starts from the previous candidate's solution for this fold.
     """
     losses = np.zeros(len(lams))
     init = None
     for gi, lam in enumerate(lams):
         losses[gi], result = _fold_fit(data, folds, m, replace(hyper, lam=float(lam)),
                                        cfg, init=init)
-        if warm_start:
-            init = result.state
+        init = result.state
     return losses
 
 
 def _scan_stage(stage: int, data: ResponseData, folds: FoldAssignment,
-                grid: LambdaGrid, hyper: Hyperparameters, cfg: FitConfig,
-                warm_start: bool, pool=None):
+                grid: LambdaGrid, hyper: Hyperparameters, cfg: FitConfig, pool=None):
     """Per-fold CV errors over one candidate grid, ascending lambda.
 
     Each fold's chain of fits is one task on `pool` (serial when None).
     """
     columns = _pool.run_tasks(pool, _fold_chain, [
-        (data, folds, m, grid.values, hyper, cfg, warm_start)
+        (data, folds, m, grid.values, hyper, cfg)
         for m in range(folds.n_folds)])
     errors = np.column_stack(columns)
     entries = [
@@ -178,7 +177,7 @@ def _pick(entries):
 
 
 def select_lambda(train: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
-                  n_folds: int = 5, warm_start: bool = True, pool=None):
+                  n_folds: int = 5, pool=None):
     """Two-stage CV search; returns (lambda_hat, list of CvEntry rows).
 
     The same fold assignment (seeded by cfg.seed) is reused in both stages
@@ -189,11 +188,11 @@ def select_lambda(train: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
     folds = make_folds(train.mask, n_folds, cfg.seed)
     with _pool.shared_pool(pool, n_folds, cfg.threads) as pool:
         stage1 = _scan_stage(1, train, folds, LambdaGrid(np.asarray(STAGE1_GRID)),
-                             hyper, cfg, warm_start, pool)
+                             hyper, cfg, pool)
         pick1 = _pick(stage1)
         stage1[pick1].selected = True
         stage2 = _scan_stage(2, train, folds, second_stage_grid(stage1[pick1].lam),
-                             hyper, cfg, warm_start, pool)
+                             hyper, cfg, pool)
     pick2 = _pick(stage2)
     stage2[pick2].selected = True
     return stage2[pick2].lam, stage1 + stage2
@@ -201,7 +200,7 @@ def select_lambda(train: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
 
 def tune_and_fit(data: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
                  train_fraction: float = 0.5, seed: int = 0,
-                 n_folds: int = 5, warm_start: bool = True):
+                 n_folds: int = 5):
     """Split rows, select lambda on one half, fit the other half with it.
 
     Returns (FitResult on the test half, lambda_hat, CV table).  The final
@@ -211,7 +210,6 @@ def tune_and_fit(data: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
     """
     train, test = split_rows(data, train_fraction, seed)
     with _pool.task_pool(max(n_folds, cfg.n_starts), cfg.threads) as pool:
-        lam_hat, table = select_lambda(train, hyper, cfg, n_folds=n_folds,
-                                       warm_start=warm_start, pool=pool)
+        lam_hat, table = select_lambda(train, hyper, cfg, n_folds=n_folds, pool=pool)
         result = fit_multistart(test, replace(hyper, lam=lam_hat), cfg, pool=pool)
     return result, lam_hat, table

@@ -28,21 +28,13 @@ def to_delta(d_j) -> np.ndarray:
     d_j = np.asarray(d_j, dtype=np.float64)
     if d_j.size > 1 and not np.all(np.diff(d_j) < 0):
         raise ValueError(f"intercepts must be strictly decreasing: {d_j}")
-    delta = np.empty_like(d_j)
-    delta[0] = d_j[0]
-    if d_j.size > 1:
-        delta[1:] = np.log(d_j[:-1] - d_j[1:])
-    return delta
+    return eng.to_delta(d_j[None, :], np.ones((1, d_j.size), dtype=bool))[0]
 
 
 def to_d(delta_j) -> np.ndarray:
     """Inverse of :func:`to_delta`; always yields a decreasing vector."""
     delta_j = np.asarray(delta_j, dtype=np.float64)
-    d_j = np.empty_like(delta_j)
-    d_j[0] = delta_j[0]
-    if delta_j.size > 1:
-        d_j[1:] = delta_j[0] - np.cumsum(np.exp(delta_j[1:]))
-    return d_j
+    return eng.to_d(delta_j[None, :], np.ones((1, delta_j.size), dtype=bool))[0]
 
 
 def grad_theta(data: ResponseData, state: ModelState, hyper: Hyperparameters,

@@ -181,7 +181,7 @@ def sample_responses(truth: ModelState, categories, seed: int) -> ResponseData:
 
 def run_replication(design: SimDesign, cfg: FitConfig,
                     train_fraction: float = 0.5, n_folds: int = 5,
-                    lam: float | None = None, warm_start: bool = True):
+                    lam: float | None = None):
     """Generate, fit, align, and score one replication.
 
     With lam=None the sparsity weight is selected by two-stage CV on a
@@ -189,11 +189,11 @@ def run_replication(design: SimDesign, cfg: FitConfig,
     lam the whole data set is fitted directly.  Returns
     (SelectionReport, RecoveryReport, FitResult).
     """
-    return _replicate(design, cfg, train_fraction, n_folds, lam, warm_start)[:3]
+    return _replicate(design, cfg, train_fraction, n_folds, lam)[:3]
 
 
 def _replicate(design: SimDesign, cfg: FitConfig, train_fraction: float,
-               n_folds: int, lam: float | None, warm_start: bool):
+               n_folds: int, lam: float | None):
     """run_replication's reports and fit, plus the weight of the final fit."""
     seeds = derive_seeds(design.seed, 4)
     truth, q_star = gen_true_params(replace(design, seed=seeds[0]))
@@ -205,8 +205,7 @@ def _replicate(design: SimDesign, cfg: FitConfig, train_fraction: float,
         hyper = Hyperparameters(sigma_theta=sigma, lam=0.0)
         result, lam_hat, _ = tune_and_fit(
             data, hyper, cfg_fit, train_fraction=train_fraction,
-            seed=seeds[3], n_folds=n_folds, warm_start=warm_start,
-        )
+            seed=seeds[3], n_folds=n_folds)
     else:
         lam_hat = float(lam)
         hyper = Hyperparameters(sigma_theta=sigma, lam=lam_hat)

@@ -205,16 +205,6 @@ def test_cvfit_summary_reports_selected_lambda(cvfit_dir):
                 if not line.startswith("#")]
     stage2 = {float(r[1]): int(r[8]) for r in rows if int(r[0]) == 2}
     assert stage2[lam_hat] == 1
-    assert summary["warm_start"] == "True"
-
-
-def test_cvfit_no_warm_start_flag(tmp_path, sim_dir):
-    out = tmp_path / "cold"
-    code = run_cli("cv-fit", "--responses", sim_dir / "responses.csv",
-                   "--k", "3", "--c", "3", "--seed", "11",
-                   "--no-warm-start", "--out", out)
-    assert code == 0
-    assert read_summary(out / "summary.txt")["warm_start"] == "False"
 
 
 def shuffled_truth_estimate(est, sim_dir):
@@ -343,12 +333,15 @@ def test_config_file_supplies_defaults_and_cli_wins(tmp_path):
 
 def test_config_unknown_key_is_rejected(tmp_path, capsys):
     config = tmp_path / "settings.cfg"
-    config.write_text("n = 50\nbogus = 1\n")
-    code = run_cli("simulate", "--config", config, "--j", "5", "--k", "3",
-                   "--rho", "0.1", "--out", tmp_path / "x")
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "bogus" in err and "not used" in err
+    # a config that sets warm_start must fail, not silently run warm fold chains
+    for command, text, key in [("simulate", "n = 50\nbogus = 1\n", "bogus"),
+                               ("replicate", "warm_start = off\n", "warm_start")]:
+        config.write_text(text)
+        code = run_cli(command, "--config", config, "--j", "5", "--k", "3",
+                       "--rho", "0.1", "--out", tmp_path / "x")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err and f"not used by {command}" in err
 
 
 def test_config_malformed_line_is_rejected(tmp_path, capsys):
@@ -364,25 +357,6 @@ def test_config_missing_file_is_rejected(tmp_path, capsys):
                    "--out", tmp_path / "x")
     assert code == 1
     assert "absent.cfg" in capsys.readouterr().err
-
-
-def test_config_boolean_parsing(tmp_path, capsys):
-    out = tmp_path / "reps"
-    config = tmp_path / "settings.cfg"
-    config.write_text("warm_start = off\n")
-    code = run_cli("replicate", "--config", config, "--n", "40", "--j", "5",
-                   "--k", "3", "--c", "3", "--rho", "0.1", "--reps", "1",
-                   "--lambda", "1.0", "--out", out)
-    assert code == 0
-    header = read_summary(out / "replications.csv")
-    assert header["warm_start"] == "False"
-
-    config.write_text("warm_start = maybe\n")
-    code = run_cli("replicate", "--config", config, "--n", "40", "--j", "5",
-                   "--k", "3", "--c", "3", "--rho", "0.1", "--reps", "1",
-                   "--lambda", "1.0", "--out", tmp_path / "y")
-    assert code == 1
-    assert "not a boolean" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cell", ["inf", "1e30", "nan"])
@@ -431,14 +405,26 @@ def test_fit_rejects_zero_factors(tmp_path, sim_dir, capsys):
     assert err == ["error: fit: --k must be at least 1, got 0"]
 
 
-@pytest.mark.parametrize("command", ["fit", "cv-fit"])
+@pytest.mark.parametrize("command", ["fit", "cv-fit", "simulate", "replicate"])
 def test_fit_commands_reject_a_negative_factor_count(tmp_path, sim_dir, capsys,
                                                      command):
-    lam = ["--lambda", "1"] if command == "fit" else []
-    assert run_cli(command, "--responses", sim_dir / "responses.csv", *lam,
-                   "--k", "-1", "--c", "3", "--out", tmp_path / "fit") == 1
+    responses = ["--responses", sim_dir / "responses.csv", "--c", "3"]
+    args = {"fit": [*responses, "--lambda", "1"], "cv-fit": responses,
+            "simulate": SIM_ARGS, "replicate": SIM_ARGS}[command]
+    assert run_cli(command, *args, "--k", "-1", "--out", tmp_path / "fit") == 1
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: {command}: --k must be at least 1, got -1"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "replicate"])
+@pytest.mark.parametrize("flag,value,lo", [("--n", 1, 2), ("--j", 0, 1), ("--k", 0, 1)])
+def test_simulation_commands_reject_sizes_below_their_least_value(
+        tmp_path, capsys, command, flag, value, lo):
+    out = tmp_path / "out"
+    assert run_cli(command, *SIM_ARGS, flag, value, "--out", out) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {command}: {flag} must be at least {lo}, got {value}"]
+    assert not out.exists()  # checked before anything is written
 
 
 @pytest.mark.parametrize("reps", [0, -1])
@@ -448,6 +434,22 @@ def test_replicate_rejects_fewer_than_one_rep(tmp_path, capsys, reps):
                    "--out", out) == 1
     assert "--reps must be at least 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "cv-fit"])
+def test_fit_commands_reject_a_factor_count_that_differs_from_sigma_theta(
+        tmp_path, sim_dir, capsys, command):
+    sigma = sim_dir / "sigma_theta.csv"  # 3 x 3
+    lam = ["--lambda", "1"] if command == "fit" else []
+    args = [command, "--responses", sim_dir / "responses.csv", *lam, "--c", "3",
+            "--sigma-theta", sigma, "--max-iters", "2"]
+    assert run_cli(*args, "--k", "2", "--out", tmp_path / "bad") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {command}: --k 2 does not match --sigma-theta "
+                   f"{sigma}, which is 3 x 3"]
+    # a --k that matches the file is accepted
+    assert run_cli(*args, "--k", "3", "--out", tmp_path / "good") == 0
+    assert read_matrix(str(tmp_path / "good" / "loadings_est.csv")).shape == (5, 3)
 
 
 def test_cvfit_rejects_one_fold(tmp_path, sim_dir, capsys):

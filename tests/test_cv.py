@@ -200,8 +200,7 @@ def test_cv_entry_fold_errors_sum_to_total():
     cfg = FitConfig(seed=0, max_outer_iters=4, obj_tol=1e-8)
     grid = LambdaGrid(np.array([1.0, 5.0]))
     folds = make_folds(data.mask, 3, seed=0)
-    entries = cv._scan_stage(1, data, folds, grid, hyper, cfg,
-                             warm_start=True)
+    entries = cv._scan_stage(1, data, folds, grid, hyper, cfg)
     for e in entries:
         assert e.total_error == pytest.approx(e.fold_errors.sum(), rel=1e-12)
         assert e.fold_errors.size == 3
@@ -221,14 +220,31 @@ def test_tune_and_fit_end_to_end():
     assert np.all(np.diff(result.objective_trace) >= -1e-8)
 
 
-def test_tune_and_fit_warm_start_toggle_changes_only_cv_path():
-    data = sim_data(seed=8, n=40)
+def test_fold_chains_start_cold_then_from_the_previous_candidate(monkeypatch):
+    # the spy records its calls in this process, so the folds run here
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: 1)
+    calls = []
+    real_fold_fit = cv._fold_fit
+
+    def spy(data, folds, m, hyper, cfg, init=None):
+        loss, result = real_fold_fit(data, folds, m, hyper, cfg, init=init)
+        calls.append((m, hyper.lam, init, result))
+        return loss, result
+
+    monkeypatch.setattr(cv, "_fold_fit", spy)
+    data = sim_data(seed=8, n=20)
     hyper = Hyperparameters(sigma_theta=np.eye(2), lam=0.0)
-    cfg = FitConfig(seed=0, max_outer_iters=6, obj_tol=1.0)
-    warm = tune_and_fit(data, hyper, cfg, seed=2, warm_start=True)
-    cold = tune_and_fit(data, hyper, cfg, seed=2, warm_start=False)
-    # both run to completion and return positive weights
-    assert warm[1] > 0 and cold[1] > 0
+    select_lambda(data, hyper, FitConfig(seed=0, max_outer_iters=2), n_folds=3)
+    assert len(calls) == 2 * 3 * 5
+    # serially the chains run one after another: stage 1's folds, then stage 2's
+    for c in range(6):
+        chain = calls[5 * c: 5 * c + 5]
+        assert [m for m, *_ in chain] == [c % 3] * 5
+        lams = [lam for _, lam, _, _ in chain]
+        assert lams == sorted(lams)
+        assert chain[0][2] is None
+        for prev, cur in zip(chain, chain[1:]):
+            assert cur[2] is prev[3].state
 
 
 @pytest.mark.parametrize("n_folds", [1, 0])
