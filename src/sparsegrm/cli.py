@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 import time
+from collections import namedtuple
 from dataclasses import astuple, fields, replace
 
 import numpy as np
@@ -26,44 +27,48 @@ from .metrics import (LOADING_ZERO_THRESHOLD, RecoveryReport,
                       SelectionReport, score)
 from .model import Hyperparameters, ModelState
 from .optimizer import FitConfig, fit_multistart
-from .simulate import (SimDesign, _replicate, gen_sigma, gen_true_params,
-                       sample_responses)
+from .simulate import (SimDesign, _replicate, gen_q, gen_sigma,
+                       gen_true_params, sample_responses)
 
 
-# dest: (flag, type, default, help); None default means "must be given
-# on the command line or in the config file if the command needs it"
+# dest: option.  A None default means "unset unless given on the command
+# line or in the config file"; least is an integer flag's smallest value.
+_Option = namedtuple("_Option", "flag type default help least", defaults=(None,))
 _OPTIONS = {
-    "responses": ("--responses", str, None, "response matrix CSV"),
-    "sigma_theta": ("--sigma-theta", str, None,
-                    "factor covariance CSV (identity when omitted)"),
-    "lam": ("--lambda", float, None, "sparsity weight"),
-    "threads": ("--threads", int, 1,
-                "update blocks per phase; also divides the CPUs among the "
-                "process workers that run CV folds and starts"),
-    "seed": ("--seed", int, 0, "master seed"),
-    "out": ("--out", str, None, "output directory"),
-    "n_starts": ("--n-starts", int, 1, "independent random starts"),
-    "max_iters": ("--max-iters", int, 1000, "outer iteration cap"),
-    "obj_tol": ("--obj-tol", float, 5.0, "objective-change stopping rule"),
-    "train_fraction": ("--train-fraction", float, 0.5,
-                       "row fraction used for lambda selection"),
-    "folds": ("--folds", int, 5, "CV fold count"),
-    "n": ("--n", int, None, "respondents"),
-    "j": ("--j", int, None, "items"),
-    "k": ("--k", int, None, "factors"),
-    "c": ("--c", int, None,
-          "response categories per item (simulation default 4; inferred "
-          "from the data when fitting)"),
-    "rho": ("--rho", float, None, "factor correlation"),
-    "reps": ("--reps", int, 10, "replication count"),
-    "threshold": ("--threshold", float, LOADING_ZERO_THRESHOLD,
-                  "|loading| cutoff for recovered structure"),
-    "est": ("--est", str, None, "directory with estimated parameter files"),
-    "truth": ("--truth", str, None, "directory with true parameter files"),
-    "loadings": ("--loadings", str, None, "estimated loadings CSV"),
-    "ref_loadings": ("--ref-loadings", str, None, "reference loadings CSV"),
-    "theta": ("--theta", str, None, "estimated factor scores CSV"),
-    "intercepts": ("--intercepts", str, None, "estimated intercepts CSV"),
+    "responses": _Option("--responses", str, None, "response matrix CSV"),
+    "sigma_theta": _Option("--sigma-theta", str, None,
+                           "factor covariance CSV (identity when omitted)"),
+    "lam": _Option("--lambda", float, None, "sparsity weight"),
+    "threads": _Option("--threads", int, 1,
+                       "update blocks per phase; also divides the CPUs among "
+                       "the process workers that run CV folds and starts",
+                       least=1),
+    "seed": _Option("--seed", int, 0, "master seed", least=0),
+    "out": _Option("--out", str, None, "output directory"),
+    "n_starts": _Option("--n-starts", int, 1, "independent random starts",
+                        least=1),
+    "max_iters": _Option("--max-iters", int, 1000, "outer iteration cap",
+                         least=1),
+    "obj_tol": _Option("--obj-tol", float, 5.0, "objective-change stopping rule"),
+    "train_fraction": _Option("--train-fraction", float, 0.5,
+                              "row fraction used for lambda selection"),
+    "folds": _Option("--folds", int, 5, "CV fold count", least=2),
+    "n": _Option("--n", int, None, "respondents", least=2),
+    "j": _Option("--j", int, None, "items", least=1),
+    "k": _Option("--k", int, None, "factors", least=1),
+    "c": _Option("--c", int, None,
+                 "response categories per item (simulation default 4; "
+                 "inferred from the data when fitting)", least=2),
+    "rho": _Option("--rho", float, None, "factor correlation"),
+    "reps": _Option("--reps", int, 10, "replication count", least=1),
+    "threshold": _Option("--threshold", float, LOADING_ZERO_THRESHOLD,
+                         "|loading| cutoff for recovered structure"),
+    "est": _Option("--est", str, None, "directory with estimated parameter files"),
+    "truth": _Option("--truth", str, None, "directory with true parameter files"),
+    "loadings": _Option("--loadings", str, None, "estimated loadings CSV"),
+    "ref_loadings": _Option("--ref-loadings", str, None, "reference loadings CSV"),
+    "theta": _Option("--theta", str, None, "estimated factor scores CSV"),
+    "intercepts": _Option("--intercepts", str, None, "estimated intercepts CSV"),
 }
 
 _COMMAND_OPTS = {
@@ -80,6 +85,16 @@ _COMMAND_OPTS = {
                   "folds", "out"],
 }
 
+# flags a command cannot run without
+_REQUIRED = {
+    "simulate": ["n", "j", "k", "rho", "out"],
+    "fit": ["responses", "lam", "out"],
+    "cv-fit": ["responses", "out"],
+    "evaluate": ["est", "truth", "out"],
+    "align": ["loadings", "ref_loadings", "out"],
+    "replicate": ["n", "j", "k", "rho", "out"],
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -92,14 +107,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None,
                        help="key = value settings file")
         for key in keys:
-            flag, typ, _, help_text = _OPTIONS[key]
-            p.add_argument(flag, dest=key, type=typ, default=None, help=help_text)
+            opt = _OPTIONS[key]
+            p.add_argument(opt.flag, dest=key, type=opt.type, help=opt.help)
     return parser
 
 
 def _read_config(path: str) -> dict:
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
     values = {}
     with open(path, "r") as fh:
         for ln, line in enumerate(fh):
@@ -114,42 +127,31 @@ def _read_config(path: str) -> dict:
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    """Merge CLI flags, config file, and defaults for one subcommand."""
+    """Merge CLI flags, config file, and defaults, and check every value."""
     config = _read_config(args.config) if args.config else {}
-    settings = {"command": args.command}
-    for key in _COMMAND_OPTS[args.command]:
-        _, typ, default, _ = _OPTIONS[key]
-        cli_value = getattr(args, key)
-        if cli_value is not None:
-            settings[key] = cli_value
-        elif key in config:
-            settings[key] = typ(config[key])
-        else:
-            settings[key] = default
-    unknown = set(config) - set(_COMMAND_OPTS[args.command])
+    command = args.command
+    unknown = set(config) - set(_COMMAND_OPTS[command])
     if unknown:
-        raise ValueError(f"config keys not used by {args.command}: {sorted(unknown)}")
+        raise ValueError(f"config keys not used by {command}: {sorted(unknown)}")
+    settings = {"command": command}
+    for key in _COMMAND_OPTS[command]:
+        opt = _OPTIONS[key]
+        value = getattr(args, key)
+        if value is None and key in config:
+            try:
+                value = opt.type(config[key])
+            except ValueError:
+                raise ValueError(f"{args.config}: {key} = {config[key]} is not a "
+                                 f"valid {opt.type.__name__}") from None
+        if value is None:
+            value = opt.default
+        if value is None and key in _REQUIRED[command]:
+            raise ValueError(f"{command}: {opt.flag} is required")
+        if value is not None and opt.least is not None and value < opt.least:
+            raise ValueError(f"{command}: {opt.flag} must be at least "
+                             f"{opt.least}, got {value}")
+        settings[key] = value
     return settings
-
-
-def _require(settings: dict, *keys: str) -> None:
-    for key in keys:
-        if settings.get(key) is None:
-            flag = _OPTIONS[key][0]
-            raise ValueError(f"{settings['command']}: {flag} is required")
-
-
-def _at_least(settings: dict, key: str, lo: int) -> None:
-    if settings[key] < lo:
-        raise ValueError(f"{settings['command']}: {_OPTIONS[key][0]} must be at "
-                         f"least {lo}, got {settings[key]}")
-
-
-def _require_design(settings: dict) -> None:
-    """Check the simulation sizes before anything is written."""
-    _require(settings, "n", "j", "k", "rho")
-    for key, lo in (("n", 2), ("j", 1), ("k", 1)):
-        _at_least(settings, key, lo)
 
 
 def _echo(settings: dict) -> list:
@@ -186,13 +188,6 @@ _METRIC_NAMES = [f.name for report in (SelectionReport, RecoveryReport)
                  for f in fields(report)]
 
 
-def _ensure_out(settings: dict) -> str:
-    _require(settings, "out")
-    out = settings["out"]
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def _sim_design(settings: dict, seed: int) -> SimDesign:
     return SimDesign(
         n_respondents=settings["n"], n_items=settings["j"],
@@ -213,11 +208,9 @@ def _fit_config(settings: dict) -> FitConfig:
 
 
 def _load_fit_inputs(settings: dict):
-    _require(settings, "responses")
-    categories = settings.get("c")
-    data = load_responses(settings["responses"], categories=categories)
-    k = settings.get("k")
-    if settings.get("sigma_theta"):
+    data = load_responses(settings["responses"], categories=settings["c"])
+    k = settings["k"]
+    if settings["sigma_theta"]:
         sigma = read_matrix(settings["sigma_theta"])
         if k is not None and k != sigma.shape[0]:
             raise ValueError(
@@ -227,14 +220,18 @@ def _load_fit_inputs(settings: dict):
         return data, sigma
     if k is None:
         raise ValueError("provide --k or --sigma-theta to set the factor count")
-    _at_least(settings, "k", 1)
     return data, np.eye(k)
 
 
-def _write_summary(out: str, settings: dict, lam_key: str, lam: float,
-                   result) -> None:
+def _write_fit(settings: dict, lam_key: str, lam: float, result) -> None:
+    """Write the fitted parameters and summary.txt into --out."""
+    out, echo = settings["out"], _echo(settings)
     trace = result.objective_trace
-    _write_pairs(os.path.join(out, "summary.txt"), _echo(settings), [
+    write_matrix(os.path.join(out, "theta_est.csv"), result.state.theta, echo)
+    write_matrix(os.path.join(out, "loadings_est.csv"), result.state.loadings, echo)
+    write_intercepts(os.path.join(out, "intercepts_est.csv"),
+                     result.state.intercepts, echo)
+    _write_pairs(os.path.join(out, "summary.txt"), echo, [
         (lam_key, format(lam, ".17g")),
         ("converged", result.converged),
         ("n_iters", result.n_iters),
@@ -244,21 +241,13 @@ def _write_summary(out: str, settings: dict, lam_key: str, lam: float,
     ])
 
 
-def _write_fit_files(out: str, settings: dict, result) -> None:
-    echo = _echo(settings)
-    write_matrix(os.path.join(out, "theta_est.csv"), result.state.theta, echo)
-    write_matrix(os.path.join(out, "loadings_est.csv"), result.state.loadings, echo)
-    write_intercepts(os.path.join(out, "intercepts_est.csv"),
-                     result.state.intercepts, echo)
-
-
 def cmd_simulate(settings: dict) -> None:
-    _require_design(settings)
-    out = _ensure_out(settings)
     seeds = derive_seeds(settings["seed"], 2)
     design = _sim_design(settings, seeds[0])
     truth, q_star = gen_true_params(design)
     data = sample_responses(truth, design.n_categories, seed=seeds[1])
+    out = settings["out"]
+    os.makedirs(out, exist_ok=True)
     echo = _echo(settings)
     save_responses(os.path.join(out, "responses.csv"), data, comments=echo)
     write_matrix(os.path.join(out, "theta_true.csv"), truth.theta, echo)
@@ -271,26 +260,26 @@ def cmd_simulate(settings: dict) -> None:
 
 
 def cmd_fit(settings: dict) -> None:
-    _require(settings, "lam")
-    out = _ensure_out(settings)
     data, sigma = _load_fit_inputs(settings)
     hyper = Hyperparameters(sigma_theta=sigma, lam=settings["lam"])
-    result = fit_multistart(data, hyper, _fit_config(settings))
-    _write_fit_files(out, settings, result)
-    _write_summary(out, settings, "lambda", settings["lam"], result)
+    cfg = _fit_config(settings)
+    os.makedirs(settings["out"], exist_ok=True)
+    result = fit_multistart(data, hyper, cfg)
+    _write_fit(settings, "lambda", settings["lam"], result)
 
 
 def cmd_cvfit(settings: dict) -> None:
-    out = _ensure_out(settings)
     data, sigma = _load_fit_inputs(settings)
     hyper = Hyperparameters(sigma_theta=sigma, lam=0.0)
     split_seed, fit_seed = derive_seeds(settings["seed"], 2)
     cfg = replace(_fit_config(settings), seed=fit_seed)
+    train_rows, test_rows = split_row_indices(
+        data.n_respondents, settings["train_fraction"], split_seed)
+    out = settings["out"]
+    os.makedirs(out, exist_ok=True)
     result, lam_hat, table = tune_and_fit(
         data, hyper, cfg, train_fraction=settings["train_fraction"],
         seed=split_seed, n_folds=settings["folds"])
-    train_rows, test_rows = split_row_indices(
-        data.n_respondents, settings["train_fraction"], split_seed)
     echo = _echo(settings)
     fold_cols = [f"err_fold{m}" for m in range(table[0].fold_errors.size)]
     _write_table(
@@ -300,13 +289,10 @@ def cmd_cvfit(settings: dict) -> None:
          for e in table])
     write_matrix(os.path.join(out, "train_rows.csv"), train_rows[None, :], echo)
     write_matrix(os.path.join(out, "test_rows.csv"), test_rows[None, :], echo)
-    _write_fit_files(out, settings, result)
-    _write_summary(out, settings, "lambda_hat", lam_hat, result)
+    _write_fit(settings, "lambda_hat", lam_hat, result)
 
 
 def cmd_evaluate(settings: dict) -> None:
-    _require(settings, "est", "truth")
-    out = _ensure_out(settings)
     a_hat = read_matrix(os.path.join(settings["est"], "loadings_est.csv"))
     d_hat = read_intercepts(os.path.join(settings["est"], "intercepts_est.csv"))
     a_star = read_matrix(os.path.join(settings["truth"], "loadings_true.csv"))
@@ -319,6 +305,8 @@ def cmd_evaluate(settings: dict) -> None:
     truth = ModelState(theta=np.zeros((0, k)), loadings=a_star, intercepts=d_star)
     selection, recovery = score(estimate, truth, q_star, settings["threshold"])
     values = [*astuple(selection), *astuple(recovery)]
+    out = settings["out"]
+    os.makedirs(out, exist_ok=True)
     echo = _echo(settings)
     _write_pairs(os.path.join(out, "metrics.txt"), echo,
                  zip(_METRIC_NAMES, values))
@@ -327,8 +315,6 @@ def cmd_evaluate(settings: dict) -> None:
 
 
 def cmd_align(settings: dict) -> None:
-    _require(settings, "loadings", "ref_loadings")
-    out = _ensure_out(settings)
     a_hat = read_matrix(settings["loadings"])
     a_ref = read_matrix(settings["ref_loadings"])
     alignment = best_alignment(a_hat, a_ref)
@@ -339,6 +325,8 @@ def cmd_align(settings: dict) -> None:
                   else [np.zeros(1) for _ in range(a_hat.shape[0])])
     state = ModelState(theta=theta, loadings=a_hat, intercepts=intercepts)
     aligned = apply_alignment(state, alignment)
+    out = settings["out"]
+    os.makedirs(out, exist_ok=True)
     echo = _echo(settings)
     write_matrix(os.path.join(out, "loadings_aligned.csv"), aligned.loadings, echo)
     if settings.get("theta"):
@@ -353,15 +341,17 @@ def cmd_align(settings: dict) -> None:
 
 
 def cmd_replicate(settings: dict) -> None:
-    _require_design(settings)
-    _at_least(settings, "reps", 1)
-    out = _ensure_out(settings)
     cfg = _fit_config(settings)
     rep_seeds = derive_seeds(settings["seed"], settings["reps"])
+    designs = [_sim_design(settings, seed) for seed in rep_seeds]
+    # each replication checks rho and the item split; fail before the first
+    gen_sigma(designs[0].n_factors, designs[0].rho)
+    gen_q(designs[0])
+    out = settings["out"]
+    os.makedirs(out, exist_ok=True)
     lam_key = "lambda" if settings.get("lam") is not None else "lambda_hat"
     rows = []
-    for r in range(settings["reps"]):
-        design = _sim_design(settings, rep_seeds[r])
+    for r, design in enumerate(designs):
         t0 = time.perf_counter()
         selection, recovery, result, lam = _replicate(
             design, cfg, settings["train_fraction"], settings["folds"],

@@ -1,7 +1,7 @@
 """Response-matrix and parameter-matrix I/O, validation, and row splitting.
 
 Responses live in a plain comma-separated table; missing cells are marked
-with a token ("NA" by default) or left empty.  Parameter matrices round-trip
+with the token "NA" or left empty.  Parameter matrices round-trip
 through the same delimited format at full double precision.
 """
 
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-DEFAULT_MISSING_TOKEN = "NA"
+MISSING_TOKEN = "NA"
 # Most response categories an item may have: above any rating scale or 0-100
 # slider, and small enough that the per-item arrays a fit sizes by the count
 # stay small.
@@ -126,14 +126,10 @@ def _parse_table(path: str, missing_token: str):
     return rows
 
 
-def load_responses(
-    path: str,
-    missing_token: str = DEFAULT_MISSING_TOKEN,
-    categories=None,
-) -> ResponseData:
+def load_responses(path: str, categories=None) -> ResponseData:
     """Load a response matrix from comma-separated text.
 
-    Missing entries are cells equal to ``missing_token`` or left empty.
+    Missing entries are cells equal to MISSING_TOKEN or left empty.
     Per-item category counts are inferred as (max observed value) + 1 with a
     floor of 2, unless ``categories`` overrides them (scalar or length-J).
 
@@ -144,13 +140,13 @@ def load_responses(
         within the int64 range, negative entries, an item column with no
         observed values, or more than MAX_CATEGORIES categories for an item.
     """
-    rows = _parse_table(path, missing_token)
+    rows = _parse_table(path, MISSING_TOKEN)
     n, j = len(rows), len(rows[0])
     responses = np.zeros((n, j), dtype=np.int64)
     mask = np.zeros((n, j), dtype=bool)
     for r, row in enumerate(rows):
         for c, cell in enumerate(row):
-            if cell == "" or cell == missing_token:
+            if cell == "" or cell == MISSING_TOKEN:
                 continue
             value = float(cell)
             # nan, inf and values past int64 fail the first test
@@ -171,19 +167,14 @@ def load_responses(
     return ResponseData(responses=responses, mask=mask, categories=cats)
 
 
-def save_responses(
-    path: str,
-    data: ResponseData,
-    missing_token: str = DEFAULT_MISSING_TOKEN,
-    comments=(),
-) -> None:
+def save_responses(path: str, data: ResponseData, comments=()) -> None:
     """Write a response matrix in the format accepted by :func:`load_responses`."""
     with open(path, "w") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         for i in range(data.n_respondents):
             cells = [
-                str(int(data.responses[i, j])) if data.mask[i, j] else missing_token
+                str(int(data.responses[i, j])) if data.mask[i, j] else MISSING_TOKEN
                 for j in range(data.n_items)
             ]
             fh.write(",".join(cells) + "\n")

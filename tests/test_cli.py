@@ -346,10 +346,17 @@ def test_config_unknown_key_is_rejected(tmp_path, capsys):
 
 def test_config_malformed_line_is_rejected(tmp_path, capsys):
     config = tmp_path / "settings.cfg"
-    config.write_text("just some words\n")
-    code = run_cli("simulate", "--config", config, "--out", tmp_path / "x")
-    assert code == 1
-    assert "key = value" in capsys.readouterr().err
+    out = tmp_path / "x"
+    for text, message in [("just some words\n", "line 1 is not 'key = value'"),
+                          ("rho = abc\n", "rho = abc is not a valid float"),
+                          ("rho = 0.1\nfolds = 5.0\n",
+                           "folds = 5.0 is not a valid int")]:
+        config.write_text(text)
+        code = run_cli("replicate", "--config", config, "--n", "40", "--j", "5",
+                       "--k", "3", "--out", out)
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {config}: {message}"]
+        assert not out.exists()
 
 
 def test_config_missing_file_is_rejected(tmp_path, capsys):
@@ -416,15 +423,62 @@ def test_fit_commands_reject_a_negative_factor_count(tmp_path, sim_dir, capsys,
     assert err == [f"error: {command}: --k must be at least 1, got -1"]
 
 
-@pytest.mark.parametrize("command", ["simulate", "replicate"])
-@pytest.mark.parametrize("flag,value,lo", [("--n", 1, 2), ("--j", 0, 1), ("--k", 0, 1)])
+# (command, flag, value, the flag's least value)
+BELOW_LEAST = [
+    *[(command, flag, value, lo)
+      for flag, value, lo in [("--n", 1, 2), ("--j", 0, 1), ("--k", 0, 1)]
+      for command in ("simulate", "replicate")],
+    ("fit", "--n-starts", 0, 1), ("cv-fit", "--max-iters", 0, 1),
+    ("replicate", "--threads", 0, 1), ("replicate", "--folds", 1, 2),
+    ("simulate", "--c", 1, 2), ("fit", "--c", 1, 2), ("cv-fit", "--seed", -1, 0),
+]
+
+
+@pytest.mark.parametrize("command,flag,value,lo", BELOW_LEAST,
+                         ids=[f"{f}-{v}-{lo}-{c}" for c, f, v, lo in BELOW_LEAST])
 def test_simulation_commands_reject_sizes_below_their_least_value(
-        tmp_path, capsys, command, flag, value, lo):
+        tmp_path, sim_dir, capsys, command, flag, value, lo):
+    responses = ["--responses", sim_dir / "responses.csv", "--k", "3"]
+    args = {"fit": [*responses, "--lambda", "1"], "cv-fit": responses,
+            "simulate": SIM_ARGS, "replicate": SIM_ARGS}[command]
     out = tmp_path / "out"
-    assert run_cli(command, *SIM_ARGS, flag, value, "--out", out) == 1
+    assert run_cli(command, *args, flag, value, "--out", out) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: {command}: {flag} must be at least {lo}, got {value}"]
     assert not out.exists()  # checked before anything is written
+
+
+@pytest.mark.parametrize("command,args,named", [
+    ("fit", ["--responses", "absent.csv", "--lambda", "1", "--k", "3"],
+     "'absent.csv'"),
+    ("simulate", [*SIM_ARGS, "--rho", "2"], "rho must lie in"),
+    ("replicate", [*SIM_ARGS, "--j", "7"], "J=7"),
+    ("cv-fit", ["--k", "3", "--train-fraction", "1.5"], "train_fraction"),
+    ("evaluate", ["--est", "absent", "--truth", "absent"], "absent"),
+    ("align", ["--loadings", "absent.csv", "--ref-loadings", "absent.csv"],
+     "absent.csv"),
+], ids=["fit-responses", "simulate-rho", "replicate-j", "cv-fit-train-fraction",
+        "evaluate-est", "align-loadings"])
+def test_rejected_runs_leave_no_output_directory(tmp_path, sim_dir, capsys,
+                                                 command, args, named):
+    if command == "cv-fit":
+        args = ["--responses", sim_dir / "responses.csv", *args]
+    out = tmp_path / "out"
+    assert run_cli(command, *args, "--out", out) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+    assert not out.exists()
+
+
+def test_replicate_fails_before_its_first_replication_when_out_is_a_file(
+        tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert run_cli("replicate", *SIM_ARGS, "--reps", 2, "--lambda", 1,
+                   "--out", out) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(out) in err[0]
+    assert out.read_text() == "not a directory\n"
 
 
 @pytest.mark.parametrize("reps", [0, -1])
@@ -453,9 +507,12 @@ def test_fit_commands_reject_a_factor_count_that_differs_from_sigma_theta(
 
 
 def test_cvfit_rejects_one_fold(tmp_path, sim_dir, capsys):
+    out = tmp_path / "cv"
     assert run_cli("cv-fit", "--responses", sim_dir / "responses.csv", "--k", "3",
-                   "--folds", "1", "--out", tmp_path / "cv") == 1
-    assert "at least 2 folds" in capsys.readouterr().err
+                   "--folds", "1", "--out", out) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: cv-fit: --folds must be at least 2, got 1"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("lam_args,key", [(["--lambda", "1.5"], "lambda"),
