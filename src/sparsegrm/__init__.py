@@ -18,13 +18,13 @@ from .gradients import grad_a_loglik, grad_d, grad_delta, grad_theta, to_d, to_d
 from .metrics import (RecoveryReport, SelectionReport, q_from_loadings,
                       recovery_metrics, score, selection_metrics)
 from .model import (PROB_FLOOR, Hyperparameters, ModelState, category_prob,
-                    cumulative_probs, inverse_logit, log_likelihood,
-                    log_prior_a, log_prior_d, log_prior_theta, objective)
+                    cumulative_probs, default_intercept_ranges, draw_intercepts,
+                    inverse_logit, log_likelihood, log_prior_a, log_prior_d,
+                    log_prior_theta, objective)
 from .optimizer import (FitConfig, FitResult, fit, fit_multistart,
                         log_likelihood_value, objective_value, random_init,
                         soft_threshold, update_a, update_d, update_theta)
-from .simulate import (SimDesign, default_intercept_ranges, draw_intercepts,
-                       gen_q, gen_sigma, gen_true_params, run_replication,
-                       sample_responses)
+from .simulate import (SimDesign, gen_q, gen_sigma, gen_true_params,
+                       run_replication, sample_responses)
 
 __version__ = "0.1.0"

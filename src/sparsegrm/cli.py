@@ -27,8 +27,8 @@ from .metrics import (LOADING_ZERO_THRESHOLD, RecoveryReport,
                       SelectionReport, score)
 from .model import Hyperparameters, ModelState
 from .optimizer import FitConfig, fit_multistart
-from .simulate import (SimDesign, _replicate, gen_q, gen_sigma,
-                       gen_true_params, sample_responses)
+from .simulate import (SimDesign, _replicate, gen_sigma, gen_true_params,
+                       sample_responses)
 
 
 # dest: option.  A None default means "unset unless given on the command
@@ -122,7 +122,10 @@ def _read_config(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}: line {ln + 1} is not 'key = value'")
             key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+            key, value = key.strip().replace("-", "_"), value.strip()
+            if not value:
+                raise ValueError(f"{path}: {key} has no value")
+            values[key] = value
     return values
 
 
@@ -151,6 +154,27 @@ def _resolve(args: argparse.Namespace) -> dict:
             raise ValueError(f"{command}: {opt.flag} must be at least "
                              f"{opt.least}, got {value}")
         settings[key] = value
+    # the flags whose valid values are not a least value
+    fraction = settings.get("train_fraction")
+    if fraction is not None and not 0.0 < fraction < 1.0:
+        raise ValueError(f"{command}: --train-fraction must lie in (0, 1), "
+                         f"got {fraction}")
+    if command in ("simulate", "replicate"):
+        k, rho, j = settings["k"], settings["rho"], settings["j"]
+        lo = -1.0 / (k - 1) if k > 1 else -1.0  # gen_sigma's bound
+        if not lo < rho < 1.0:
+            raise ValueError(f"{command}: --rho must lie in ({lo:g}, 1) for "
+                             f"--k {k}, got {rho}")
+        props = SimDesign.q_proportions
+        split = "/".join(f"{100 * p:g}" for p in props)
+        counts = [round(p * j) for p in props]  # gen_q's item counts
+        if sum(counts) != j:
+            raise ValueError(f"{command}: --j must split {split} into whole "
+                             f"item counts, got {j}")
+        widest = max(r for r, n in enumerate(counts, 1) if n)
+        if k < widest:
+            raise ValueError(f"{command}: --k must be at least {widest} for the "
+                             f"{split} split of --j {j}, got {k}")
     return settings
 
 
@@ -344,9 +368,6 @@ def cmd_replicate(settings: dict) -> None:
     cfg = _fit_config(settings)
     rep_seeds = derive_seeds(settings["seed"], settings["reps"])
     designs = [_sim_design(settings, seed) for seed in rep_seeds]
-    # each replication checks rho and the item split; fail before the first
-    gen_sigma(designs[0].n_factors, designs[0].rho)
-    gen_q(designs[0])
     out = settings["out"]
     os.makedirs(out, exist_ok=True)
     lam_key = "lambda" if settings.get("lam") is not None else "lambda_hat"

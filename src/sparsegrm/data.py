@@ -7,7 +7,6 @@ through the same delimited format at full double precision.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -232,8 +231,6 @@ def read_matrix(path: str) -> np.ndarray:
 
     NaN cells are preserved (used as padding for ragged intercepts).
     """
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
     rows = _parse_table(path, missing_token="nan")
     parsed = []
     for r, row in enumerate(rows):

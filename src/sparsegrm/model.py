@@ -9,6 +9,10 @@ with P(Y_ij >= 0) = 1 and P(Y_ij >= C_j) = 0, and category probabilities
 obtained by differencing.  The objective adds a multivariate normal prior
 on each theta_i, an elementwise Laplace prior on each loading vector a_j,
 and a wide normal prior on each intercept vector d_j.
+
+Simulated truth and random starts draw through the functions here:
+theta ~ N(0, Sigma), loading magnitudes uniform on LOADING_RANGE, and
+strictly ordered intercepts from disjoint uniform ranges.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ from .data import ResponseData
 # before dividing in gradient weights; adjacent cumulative probabilities
 # can coincide to machine precision.
 PROB_FLOOR = 1e-10
+
+LOADING_RANGE = (0.5, 2.0)
 
 
 @dataclass
@@ -148,6 +154,38 @@ class Hyperparameters:
     @property
     def n_factors(self) -> int:
         return self.sigma_theta.shape[0]
+
+
+def draw_theta(rng, n_respondents: int, sigma_theta) -> np.ndarray:
+    """N x K factor scores drawn from N(0, sigma_theta)."""
+    chol = np.linalg.cholesky(sigma_theta)
+    return rng.standard_normal((n_respondents, chol.shape[0])) @ chol.T
+
+
+def default_intercept_ranges(n_categories: int):
+    """Disjoint decreasing uniform ranges for the intercept draws.
+
+    Two categories get the single wide range (-1.5, 1.5).  Otherwise the
+    C-1 ranges have half-width 0.375 around centers spaced 1.125 apart
+    and centered on zero, which for four categories gives (0.75, 1.5),
+    (-0.375, 0.375), and (-1.5, -0.75).
+    """
+    if n_categories < 2:
+        raise ValueError(f"need at least 2 categories, got {n_categories}")
+    if n_categories == 2:
+        return [(-1.5, 1.5)]
+    m = n_categories - 1
+    centers = np.linspace(1.125 * (m - 1) / 2.0, -1.125 * (m - 1) / 2.0, m)
+    return [(float(c) - 0.375, float(c) + 0.375) for c in centers]
+
+
+def draw_intercepts(rng, n_categories: int) -> np.ndarray:
+    """Draw one strictly decreasing intercept vector."""
+    ranges = default_intercept_ranges(n_categories)
+    d = np.array([rng.uniform(lo, hi) for lo, hi in ranges])
+    # ranges are disjoint except in the two-category case, where sorting
+    # a single value is a no-op anyway
+    return np.sort(d)[::-1].copy()
 
 
 def inverse_logit(z):

@@ -28,7 +28,8 @@ import numpy as np
 from . import _engine as eng
 from . import _pool
 from .data import ResponseData
-from .model import Hyperparameters, ModelState
+from .model import (LOADING_RANGE, Hyperparameters, ModelState,
+                    draw_intercepts, draw_theta)
 
 
 @dataclass
@@ -170,20 +171,16 @@ def _phase(worker, blocks, pool):
 
 def random_init(data: ResponseData, hyper: Hyperparameters,
                 seed: int) -> ModelState:
-    """Draw a starting state from the same distributions as simulated truth.
+    """Draw a starting state as simulate.gen_true_params draws the truth.
 
-    theta ~ N(0, sigma_theta); loadings uniform on [0.5, 2.0] with random
-    sign; intercepts drawn from the simulation ranges, sorted decreasing.
+    The same draws in the same order, except that every loading gets a
+    random sign where the truth masks by its structure.
     """
-    from .simulate import draw_intercepts  # deferred: simulate imports us
-
     rng = np.random.default_rng(seed)
-    n, j = data.n_respondents, data.n_items
-    k = hyper.n_factors
-    chol = np.linalg.cholesky(hyper.sigma_theta)
-    theta = rng.standard_normal((n, k)) @ chol.T
-    mags = rng.uniform(0.5, 2.0, size=(j, k))
-    signs = np.where(rng.random((j, k)) < 0.5, -1.0, 1.0)
+    theta = draw_theta(rng, data.n_respondents, hyper.sigma_theta)
+    shape = (data.n_items, hyper.n_factors)
+    mags = rng.uniform(*LOADING_RANGE, size=shape)
+    signs = np.where(rng.random(shape) < 0.5, -1.0, 1.0)
     intercepts = [draw_intercepts(rng, int(c)) for c in data.categories]
     return ModelState(theta=theta, loadings=mags * signs, intercepts=intercepts)
 

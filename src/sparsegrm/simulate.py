@@ -1,10 +1,10 @@
 """Synthetic data generation and the end-to-end replication pipeline.
 
 True parameters follow the sparse design: an exchangeable factor
-correlation matrix, loadings drawn uniformly on [0.5, 2.0] and masked by
-a binary structure matrix that puts 60/20/20 percent of items on one,
-two, and three factors, and strictly ordered intercepts drawn from
-disjoint uniform ranges.  Responses are sampled from the model exactly.
+correlation matrix, a binary structure matrix that puts 60/20/20 percent
+of items on one, two, and three factors and masks the loadings, and the
+generating distributions of sparsegrm.model.  Responses are sampled from
+the model exactly.
 """
 
 from __future__ import annotations
@@ -17,17 +17,18 @@ from scipy.special import expit
 from .cv import tune_and_fit
 from .data import QMatrix, ResponseData, derive_seeds
 from .metrics import score
-from .model import Hyperparameters, ModelState
+from .model import (LOADING_RANGE, Hyperparameters, ModelState,
+                    draw_intercepts, draw_theta)
 from .optimizer import FitConfig, fit_multistart
 
 
 @dataclass
 class SimDesign:
-    """Sizes and distributions for one simulated condition.
+    """Sizes and structure for one simulated condition.
 
     q_proportions gives the fractions of items loading on exactly 1, 2,
-    and 3 factors; they must round to integer item counts.  When
-    intercept_ranges is None the per-category defaults are used.
+    and 3 factors; they must round to integer item counts.  Loadings and
+    intercepts follow the fixed distributions of sparsegrm.model.
     """
 
     n_respondents: int
@@ -36,8 +37,6 @@ class SimDesign:
     rho: float
     n_categories: int = 4
     q_proportions: tuple = (0.6, 0.2, 0.2)
-    loading_range: tuple = (0.5, 2.0)
-    intercept_ranges: list | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -49,51 +48,6 @@ class SimDesign:
             raise ValueError(f"q_proportions must sum to 1: {self.q_proportions}")
         if any(p < 0 for p in self.q_proportions):
             raise ValueError(f"q_proportions must be nonnegative: {self.q_proportions}")
-        lo, hi = self.loading_range
-        if not 0 < lo < hi:
-            raise ValueError(f"loading_range must be positive and ordered: {self.loading_range}")
-        if self.intercept_ranges is not None:
-            ranges = self.intercept_ranges
-            if len(ranges) != self.n_categories - 1:
-                raise ValueError(
-                    f"{len(ranges)} intercept ranges for "
-                    f"{self.n_categories} categories"
-                )
-            for lo_c, hi_c in ranges:
-                if not lo_c < hi_c:
-                    raise ValueError(f"empty intercept range ({lo_c}, {hi_c})")
-            for c in range(len(ranges) - 1):
-                if ranges[c][0] < ranges[c + 1][1]:
-                    raise ValueError(
-                        "intercept ranges must be disjoint and decreasing"
-                    )
-
-
-def default_intercept_ranges(n_categories: int):
-    """Disjoint decreasing uniform ranges for the intercept draws.
-
-    Two categories get the single wide range (-1.5, 1.5).  Otherwise the
-    C-1 ranges have half-width 0.375 around centers spaced 1.125 apart
-    and centered on zero, which for four categories gives (0.75, 1.5),
-    (-0.375, 0.375), and (-1.5, -0.75).
-    """
-    if n_categories < 2:
-        raise ValueError(f"need at least 2 categories, got {n_categories}")
-    if n_categories == 2:
-        return [(-1.5, 1.5)]
-    m = n_categories - 1
-    centers = np.linspace(1.125 * (m - 1) / 2.0, -1.125 * (m - 1) / 2.0, m)
-    return [(float(c) - 0.375, float(c) + 0.375) for c in centers]
-
-
-def draw_intercepts(rng, n_categories: int, ranges=None) -> np.ndarray:
-    """Draw one strictly decreasing intercept vector."""
-    if ranges is None:
-        ranges = default_intercept_ranges(n_categories)
-    d = np.array([rng.uniform(lo, hi) for lo, hi in ranges])
-    # ranges are disjoint except in the two-category case, where sorting
-    # a single value is a no-op anyway
-    return np.sort(d)[::-1].copy()
 
 
 def gen_sigma(n_factors: int, rho: float) -> np.ndarray:
@@ -142,18 +96,13 @@ def gen_true_params(design: SimDesign):
     """Draw (true ModelState, true QMatrix) for one replication."""
     rng = np.random.default_rng(design.seed)
     q = gen_q(design)
-    sigma = gen_sigma(design.n_factors, design.rho)
-    chol = np.linalg.cholesky(sigma)
-    theta = rng.standard_normal((design.n_respondents, design.n_factors)) @ chol.T
-    lo, hi = design.loading_range
-    u = rng.uniform(lo, hi, size=(design.n_items, design.n_factors))
+    theta = draw_theta(rng, design.n_respondents,
+                       gen_sigma(design.n_factors, design.rho))
+    u = rng.uniform(*LOADING_RANGE, size=(design.n_items, design.n_factors))
     loadings = u * q.entries
-    intercepts = [
-        draw_intercepts(rng, design.n_categories, design.intercept_ranges)
-        for _ in range(design.n_items)
-    ]
-    truth = ModelState(theta=theta, loadings=loadings, intercepts=intercepts)
-    return truth, q
+    intercepts = [draw_intercepts(rng, design.n_categories)
+                  for _ in range(design.n_items)]
+    return ModelState(theta=theta, loadings=loadings, intercepts=intercepts), q
 
 
 def sample_responses(truth: ModelState, categories, seed: int) -> ResponseData:

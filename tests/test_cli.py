@@ -350,7 +350,9 @@ def test_config_malformed_line_is_rejected(tmp_path, capsys):
     for text, message in [("just some words\n", "line 1 is not 'key = value'"),
                           ("rho = abc\n", "rho = abc is not a valid float"),
                           ("rho = 0.1\nfolds = 5.0\n",
-                           "folds = 5.0 is not a valid int")]:
+                           "folds = 5.0 is not a valid int"),
+                          ("rho = 0.1\nout =\n", "out has no value"),
+                          ("sigma_theta =\n", "sigma_theta has no value")]:
         config.write_text(text)
         code = run_cli("replicate", "--config", config, "--n", "40", "--j", "5",
                        "--k", "3", "--out", out)
@@ -448,25 +450,30 @@ def test_simulation_commands_reject_sizes_below_their_least_value(
     assert not out.exists()  # checked before anything is written
 
 
-@pytest.mark.parametrize("command,args,named", [
+@pytest.mark.parametrize("command,args,message", [
     ("fit", ["--responses", "absent.csv", "--lambda", "1", "--k", "3"],
-     "'absent.csv'"),
-    ("simulate", [*SIM_ARGS, "--rho", "2"], "rho must lie in"),
-    ("replicate", [*SIM_ARGS, "--j", "7"], "J=7"),
-    ("cv-fit", ["--k", "3", "--train-fraction", "1.5"], "train_fraction"),
-    ("evaluate", ["--est", "absent", "--truth", "absent"], "absent"),
+     "[Errno 2] No such file or directory: 'absent.csv'"),
+    ("simulate", [*SIM_ARGS, "--rho", "2"],
+     "simulate: --rho must lie in (-0.5, 1) for --k 3, got 2.0"),
+    ("replicate", [*SIM_ARGS, "--j", "7"],
+     "replicate: --j must split 60/20/20 into whole item counts, got 7"),
+    ("replicate", [*SIM_ARGS, "--k", "2"],
+     "replicate: --k must be at least 3 for the 60/20/20 split of --j 5, got 2"),
+    ("cv-fit", ["--k", "3", "--train-fraction", "1.5"],
+     "cv-fit: --train-fraction must lie in (0, 1), got 1.5"),
+    ("evaluate", ["--est", "absent", "--truth", "absent"],
+     "[Errno 2] No such file or directory: 'absent/loadings_est.csv'"),
     ("align", ["--loadings", "absent.csv", "--ref-loadings", "absent.csv"],
-     "absent.csv"),
-], ids=["fit-responses", "simulate-rho", "replicate-j", "cv-fit-train-fraction",
-        "evaluate-est", "align-loadings"])
+     "[Errno 2] No such file or directory: 'absent.csv'"),
+], ids=["fit-responses", "simulate-rho", "replicate-j", "replicate-k",
+        "cv-fit-train-fraction", "evaluate-est", "align-loadings"])
 def test_rejected_runs_leave_no_output_directory(tmp_path, sim_dir, capsys,
-                                                 command, args, named):
+                                                 command, args, message):
     if command == "cv-fit":
         args = ["--responses", sim_dir / "responses.csv", *args]
     out = tmp_path / "out"
     assert run_cli(command, *args, "--out", out) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not out.exists()
 
 

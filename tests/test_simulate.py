@@ -5,12 +5,11 @@ import pytest
 
 from sparsegrm.data import derive_seeds
 from sparsegrm.metrics import score
-from sparsegrm.model import ModelState, category_prob
-from sparsegrm.optimizer import FitConfig
-from sparsegrm.simulate import (SimDesign, default_intercept_ranges,
-                                draw_intercepts, gen_q, gen_sigma,
-                                gen_true_params, run_replication,
-                                sample_responses)
+from sparsegrm.model import (Hyperparameters, ModelState, category_prob,
+                             default_intercept_ranges, draw_intercepts)
+from sparsegrm.optimizer import FitConfig, random_init
+from sparsegrm.simulate import (SimDesign, gen_q, gen_sigma, gen_true_params,
+                                run_replication, sample_responses)
 
 
 def test_default_intercept_ranges_four_categories():
@@ -101,13 +100,6 @@ def test_sim_design_validation():
     with pytest.raises(ValueError):
         SimDesign(n_respondents=10, n_items=5, n_factors=2, rho=0.1,
                   n_categories=1)
-    with pytest.raises(ValueError):
-        SimDesign(n_respondents=10, n_items=5, n_factors=2, rho=0.1,
-                  loading_range=(0.0, 2.0))
-    with pytest.raises(ValueError):
-        SimDesign(n_respondents=10, n_items=5, n_factors=2, rho=0.1,
-                  n_categories=3,
-                  intercept_ranges=[(0.0, 1.0), (0.5, 2.0)])
 
 
 def test_gen_true_params_structure():
@@ -122,6 +114,21 @@ def test_gen_true_params_structure():
     for d in truth.intercepts:
         assert d.size == design.n_categories - 1
         assert np.all(np.diff(d) < 0)
+
+
+@pytest.mark.parametrize("k,props", [(3, (0.6, 0.2, 0.2)), (1, (1.0, 0.0, 0.0))])
+def test_random_init_draws_like_gen_true_params(k, props):
+    # one seed and one sigma: the same theta, and the same loading
+    # magnitudes wherever the truth's structure keeps them
+    design = SimDesign(n_respondents=30, n_items=10, n_factors=k, rho=0.3,
+                       q_proportions=props, seed=13)
+    truth, q = gen_true_params(design)
+    data = sample_responses(truth, design.n_categories, seed=14)
+    hyper = Hyperparameters(sigma_theta=gen_sigma(k, design.rho), lam=1.0)
+    init = random_init(data, hyper, seed=design.seed)
+    assert np.array_equal(init.theta, truth.theta)
+    on = q.entries == 1
+    assert np.array_equal(np.abs(init.loadings)[on], truth.loadings[on])
 
 
 def test_gen_true_params_deterministic():
