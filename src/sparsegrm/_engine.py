@@ -19,11 +19,15 @@ head (:func:`theta_head`, :func:`loglik_head`, :func:`d_head`).
 
 Intercept vectors of unequal length are stored in a zero-padded J x Dmax
 matrix together with the per-item count of real entries.  The kernel reads
-them through :func:`bracket_intercepts`, which widens item j's row to
+them from :func:`bracket_table`, which widens item j's row to
 [+inf, d_1, ..., d_{C_j-1}, -inf, ..., -inf]: category y lies between
 columns y and y + 1, which states P(Y >= 0) = 1 and P(Y >= C_j) = 0 as
-intercepts.  expit(+inf) and expit(-inf) are exactly 1.0 and 0.0, so the
-lowest and highest categories need no case of their own.  Padded entries
+intercepts.  A cell's two intercepts are np.take reads of the flattened
+table at the cell's flat index j * (Dmax + 2) + y and one past it
+(:func:`cell_index`, :func:`take_brackets`); unobserved cells are stored as
+category 0, so every index is in range.  expit(+inf) and expit(-inf) are
+exactly 1.0 and 0.0, so the lowest and highest categories need no case of
+their own.  Padded entries
 are exactly 0.0: pad_intercepts zero-fills them and d_block's proposals
 keep them 0.0 (or reject the whole row), so the intercept prior's sums of
 squares and its gradient need no mask.
@@ -67,19 +71,27 @@ def unpad_intercepts(d_pad, nt):
     return [d_pad[j, : int(nt[j])].copy() for j in range(d_pad.shape[0])]
 
 
-def bracket_intercepts(d_rows, nt_rows, yt):
-    """Upper and lower intercepts (du, dl) of each cell's category.
-
-    d_rows is a zero-padded intercept block with nt_rows real entries per
-    row, yt the categories of the rows' cells.  du and dl are columns y and
-    y + 1 of the bracket table (module docstring); unobserved cells are
-    stored as category 0, so every index is in range.
-    """
+def bracket_table(d_rows, nt_rows):
+    """Bracket rows [+inf, d_1, ..., d_{C_j-1}, -inf, ..., -inf] of d_rows."""
     real = np.arange(d_rows.shape[1])[None, :] < nt_rows[:, None]
     edge = np.full((d_rows.shape[0], 1), np.inf)
-    table = np.concatenate([edge, np.where(real, d_rows, -np.inf), -edge], axis=1)
-    return (np.take_along_axis(table, yt, axis=1),
-            np.take_along_axis(table[:, 1:], yt, axis=1))
+    return np.concatenate([edge, np.where(real, d_rows, -np.inf), -edge], axis=1)
+
+
+def cell_index(yt, width):
+    """Flat index r * width + y of each cell of the rows yt into their table."""
+    return yt + width * np.arange(yt.shape[0])[:, None]
+
+
+def take_brackets(table, idx):
+    """Columns y and y + 1 (du, dl) of table at each cell's flat index idx."""
+    return np.take(table, idx), np.take(table.ravel()[1:], idx)
+
+
+def bracket_intercepts(d_rows, nt_rows, yt):
+    """(du, dl) of the cells yt of the zero-padded intercept rows d_rows."""
+    table = bracket_table(d_rows, nt_rows)
+    return take_brackets(table, cell_index(yt, table.shape[1]))
 
 
 def to_delta(d_rows, valid):

@@ -11,9 +11,12 @@ rows' log-likelihoods that the intercept step accepted, with no further
 pass over the cells.
 
 Respondent and item updates inside a phase are independent, so they run
-over contiguous blocks, one per thread, on one thread pool per fit.  The
-block arithmetic is written so the result is bit-identical for any thread
-count.
+over contiguous blocks of rows, which ``threads`` workers of one thread pool
+per fit take in turn.  A block holds at most about BLOCK_CELLS cells, so no
+array of the loop is larger than a block: each block gathers its own cells'
+intercepts from the J x (Dmax + 2) bracket table built once per iteration.
+The block arithmetic is written so the result is bit-identical for any
+thread count and any block bound.
 """
 
 from __future__ import annotations
@@ -31,6 +34,11 @@ from .data import ResponseData
 from .model import (LOADING_RANGE, Hyperparameters, ModelState,
                     draw_intercepts, draw_theta)
 
+# cells per update block: a block's float64 temporaries stay at 256 KiB or
+# less, so the allocator reuses them instead of returning them to the system
+# and faulting them in again; smaller blocks lose to per-call overhead
+BLOCK_CELLS = 2 ** 15
+
 
 @dataclass
 class FitConfig:
@@ -44,7 +52,9 @@ class FitConfig:
         Stop when the absolute objective change falls below this.  The
         default 5 is coarse; use 1e-2 for publication-grade fits.
     threads : int
-        Number of update blocks per phase.  Results do not depend on it.
+        Number of worker threads that update a phase's blocks; a phase
+        has at least this many blocks, and more where BLOCK_CELLS cells
+        per block require them.  Results do not depend on it.
         It also divides the usable CPUs among the process workers that
         run CV folds and multistart starts (sparsegrm._pool).
     seed : int
@@ -92,9 +102,10 @@ def soft_threshold(z, t):
 class _Workspace:
     """Fixed per-fit arrays shared by every phase.
 
-    The mask is kept contiguous in both orientations: respondent-major for
-    the theta phase, item-major for the item phase.  Responses are only
-    read item-major.
+    The mask and each cell's flat index j * (Dmax + 2) + y into the
+    J x (Dmax + 2) bracket table (_engine.cell_index) are kept contiguous
+    in both orientations: respondent-major for the theta phase, item-major
+    for the item phase.  Responses are only read item-major.
     """
 
     def __init__(self, data: ResponseData):
@@ -102,13 +113,8 @@ class _Workspace:
         self.yt = np.ascontiguousarray(data.responses.T)
         self.mask_f = data.mask.astype(np.float64)
         self.mask_f_t = np.ascontiguousarray(self.mask_f.T)
-
-    def gather_intercepts(self, d_pad):
-        """Per-cell upper/lower intercepts in both orientations."""
-        du_t, dl_t = eng.bracket_intercepts(d_pad, self.nt, self.yt)
-        du = np.ascontiguousarray(du_t.T)
-        dl = np.ascontiguousarray(dl_t.T)
-        return du, dl, du_t, dl_t
+        self.idx_t = eng.cell_index(self.yt, int(self.nt.max()) + 2)
+        self.idx = np.ascontiguousarray(self.idx_t.T)
 
 
 def _prepare(data: ResponseData, state: ModelState,
@@ -159,8 +165,16 @@ def log_likelihood_value(data: ResponseData, state: ModelState) -> float:
                                         ws.mask_f_t)))
 
 
-def _blocks(n: int, threads: int):
-    return [b for b in np.array_split(np.arange(n), threads) if b.size > 0]
+def _blocks(rows: int, width: int, threads: int):
+    """Contiguous slices of a phase's rows, of at most about BLOCK_CELLS cells.
+
+    There are max(threads, ceil(rows * width / BLOCK_CELLS)) of them (at
+    most one per row), as equal as array_split makes them.
+    """
+    n = min(rows, max(threads, -(-rows * width // BLOCK_CELLS)))
+    size, extra = divmod(rows, n)
+    edges = [b * size + min(b, extra) for b in range(n + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
 def _phase(worker, blocks, pool):
@@ -212,16 +226,19 @@ def fit(data: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
     d_step = np.full(loadings.shape[0], eng.GAMMA0)
     converged = False
     n_iters = 0
-    row_blocks = _blocks(theta.shape[0], cfg.threads)
-    item_blocks = _blocks(loadings.shape[0], cfg.threads)
+    row_blocks = _blocks(*ws.mask_f.shape, cfg.threads)
+    item_blocks = _blocks(*ws.mask_f_t.shape, cfg.threads)
 
-    # the workers read the loop's current arrays when a phase calls them
+    # the workers read the loop's current arrays when a phase calls them, and
+    # each gathers its own block's intercepts from the bracket table
     def theta_worker(rows):
-        return eng.theta_block(theta[rows], a_t, du[rows], dl[rows], ws.mask_f[rows],
+        return eng.theta_block(theta[rows], a_t,
+                               *eng.take_brackets(table, ws.idx[rows]), ws.mask_f[rows],
                                hyper.sigma_theta_inv, theta_step[rows])
 
     def item_worker(items):
-        a_new, a_s = eng.a_block(loadings[items], th_t, du_t[items], dl_t[items],
+        a_new, a_s = eng.a_block(loadings[items], th_t,
+                                 *eng.take_brackets(table, ws.idx_t[items]),
                                  ws.mask_f_t[items], hyper.lam, a_step[items])
         return (a_new, a_s, *eng.d_block(a_new, th_t, d_pad[items], ws.nt[items],
                                          ws.yt[items], ws.mask_f_t[items],
@@ -230,7 +247,7 @@ def fit(data: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
     with (ThreadPoolExecutor(max_workers=cfg.threads) if cfg.threads > 1
           else nullcontext()) as pool:
         for _ in range(cfg.max_outer_iters):
-            du, dl, du_t, dl_t = ws.gather_intercepts(d_pad)
+            table = eng.bracket_table(d_pad, ws.nt)
             a_t = np.ascontiguousarray(loadings.T)
             theta, theta_step = _phase(theta_worker, row_blocks, pool)
             th_t = np.ascontiguousarray(theta.T)
@@ -288,12 +305,14 @@ def _row_args(data: ResponseData, state: ModelState,
     sigma_d_sq.  The gradient heads take the same.
     """
     ws, d_pad, th_t = _prepare(data, state, hyper)
-    du, dl, du_t, dl_t = ws.gather_intercepts(d_pad)
+    table = eng.bracket_table(d_pad, ws.nt)
     if phase == "theta":
-        return (state.theta[rows], np.ascontiguousarray(state.loadings.T), du[rows],
-                dl[rows], ws.mask_f[rows], hyper.sigma_theta_inv)
+        return (state.theta[rows], np.ascontiguousarray(state.loadings.T),
+                *eng.take_brackets(table, ws.idx[rows]), ws.mask_f[rows],
+                hyper.sigma_theta_inv)
     if phase == "a":
-        return state.loadings[rows], th_t, du_t[rows], dl_t[rows], ws.mask_f_t[rows]
+        return (state.loadings[rows], th_t, *eng.take_brackets(table, ws.idx_t[rows]),
+                ws.mask_f_t[rows])
     return (state.loadings[rows], th_t, d_pad[rows], ws.nt[rows], ws.yt[rows],
             ws.mask_f_t[rows], hyper.sigma_d_sq)
 

@@ -192,6 +192,26 @@ def test_fit_thread_count_does_not_change_result():
             assert np.array_equal(d_a, d_b)
 
 
+@pytest.mark.parametrize("threads", [1, 3])
+def test_cell_bounded_blocks_are_bit_identical(monkeypatch, threads):
+    # every reduction runs along a row, so cutting the phases into many
+    # blocks, the item phase into one item each, moves no bit
+    data, hyper, _ = sim_ragged(2, (0.5, 0.5, 0.0))
+    cfg = FitConfig(seed=4, max_outer_iters=25, obj_tol=1e-3)
+    assert len(optimizer._blocks(data.n_respondents, data.n_items, 1)) == 1
+    whole = fit(data, hyper, cfg)
+    monkeypatch.setattr(optimizer, "BLOCK_CELLS", 64)
+    assert len(optimizer._blocks(data.n_respondents, data.n_items, threads)) == 38
+    assert len(optimizer._blocks(data.n_items, data.n_respondents, threads)) == 20
+    bounded = fit(data, hyper, replace(cfg, threads=threads))
+    assert whole.n_iters > 5
+    np.testing.assert_array_equal(bounded.objective_trace, whole.objective_trace)
+    np.testing.assert_array_equal(bounded.state.theta, whole.state.theta)
+    np.testing.assert_array_equal(bounded.state.loadings, whole.state.loadings)
+    for d_bounded, d_whole in zip(bounded.state.intercepts, whole.state.intercepts):
+        np.testing.assert_array_equal(d_bounded, d_whole)
+
+
 def test_large_lambda_zeroes_all_loadings():
     data, _ = sim_small(seed=14)
     hyper = Hyperparameters(sigma_theta=np.eye(2), lam=1e4)
