@@ -22,21 +22,18 @@ matrix together with the per-item count of real entries.  The kernel reads
 them from :func:`bracket_table`, which widens item j's row to
 [+inf, d_1, ..., d_{C_j-1}, -inf, ..., -inf]: category y lies between
 columns y and y + 1, which states P(Y >= 0) = 1 and P(Y >= C_j) = 0 as
-intercepts.  A cell's two intercepts are np.take reads of the flattened
-table at the cell's flat index j * (Dmax + 2) + y and one past it
-(:func:`cell_index`, :func:`take_brackets`); unobserved cells are stored as
-category 0, so every index is in range.  expit(+inf) and expit(-inf) are
-exactly 1.0 and 0.0, so the lowest and highest categories need no case of
-their own.  Padded entries
-are exactly 0.0: pad_intercepts zero-fills them and d_block's proposals
-keep them 0.0 (or reject the whole row), so the intercept prior's sums of
-squares and its gradient need no mask.
+intercepts, and the kernel's sigmoid is exactly 1.0 at +inf and 0.0 at
+-inf.  A cell reads both columns at one flat index (:func:`cell_index`,
+:func:`take_brackets`); unobserved cells are stored as category 0, so every
+index is in range.  Padded entries are exactly 0.0: pad_intercepts
+zero-fills them and d_block's proposals keep them 0.0 (or reject the whole
+row), so the intercept prior's sums of squares and its gradient need no
+mask.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from .model import PROB_FLOOR
 
@@ -54,9 +51,6 @@ SHRINK = 0.5
 MAX_BACKTRACKS = 30
 SUFFICIENT_INCREASE = 1e-4
 GAMMA_FLOOR = GAMMA0 * SHRINK ** MAX_BACKTRACKS
-
-# row selector for "every row of the block" (a view, not a copy)
-_ALL = np.s_[:]
 
 
 def pad_intercepts(intercepts):
@@ -142,8 +136,17 @@ def soft_threshold(z, t):
 
 
 def adjacent_cums(z, du, dl):
-    """Upper/lower cumulative probabilities for each cell's own category."""
-    return expit(z + du), expit(z + dl)
+    """Upper/lower cumulative probabilities for each cell's own category.
+
+    Each is 1 / (1 + exp(-(z + d))), in place on numpy's exp.  The errstate
+    is set here because it is per thread: a caller's misses pool workers.
+    """
+    cums = (z + du, z + dl)
+    with np.errstate(over="ignore"):
+        for x in cums:
+            np.exp(np.negative(x, out=x), out=x)
+            np.divide(1.0, np.add(x, 1.0, out=x), out=x)
+    return cums
 
 
 def cell_loglik(z, du, dl, mf):
@@ -221,7 +224,7 @@ def line_search(x0, ll0, penalty, loglik, propose, mapping_sq, pending=None,
     """Row-wise backtracking ascent from x0.
 
     Returns (rows, accepted steps, row log-likelihoods).  A row's value is
-    loglik(idx, x) - penalty(idx, x) for the rows idx (penalty(_ALL, x0) at
+    loglik(idx, x) - penalty(idx, x) for the rows idx (idx is slice(None) at
     the start); ll0 is loglik at x0, which the block's head has computed.
     propose(idx, gamma) returns candidate rows for the pending rows idx at
     their step sizes and mapping_sq(idx, gamma, cand) the squared norms of
@@ -242,7 +245,7 @@ def line_search(x0, ll0, penalty, loglik, propose, mapping_sq, pending=None,
     """
     out = x0.copy()
     ll = ll0.copy()
-    f0 = ll0 - penalty(_ALL, x0)
+    f0 = ll0 - penalty(slice(None), x0)
     gamma = np.full(x0.shape[0], GAMMA0) if step is None else step.copy()
     step = gamma.copy()  # the row's last accepted step, once it has one
     # +1 once a row's start is accepted (growing), -1 once it is rejected

@@ -1,8 +1,10 @@
+import warnings
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from sparsegrm import _engine as eng
 from sparsegrm import optimizer
@@ -419,6 +421,47 @@ def test_fit_opens_one_thread_pool():
         assert pool.call_count == 1
         fit(data, hyper, FitConfig(seed=0, max_outer_iters=4, obj_tol=1e-9))
         assert pool.call_count == 1
+
+
+def test_kernel_sigmoid_is_exact_at_infinite_intercepts_and_propagates_nan():
+    z = np.array([-1e300, -800.0, -3.0, 0.0, 2.5, 800.0, 1e300, np.nan])
+    cu, cl = eng.adjacent_cums(z, np.full(z.size, np.inf), np.full(z.size, -np.inf))
+    np.testing.assert_array_equal(cu[:-1], 1.0)
+    np.testing.assert_array_equal(cl[:-1], 0.0)
+    assert np.isnan(cu[-1]) and np.isnan(cl[-1])
+    cu, cl = eng.adjacent_cums(np.zeros(2), np.array([np.nan, 0.0]),
+                               np.array([0.0, np.nan]))
+    assert np.isnan(cu[0]) and cu[1] == 0.5 and cl[0] == 0.5 and np.isnan(cl[1])
+
+
+def test_kernel_sigmoid_agrees_with_expit():
+    z = np.linspace(-745.0, 745.0, 298_001)
+    d = np.zeros_like(z)
+    cu, cl = eng.adjacent_cums(z, d, d + 0.75)
+    for got, want in ((cu, expit(z)), (cl, expit(z + 0.75))):
+        ulps = np.abs(got - want) / np.spacing(want)
+        # numpy's exp is within about 1 ulp, and 1 / (1 + t) passes that on,
+        # doubled at worst where the reciprocal lands in the lower binade;
+        # where exp(-x) passes 2**53, 1 + exp(-x) rounds to an even integer
+        assert ulps.max() <= 4.0
+        assert ulps[np.abs(z + 36.9) > 1.0].max() <= 2.0
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_fit_with_overflowing_cells_warns_on_no_thread(threads):
+    # factor scores scaled by 400 put cells at z + d far below -710, where
+    # exp(-(z + d)) overflows; numpy's error state is per thread, so the
+    # kernel must set it in the worker that computes, not in the caller
+    data, hyper = sim_small(seed=20)
+    init = random_init(data, hyper, seed=0)
+    init.theta *= 400.0
+    z = init.theta @ init.loadings.T
+    assert (z.min() + max(d.max() for d in init.intercepts)) < -710.0
+    cfg = FitConfig(max_outer_iters=3, obj_tol=1e-9, threads=threads)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = fit(data, hyper, cfg, init=init)
+    assert np.isfinite(result.objective_trace).all()
 
 
 def test_fully_missing_rows_shrink_theta_to_zero():
