@@ -52,6 +52,9 @@ MAX_BACKTRACKS = 30
 SUFFICIENT_INCREASE = 1e-4
 GAMMA_FLOOR = GAMMA0 * SHRINK ** MAX_BACKTRACKS
 
+# row selector for "every row of the block" (a view, not a copy)
+_ALL = np.s_[:]
+
 
 def pad_intercepts(intercepts):
     """Stack per-item intercept vectors into a zero-padded J x Dmax block."""
@@ -72,9 +75,9 @@ def bracket_table(d_rows, nt_rows):
     return np.concatenate([edge, np.where(real, d_rows, -np.inf), -edge], axis=1)
 
 
-def cell_index(yt, width):
-    """Flat index r * width + y of each cell of the rows yt into their table."""
-    return yt + width * np.arange(yt.shape[0])[:, None]
+def cell_index(yt, dmax):
+    """Flat index r * (dmax + 2) + y of each cell into its rows' bracket table."""
+    return yt + (dmax + 2) * np.arange(yt.shape[0])[:, None]
 
 
 def take_brackets(table, idx):
@@ -84,8 +87,7 @@ def take_brackets(table, idx):
 
 def bracket_intercepts(d_rows, nt_rows, yt):
     """(du, dl) of the cells yt of the zero-padded intercept rows d_rows."""
-    table = bracket_table(d_rows, nt_rows)
-    return take_brackets(table, cell_index(yt, table.shape[1]))
+    return take_brackets(bracket_table(d_rows, nt_rows), cell_index(yt, d_rows.shape[1]))
 
 
 def to_delta(d_rows, valid):
@@ -224,7 +226,7 @@ def line_search(x0, ll0, penalty, loglik, propose, mapping_sq, pending=None,
     """Row-wise backtracking ascent from x0.
 
     Returns (rows, accepted steps, row log-likelihoods).  A row's value is
-    loglik(idx, x) - penalty(idx, x) for the rows idx (idx is slice(None) at
+    loglik(idx, x) - penalty(idx, x) for the rows idx (penalty(_ALL, x0) at
     the start); ll0 is loglik at x0, which the block's head has computed.
     propose(idx, gamma) returns candidate rows for the pending rows idx at
     their step sizes and mapping_sq(idx, gamma, cand) the squared norms of
@@ -245,7 +247,7 @@ def line_search(x0, ll0, penalty, loglik, propose, mapping_sq, pending=None,
     """
     out = x0.copy()
     ll = ll0.copy()
-    f0 = ll0 - penalty(slice(None), x0)
+    f0 = ll0 - penalty(_ALL, x0)
     gamma = np.full(x0.shape[0], GAMMA0) if step is None else step.copy()
     step = gamma.copy()  # the row's last accepted step, once it has one
     # +1 once a row's start is accepted (growing), -1 once it is rejected

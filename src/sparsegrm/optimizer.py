@@ -113,7 +113,7 @@ class _Workspace:
         self.yt = np.ascontiguousarray(data.responses.T)
         self.mask_f = data.mask.astype(np.float64)
         self.mask_f_t = np.ascontiguousarray(self.mask_f.T)
-        self.idx_t = eng.cell_index(self.yt, int(self.nt.max()) + 2)
+        self.idx_t = eng.cell_index(self.yt, int(self.nt.max()))
         self.idx = np.ascontiguousarray(self.idx_t.T)
 
 
@@ -166,15 +166,10 @@ def log_likelihood_value(data: ResponseData, state: ModelState) -> float:
 
 
 def _blocks(rows: int, width: int, threads: int):
-    """Contiguous slices of a phase's rows, of at most about BLOCK_CELLS cells.
-
-    There are max(threads, ceil(rows * width / BLOCK_CELLS)) of them (at
-    most one per row), as equal as array_split makes them.
-    """
+    """max(threads, ceil(rows * width / BLOCK_CELLS)) contiguous row slices,
+    at most one per row, whose sizes differ by at most one row."""
     n = min(rows, max(threads, -(-rows * width // BLOCK_CELLS)))
-    size, extra = divmod(rows, n)
-    edges = [b * size + min(b, extra) for b in range(n + 1)]
-    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    return [slice(b[0], b[-1] + 1) for b in np.array_split(np.arange(rows), n)]
 
 
 def _phase(worker, blocks, pool):
