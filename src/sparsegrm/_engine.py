@@ -22,9 +22,9 @@ matrix together with the per-item count of real entries.  The kernel reads
 them from :func:`bracket_table`, which widens item j's row to
 [+inf, d_1, ..., d_{C_j-1}, -inf, ..., -inf]: category y lies between
 columns y and y + 1, which states P(Y >= 0) = 1 and P(Y >= C_j) = 0 as
-intercepts, and the kernel's sigmoid is exactly 1.0 at +inf and 0.0 at
--inf.  A cell reads both columns at one flat index (:func:`cell_index`,
-:func:`take_brackets`); unobserved cells are stored as category 0, so every
+intercepts, and the kernel's sigmoid (model.inverse_logit) is exactly 1.0
+at +inf and 0.0 at -inf.  A cell reads both columns at one flat index
+(:func:`cell_index`, :func:`take_brackets`); unobserved cells are stored as category 0, so every
 index is in range.  Padded entries are exactly 0.0: pad_intercepts
 zero-fills them and d_block's proposals keep them 0.0 (or reject the whole
 row), so the intercept prior's sums of squares and its gradient need no
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import PROB_FLOOR
+from .model import PROB_FLOOR, inverse_logit
 
 # Backtracking line search on the step grid GAMMA0 * SHRINK**i, i = 0..
 # MAX_BACKTRACKS: a step gamma is accepted when the row value gains at least
@@ -138,17 +138,8 @@ def soft_threshold(z, t):
 
 
 def adjacent_cums(z, du, dl):
-    """Upper/lower cumulative probabilities for each cell's own category.
-
-    Each is 1 / (1 + exp(-(z + d))), in place on numpy's exp.  The errstate
-    is set here because it is per thread: a caller's misses pool workers.
-    """
-    cums = (z + du, z + dl)
-    with np.errstate(over="ignore"):
-        for x in cums:
-            np.exp(np.negative(x, out=x), out=x)
-            np.divide(1.0, np.add(x, 1.0, out=x), out=x)
-    return cums
+    """Upper/lower cumulative probabilities of each cell's own category."""
+    return tuple(inverse_logit(x, out=x) for x in (z + du, z + dl))
 
 
 def cell_loglik(z, du, dl, mf):

@@ -11,7 +11,7 @@ A pool has min(usable CPUs // threads, tasks) workers, because each fit
 may run ``threads`` update blocks of its own.  Below two workers, or where
 the ``fork`` start method is missing, the tasks run in this process, in
 order.  Workers are forked: ``spawn`` and ``forkserver`` would re-import
-numpy and scipy in each worker first.
+numpy and the package in each worker first.
 """
 
 from __future__ import annotations

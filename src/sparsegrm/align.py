@@ -14,7 +14,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .model import ModelState
 
@@ -68,6 +67,8 @@ def best_alignment(a_hat, a_ref) -> Alignment:
     sq_hat = (a_hat ** 2).sum(axis=0)
     sq_ref = (a_ref ** 2).sum(axis=0)
     cost = sq_hat[:, None] + sq_ref[None, :] - 2.0 * np.abs(inner)
+    # imported here: scipy.optimize takes ~0.5 s to import, and fits never align
+    from scipy.optimize import linear_sum_assignment
     src, tgt = linear_sum_assignment(cost)
     k = a_hat.shape[1]
     permutation = np.empty(k, dtype=np.int64)

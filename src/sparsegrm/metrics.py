@@ -60,8 +60,8 @@ class RecoveryReport:
 
 def q_from_loadings(loadings, threshold: float) -> QMatrix:
     """Binary structure matrix: 1 where |loading| strictly exceeds threshold."""
-    if threshold < 0:
-        raise ValueError(f"threshold must be nonnegative, got {threshold}")
+    if not 0.0 <= threshold < np.inf:
+        raise ValueError(f"threshold must be finite and nonnegative, got {threshold}")
     loadings = np.asarray(loadings, dtype=np.float64)
     return QMatrix(entries=(np.abs(loadings) > threshold).astype(np.int64))
 

@@ -6,9 +6,11 @@ logits.  For respondent i and item j with C_j ordered categories,
     P(Y_ij >= c) = logit^{-1}(theta_i' a_j + d_jc),   c = 1, ..., C_j - 1,
 
 with P(Y_ij >= 0) = 1 and P(Y_ij >= C_j) = 0, and category probabilities
-obtained by differencing.  The objective adds a multivariate normal prior
-on each theta_i, an elementwise Laplace prior on each loading vector a_j,
-and a wide normal prior on each intercept vector d_j.
+obtained by differencing.  logit^{-1} is inverse_logit, the package's one
+logistic: the kernel in _engine and the sampler in simulate call it too.
+The objective adds a multivariate normal prior on each theta_i, an
+elementwise Laplace prior on each loading vector a_j, and a wide normal
+prior on each intercept vector d_j.
 
 Simulated truth and random starts draw through the functions here:
 theta ~ N(0, Sigma), loading magnitudes uniform on LOADING_RANGE, and
@@ -20,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .data import ResponseData
 
@@ -188,9 +189,15 @@ def draw_intercepts(rng, n_categories: int) -> np.ndarray:
     return np.sort(d)[::-1].copy()
 
 
-def inverse_logit(z):
-    """Numerically stable logistic function 1 / (1 + exp(-z))."""
-    return expit(z)
+def inverse_logit(z, out=None):
+    """1 / (1 + exp(-z)) on numpy's exp, in place when out is given (even z).
+
+    Exactly 1.0 at +inf and 0.0 at -inf.  The errstate is set here because
+    numpy's is per thread: a caller's misses pool workers.
+    """
+    with np.errstate(over="ignore"):
+        x = np.exp(np.negative(z, out=out), out=out)
+        return np.divide(1.0, np.add(x, 1.0, out=out), out=out)
 
 
 def cumulative_probs(theta_i, a_j, d_j) -> np.ndarray:
@@ -208,7 +215,7 @@ def cumulative_probs(theta_i, a_j, d_j) -> np.ndarray:
     z = float(theta_i @ a_j)
     out = np.empty(d_j.size + 2, dtype=np.float64)
     out[0] = 1.0
-    out[1:-1] = expit(z + d_j)
+    out[1:-1] = inverse_logit(z + d_j)
     out[-1] = 0.0
     return out
 

@@ -4,7 +4,7 @@ True parameters follow the sparse design: an exchangeable factor
 correlation matrix, a binary structure matrix that puts 60/20/20 percent
 of items on one, two, and three factors and masks the loadings, and the
 generating distributions of sparsegrm.model.  Responses are sampled from
-the model exactly.
+the model exactly, through model.inverse_logit, the logistic the fits use.
 """
 
 from __future__ import annotations
@@ -12,13 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit
 
 from .cv import tune_and_fit
 from .data import QMatrix, ResponseData, derive_seeds
 from .metrics import score
 from .model import (LOADING_RANGE, Hyperparameters, ModelState,
-                    draw_intercepts, draw_theta)
+                    draw_intercepts, draw_theta, inverse_logit)
 from .optimizer import FitConfig, fit_multistart
 
 
@@ -119,7 +118,7 @@ def sample_responses(truth: ModelState, categories, seed: int) -> ResponseData:
                 f"item {jj}: {d_j.size} intercepts for {categories[jj]} categories"
             )
         z = truth.theta @ truth.loadings[jj]
-        cum = expit(z[:, None] + d_j[None, :])
+        cum = inverse_logit(z[:, None] + d_j[None, :])
         responses[:, jj] = (u[:, jj][:, None] < cum).sum(axis=1)
     return ResponseData(
         responses=responses,

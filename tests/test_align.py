@@ -1,6 +1,12 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import sparsegrm
 from sparsegrm.align import (Alignment, alignment_cost, apply_alignment,
                              best_alignment, exhaustive_alignment)
 from sparsegrm.model import ModelState
@@ -49,6 +55,32 @@ def test_best_matches_exhaustive(k):
         cost_fast = alignment_cost(a_hat, a_ref, fast)
         cost_slow = alignment_cost(a_hat, a_ref, slow)
         assert cost_fast == pytest.approx(cost_slow, rel=1e-10, abs=1e-10)
+
+
+_IMPORT_THEN_ALIGN = """
+import json, sys
+import numpy as np
+import sparsegrm, sparsegrm.cli
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+a_hat, a_ref = np.random.default_rng(4).normal(size=(2, 8, 4))
+fast = sparsegrm.best_alignment(a_hat, a_ref)
+slow = sparsegrm.exhaustive_alignment(a_hat, a_ref)
+print(json.dumps({"loaded": loaded, "same": bool(
+    np.array_equal(fast.permutation, slow.permutation)
+    and np.array_equal(fast.signs, slow.signs))}))
+"""
+
+
+def test_importing_the_package_loads_no_scipy_until_an_alignment():
+    # scipy costs about half a second of start-up, which fits, CV and
+    # simulations never need; best_alignment imports it when it runs
+    src = os.path.dirname(os.path.dirname(sparsegrm.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_THEN_ALIGN], env=env,
+                          capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout)
+    assert result == {"loaded": [], "same": True}
 
 
 def test_cost_is_squared_frobenius_distance():

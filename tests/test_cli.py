@@ -463,14 +463,19 @@ def test_simulation_commands_reject_sizes_below_their_least_value(
      "cv-fit: --train-fraction must lie in (0, 1), got 1.5"),
     ("evaluate", ["--est", "absent", "--truth", "absent"],
      "[Errno 2] No such file or directory: 'absent/loadings_est.csv'"),
+    ("evaluate", ["--threshold", "nan"],
+     "threshold must be finite and nonnegative, got nan"),
     ("align", ["--loadings", "absent.csv", "--ref-loadings", "absent.csv"],
      "[Errno 2] No such file or directory: 'absent.csv'"),
 ], ids=["fit-responses", "simulate-rho", "replicate-j", "replicate-k",
-        "cv-fit-train-fraction", "evaluate-est", "align-loadings"])
-def test_rejected_runs_leave_no_output_directory(tmp_path, sim_dir, capsys,
+        "cv-fit-train-fraction", "evaluate-est", "evaluate-threshold",
+        "align-loadings"])
+def test_rejected_runs_leave_no_output_directory(tmp_path, sim_dir, fit_dir, capsys,
                                                  command, args, message):
     if command == "cv-fit":
         args = ["--responses", sim_dir / "responses.csv", *args]
+    if args[0] == "--threshold":
+        args = ["--est", fit_dir, "--truth", sim_dir, *args]
     out = tmp_path / "out"
     assert run_cli(command, *args, "--out", out) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]

@@ -32,6 +32,12 @@ def test_q_from_loadings_strict_threshold():
     assert q.entries.tolist() == [[1, 0], [1, 0]]
 
 
+@pytest.mark.parametrize("threshold", [-0.01, np.nan, np.inf])
+def test_q_from_loadings_rejects_a_threshold_outside_zero_to_infinity(threshold):
+    with pytest.raises(ValueError, match="threshold must be finite and nonnegative"):
+        q_from_loadings(np.ones((2, 2)), threshold)
+
+
 def test_q_from_loadings_zero_matrix():
     q = q_from_loadings(np.zeros((3, 2)), 0.01)
     assert not q.entries.any()

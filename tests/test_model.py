@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,20 @@ def test_inverse_logit_matches_closed_form():
     for z in (-3.0, -0.5, 0.0, 1.2):
         assert inverse_logit(z) == pytest.approx(1.0 / (1.0 + math.exp(-z)),
                                                  rel=1e-14)
+    z = np.array([-800.0, -np.inf, -3.0, 0.0, 1.2, np.nan, np.inf, 800.0])
+    # exp(800) overflows; the function ignores that in its own errstate,
+    # whatever the caller's
+    with warnings.catch_warnings(), np.errstate(over="raise"):
+        warnings.simplefilter("error")
+        got = inverse_logit(z)
+        in_place = z.copy()
+        assert inverse_logit(in_place, out=in_place) is in_place
+    np.testing.assert_array_equal(in_place, got)
+    for i in (2, 3, 4):
+        assert got[i] == pytest.approx(1.0 / (1.0 + math.exp(-z[i])), rel=1e-14)
+    assert got[0] == 0.0 and got[1] == 0.0
+    assert got[6] == 1.0 and got[7] == 1.0
+    assert np.isnan(got[5])
 
 
 def test_cumulative_probs_known_values():

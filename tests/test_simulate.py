@@ -154,6 +154,26 @@ def test_sample_responses_range_and_determinism():
     assert a.mask.all()
 
 
+@pytest.mark.parametrize("n,j,k,categories", [
+    (500, 30, 3, [4]), (4000, 70, 5, [6]), (300, 10, 3, [2, 3, 5, 7, 3])])
+def test_sample_responses_equal_draws_made_with_expit(n, j, k, categories):
+    # scipy's expit is the sampler's independent oracle: only a uniform draw
+    # within an ulp or two of a cumulative probability could tell the two
+    # logistics apart
+    from scipy.special import expit
+    truth, _ = gen_true_params(SimDesign(n_respondents=n, n_items=j,
+                                         n_factors=k, rho=0.1, seed=n + j))
+    cats = np.resize(categories, j)
+    rng = np.random.default_rng(5)
+    truth = ModelState(theta=truth.theta, loadings=truth.loadings,
+                       intercepts=[draw_intercepts(rng, c) for c in cats])
+    got = sample_responses(truth, cats, seed=6).responses
+    u = np.random.default_rng(6).random((n, j))
+    for jj in range(j):
+        cum = expit(truth.theta @ truth.loadings[jj] + truth.intercepts[jj][:, None])
+        assert np.array_equal(got[:, jj], (u[:, jj] < cum).sum(axis=0))
+
+
 def test_sample_responses_frequencies_match_model():
     n = 40000
     theta = np.full((n, 1), 0.5)
