@@ -190,7 +190,7 @@ def draw_intercepts(rng, n_categories: int) -> np.ndarray:
 
 
 def inverse_logit(z, out=None):
-    """1 / (1 + exp(-z)) on numpy's exp, in place when out is given (even z).
+    """1 / (1 + exp(-z)) on numpy's exp; in place when out is given (out may be z).
 
     Exactly 1.0 at +inf and 0.0 at -inf.  The errstate is set here because
     numpy's is per thread: a caller's misses pool workers.

@@ -78,7 +78,7 @@ def test_importing_the_package_loads_no_scipy_until_an_alignment():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     proc = subprocess.run([sys.executable, "-c", _IMPORT_THEN_ALIGN], env=env,
-                          capture_output=True, text=True, check=True)
+                          capture_output=True, text=True, check=True, timeout=120)
     result = json.loads(proc.stdout)
     assert result == {"loaded": [], "same": True}
 

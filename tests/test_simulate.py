@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from sparsegrm.data import derive_seeds
 from sparsegrm.metrics import score
@@ -160,7 +161,6 @@ def test_sample_responses_equal_draws_made_with_expit(n, j, k, categories):
     # scipy's expit is the sampler's independent oracle: only a uniform draw
     # within an ulp or two of a cumulative probability could tell the two
     # logistics apart
-    from scipy.special import expit
     truth, _ = gen_true_params(SimDesign(n_respondents=n, n_items=j,
                                          n_factors=k, rho=0.1, seed=n + j))
     cats = np.resize(categories, j)
