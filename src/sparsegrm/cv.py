@@ -7,12 +7,14 @@ masked during fitting and scored by their out-of-sample log loss.  The
 end-to-end pipeline splits respondents in half, selects lambda on one
 half, and fits the other half at the selected value.
 
-Each fold fits a stage's candidates in ascending lambda, each fit
-starting from the previous candidate's solution (the pathwise warm start
-of Friedman, Hastie & Tibshirani 2010); the folds themselves are
-independent.  Each fold's chain, and each start of the final fit, is one
-task on a bounded process pool (sparsegrm._pool), and results merge in
-fold and start order, so every number matches a serial run bit for bit.
+Each fold's training and holdout sets are built once per selection and
+serve both stages.  A fold fits a stage's candidates in ascending lambda,
+each fit starting from the previous candidate's solution (the pathwise
+warm start of Friedman, Hastie & Tibshirani 2010); the folds themselves
+are independent.  Each fold's chain (_fold_chain, the one place a fold is
+fitted and scored), and each start of the final fit, is one task on a
+bounded process pool (sparsegrm._pool), and results merge in fold and
+start order, so every number matches a serial run bit for bit.
 """
 
 from __future__ import annotations
@@ -25,8 +27,7 @@ from . import _pool
 from .data import ResponseData, split_rows
 # category_prob is unused here; perfbench's tracer counts holdout cells by this name
 from .model import Hyperparameters, category_prob  # noqa: F401
-from .optimizer import (FitConfig, FitResult, fit, fit_multistart,
-                        log_likelihood_value)
+from .optimizer import FitConfig, fit, fit_multistart, log_likelihood_value
 
 STAGE1_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 
@@ -100,31 +101,32 @@ def make_folds(mask, n_folds: int, seed: int) -> FoldAssignment:
     return FoldAssignment(n_folds=n_folds, fold=fold.reshape(mask.shape))
 
 
-def _holdout_loss(data: ResponseData, holdout: np.ndarray, result: FitResult) -> float:
-    """Sum of -log predicted probability over the held-out cells."""
-    scored = ResponseData(responses=data.responses, mask=holdout,
-                          categories=data.categories)
-    return -log_likelihood_value(scored, result.state)
-
-
-def _fold_fit(data: ResponseData, folds: FoldAssignment, m: int,
-              hyper: Hyperparameters, cfg: FitConfig, init=None):
-    """Fit with fold m's cells masked out; return (holdout loss, FitResult)."""
+def _fold_sets(data: ResponseData, folds: FoldAssignment, m: int):
+    """Fold m's (training, holdout) data: the observed cells outside fold m, and in it."""
     holdout = folds.holdout_mask(m)
-    train = ResponseData(
-        responses=data.responses.copy(),
-        mask=data.mask & ~holdout,
-        categories=data.categories.copy(),
-    )
-    result = fit(train, hyper, cfg, init=init)
-    return _holdout_loss(data, holdout, result), result
+    return tuple(ResponseData(responses=data.responses, mask=mask, categories=data.categories)
+                 for mask in (data.mask & ~holdout, holdout))
+
+
+def _fold_chain(train: ResponseData, holdout: ResponseData, lams,
+                hyper: Hyperparameters, cfg: FitConfig):
+    """Holdout losses (sums of -log predicted probability) of one fold along lams.
+
+    The first fit on train starts from random_init at cfg.seed; every later
+    one starts from the previous candidate's solution.
+    """
+    losses = np.zeros(len(lams))
+    state = None
+    for gi, lam in enumerate(lams):
+        state = fit(train, replace(hyper, lam=float(lam)), cfg, init=state).state
+        losses[gi] = -log_likelihood_value(holdout, state)
+    return losses
 
 
 def cv_error(data: ResponseData, folds: FoldAssignment, m: int, lam: float,
              hyper: Hyperparameters, cfg: FitConfig) -> float:
-    """Out-of-sample log loss of fold m at one candidate lambda."""
-    loss, _ = _fold_fit(data, folds, m, replace(hyper, lam=lam), cfg)
-    return loss
+    """Out-of-sample log loss of fold m at one lambda: a one-candidate fold chain."""
+    return float(_fold_chain(*_fold_sets(data, folds, m), [lam], hyper, cfg)[0])
 
 
 def second_stage_grid(lambda_hat: float) -> LambdaGrid:
@@ -136,66 +138,43 @@ def second_stage_grid(lambda_hat: float) -> LambdaGrid:
     return LambdaGrid(np.maximum(values, np.finfo(np.float64).tiny))
 
 
-def _fold_chain(data: ResponseData, folds: FoldAssignment, m: int, lams,
-                hyper: Hyperparameters, cfg: FitConfig):
-    """Holdout losses of fold m along lams, in order.
+def _scan_stage(stage: int, fold_sets, grid: LambdaGrid, hyper: Hyperparameters,
+                cfg: FitConfig, pool=None):
+    """One stage over grid; returns (its lambda, CvEntry rows in ascending lambda).
 
-    The first candidate's fit starts from random_init at cfg.seed; every
-    later one starts from the previous candidate's solution for this fold.
-    """
-    losses = np.zeros(len(lams))
-    init = None
-    for gi, lam in enumerate(lams):
-        losses[gi], result = _fold_fit(data, folds, m, replace(hyper, lam=float(lam)),
-                                       cfg, init=init)
-        init = result.state
-    return losses
-
-
-def _scan_stage(stage: int, data: ResponseData, folds: FoldAssignment,
-                grid: LambdaGrid, hyper: Hyperparameters, cfg: FitConfig, pool=None):
-    """Per-fold CV errors over one candidate grid, ascending lambda.
-
-    Each fold's chain of fits is one task on `pool` (serial when None).
+    Each (training, holdout) pair of fold_sets is one fold chain task on
+    `pool` (serial when None).  The row marked selected has the smallest
+    total error; ties go to the larger lambda.
     """
     columns = _pool.run_tasks(pool, _fold_chain, [
-        (data, folds, m, grid.values, hyper, cfg)
-        for m in range(folds.n_folds)])
+        (train, holdout, grid.values, hyper, cfg) for train, holdout in fold_sets])
     errors = np.column_stack(columns)
-    entries = [
-        CvEntry(stage=stage, lam=float(lam), fold_errors=errors[gi],
-                total_error=float(errors[gi].sum()))
-        for gi, lam in enumerate(grid.values)
-    ]
-    return entries
-
-
-def _pick(entries):
-    """Index of the smallest total error; ties go to the larger lambda."""
+    entries = [CvEntry(stage=stage, lam=float(lam), fold_errors=errors[gi],
+                       total_error=float(errors[gi].sum()))
+               for gi, lam in enumerate(grid.values)]
     totals = np.array([e.total_error for e in entries])
-    return int(totals.size - 1 - np.argmin(totals[::-1]))
+    winner = entries[totals.size - 1 - int(np.argmin(totals[::-1]))]
+    winner.selected = True
+    return winner.lam, entries
 
 
 def select_lambda(train: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
                   n_folds: int = 5, pool=None):
     """Two-stage CV search; returns (lambda_hat, list of CvEntry rows).
 
-    The same fold assignment (seeded by cfg.seed) is reused in both stages
-    so stage comparisons see identical holdout sets.  The folds run on
-    `pool` (an enclosing call's process pool) or, by default, on a pool of
-    their own.
+    One fold assignment (seeded by cfg.seed), and each fold's training and
+    holdout sets, built once, serve both stages, so both see identical
+    holdout sets.  The folds run on `pool` (an enclosing call's process
+    pool) or, by default, on a pool of their own.
     """
     folds = make_folds(train.mask, n_folds, cfg.seed)
+    fold_sets = [_fold_sets(train, folds, m) for m in range(n_folds)]
     with _pool.shared_pool(pool, n_folds, cfg.threads) as pool:
-        stage1 = _scan_stage(1, train, folds, LambdaGrid(np.asarray(STAGE1_GRID)),
-                             hyper, cfg, pool)
-        pick1 = _pick(stage1)
-        stage1[pick1].selected = True
-        stage2 = _scan_stage(2, train, folds, second_stage_grid(stage1[pick1].lam),
-                             hyper, cfg, pool)
-    pick2 = _pick(stage2)
-    stage2[pick2].selected = True
-    return stage2[pick2].lam, stage1 + stage2
+        lam1, stage1 = _scan_stage(1, fold_sets, LambdaGrid(np.asarray(STAGE1_GRID)),
+                                   hyper, cfg, pool)
+        lam_hat, stage2 = _scan_stage(2, fold_sets, second_stage_grid(lam1),
+                                      hyper, cfg, pool)
+    return lam_hat, stage1 + stage2
 
 
 def tune_and_fit(data: ResponseData, hyper: Hyperparameters, cfg: FitConfig,

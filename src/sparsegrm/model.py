@@ -128,6 +128,8 @@ class Hyperparameters:
             raise ValueError(f"sigma_theta must be square, got shape {self.sigma_theta.shape}")
         if self.sigma_theta.size == 0:
             raise ValueError("sigma_theta must be at least 1 x 1, got 0 x 0")
+        if not np.all(np.isfinite(self.sigma_theta)):
+            raise ValueError(f"sigma_theta must be finite, got {self.sigma_theta.tolist()}")
         if not np.allclose(self.sigma_theta, self.sigma_theta.T, atol=1e-10):
             raise ValueError("sigma_theta must be symmetric")
         sign, logdet = np.linalg.slogdet(self.sigma_theta)
@@ -264,16 +266,16 @@ def log_prior_a(a_j, lam: float) -> float:
 
     K log(lam / 2) - lam * ||a_j||_1, defined for lam > 0.
     """
-    if lam <= 0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    if not 0.0 < lam < np.inf:
+        raise ValueError(f"lam must be finite and positive, got {lam}")
     a_j = np.asarray(a_j, dtype=np.float64)
     return float(a_j.size * np.log(lam / 2.0) - lam * np.abs(a_j).sum())
 
 
 def log_prior_d(d_j, sigma_d_sq: float) -> float:
     """Independent normal log density of one intercept vector."""
-    if sigma_d_sq <= 0:
-        raise ValueError(f"sigma_d_sq must be positive, got {sigma_d_sq}")
+    if not 0.0 < sigma_d_sq < np.inf:
+        raise ValueError(f"sigma_d_sq must be finite and positive, got {sigma_d_sq}")
     d_j = np.asarray(d_j, dtype=np.float64)
     m = d_j.size
     return float(-0.5 * m * np.log(2.0 * np.pi * sigma_d_sq)

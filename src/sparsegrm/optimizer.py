@@ -94,8 +94,8 @@ class FitResult:
 
 def soft_threshold(z, t):
     """Elementwise L1 proximal operator sign(z) * max(|z| - t, 0)."""
-    if t < 0:
-        raise ValueError(f"threshold must be nonnegative, got {t}")
+    if not 0.0 <= t < np.inf:
+        raise ValueError(f"threshold must be finite and nonnegative, got {t}")
     return eng.soft_threshold(np.asarray(z, dtype=np.float64), t)
 
 

@@ -43,10 +43,11 @@ class SimDesign:
             raise ValueError("sizes must be positive (and N at least 2)")
         if self.n_categories < 2:
             raise ValueError(f"need at least 2 categories, got {self.n_categories}")
+        if not all(0.0 <= p < np.inf for p in self.q_proportions):
+            raise ValueError(
+                f"q_proportions must be finite and nonnegative: {self.q_proportions}")
         if abs(sum(self.q_proportions) - 1.0) > 1e-12:
             raise ValueError(f"q_proportions must sum to 1: {self.q_proportions}")
-        if any(p < 0 for p in self.q_proportions):
-            raise ValueError(f"q_proportions must be nonnegative: {self.q_proportions}")
 
 
 def gen_sigma(n_factors: int, rho: float) -> np.ndarray:

@@ -551,12 +551,12 @@ def test_replicate_prints_one_progress_line_per_replication(tmp_path, capsys,
 
 def test_cvfit_error_in_a_fold_task_prints_one_error_line(tmp_path, sim_dir, capsys,
                                                           monkeypatch):
-    def failing(data, folds, m, hyper, cfg, init=None):
-        raise ValueError(f"fold {m} cannot be fitted")
+    def failing(train, hyper, cfg, init=None):
+        raise ValueError("a fold cannot be fitted")
 
-    monkeypatch.setattr(cv, "_fold_fit", failing)
+    monkeypatch.setattr(cv, "fit", failing)
     monkeypatch.setattr(_pool, "usable_cpus", lambda: 2)
     assert run_cli("cv-fit", "--responses", sim_dir / "responses.csv", "--k", "3",
                    "--out", tmp_path / "cv") == 1
     err = capsys.readouterr().err.splitlines()
-    assert err == ["error: fold 0 cannot be fitted"]
+    assert err == ["error: a fold cannot be fitted"]

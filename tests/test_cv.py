@@ -104,12 +104,20 @@ def test_fold_assignment_validation():
         folds.holdout_mask(2)
 
 
-def test_holdout_loss_matches_manual_sum():
+def test_holdout_loss_matches_manual_sum(monkeypatch):
     data = sim_data(seed=1, n=30)
     folds = make_folds(data.mask, 4, seed=0)
     hyper = Hyperparameters(sigma_theta=np.eye(2), lam=1.0)
     cfg = FitConfig(seed=0, max_outer_iters=3, obj_tol=1e-8)
-    loss, result = cv._fold_fit(data, folds, 0, hyper, cfg)
+    fits = []
+
+    def spy(train, hyper, cfg, init=None):
+        fits.append(optimizer.fit(train, hyper, cfg, init=init))
+        return fits[-1]
+
+    monkeypatch.setattr(cv, "fit", spy)
+    loss = cv_error(data, folds, 0, 1.0, hyper, cfg)
+    (result,) = fits
     hold = folds.holdout_mask(0)
     manual = 0.0
     for i, j in np.argwhere(hold):
@@ -130,18 +138,39 @@ def test_cv_error_finite():
 
 
 class _StubResult:
-    """Bare stand-in for a FitResult inside patched fold fits."""
+    """Bare stand-in for a FitResult inside patched fold fits; its state is
+    the fit's lambda."""
 
-    state = None
+    def __init__(self, lam):
+        self.state = lam
 
 
-def _patch_losses(monkeypatch, loss_of_lam):
-    """Replace the fold fit with a deterministic loss stub."""
+def _patch_losses(monkeypatch, loss_of_lam, calls=None):
+    """Replace fold fits with a stub whose holdout loss is loss_of_lam(lambda).
 
-    def fake(data, folds, m, hyper, cfg, init=None):
-        return loss_of_lam(hyper.lam), _StubResult()
+    When calls is given, each fit appends ("fit", training set, lambda) to
+    it and each holdout score ("score", holdout set, lambda).
+    """
 
-    monkeypatch.setattr(cv, "_fold_fit", fake)
+    def fake_fit(train, hyper, cfg, init=None):
+        if calls is not None:
+            calls.append(("fit", train, hyper.lam))
+        return _StubResult(hyper.lam)
+
+    def fake_loglik(holdout, lam):
+        if calls is not None:
+            calls.append(("score", holdout, lam))
+        return -loss_of_lam(lam)
+
+    monkeypatch.setattr(cv, "fit", fake_fit)
+    monkeypatch.setattr(cv, "log_likelihood_value", fake_loglik)
+
+
+def _fold_of(train, data, folds):
+    """The fold whose cells the training set train leaves out."""
+    (m,) = [m for m in range(folds.n_folds)
+            if np.array_equal(train.mask, data.mask & ~folds.holdout_mask(m))]
+    return m
 
 
 def test_select_lambda_tie_prefers_larger(monkeypatch):
@@ -158,16 +187,13 @@ def test_select_lambda_runs_fifty_fold_fits(monkeypatch):
     # the fake records its calls in this process, so the folds run here
     monkeypatch.setattr(_pool, "usable_cpus", lambda: 1)
     calls = []
-
-    def fake(data, folds, m, hyper, cfg, init=None):
-        calls.append((hyper.lam, m))
-        return float(abs(np.log10(hyper.lam / 10.0))), _StubResult()
-
-    monkeypatch.setattr(cv, "_fold_fit", fake)
+    _patch_losses(monkeypatch, lambda lam: float(abs(np.log10(lam / 10.0))), calls)
     data = sim_data(seed=4, n=20)
     hyper = Hyperparameters(sigma_theta=np.eye(2), lam=0.0)
     lam_hat, table = select_lambda(data, hyper, FitConfig(seed=0), n_folds=5)
-    assert len(calls) == 50  # 2 stages x 5 candidates x 5 folds
+    fits = [c for c in calls if c[0] == "fit"]
+    assert len(fits) == 50  # 2 stages x 5 candidates x 5 folds
+    assert len(calls) == 100  # each fit's holdout is scored once
     assert len(table) == 10
     stage1 = [e for e in table if e.stage == 1]
     assert stage1[3].selected and stage1[3].lam == 10.0
@@ -194,13 +220,50 @@ def test_select_lambda_reuses_folds_across_stages(monkeypatch):
     assert len(seen) == 1
 
 
+def test_each_fold_fits_and_scores_one_pair_of_sets_in_both_stages(monkeypatch):
+    # the stub records its calls in this process, so the folds run here
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: 1)
+    calls = []
+    _patch_losses(monkeypatch, lambda lam: lam, calls)
+    data = sim_data(seed=5, n=20)
+    hyper = Hyperparameters(sigma_theta=np.eye(2), lam=0.0)
+    select_lambda(data, hyper, FitConfig(seed=0), n_folds=3)
+    folds = make_folds(data.mask, 3, seed=0)
+    trains = [c[1] for c in calls if c[0] == "fit"]
+    holdouts = [c[1] for c in calls if c[0] == "score"]
+    assert len(trains) == len(holdouts) == 2 * 3 * 5
+    for m in range(3):
+        # serially: stage 1's chains of folds 0, 1, 2, then stage 2's
+        chains = [range(5 * c, 5 * c + 5) for c in (m, m + 3)]
+        train, holdout = trains[5 * m], holdouts[5 * m]
+        assert all(trains[i] is train and holdouts[i] is holdout
+                   for chain in chains for i in chain)
+        assert np.array_equal(train.mask, data.mask & ~folds.holdout_mask(m))
+        assert np.array_equal(holdout.mask, folds.holdout_mask(m))
+    assert len({id(t) for t in trains}) == 3
+
+
+def test_cv_error_equals_the_first_stage_error_at_its_smallest_candidate():
+    data = sim_data(seed=12, n=40)
+    hyper = Hyperparameters(sigma_theta=np.eye(2), lam=0.0)
+    cfg = FitConfig(seed=2, max_outer_iters=4, obj_tol=1e-8)
+    _, table = select_lambda(data, hyper, cfg, n_folds=3)
+    assert table[0].stage == 1 and table[0].lam == STAGE1_GRID[0] == 0.01
+    folds = make_folds(data.mask, 3, cfg.seed)
+    for m in range(3):
+        # a one-candidate chain is the cold first fit of that fold's stage-1 chain
+        assert cv_error(data, folds, m, 0.01, hyper, cfg) == table[0].fold_errors[m]
+
+
 def test_cv_entry_fold_errors_sum_to_total():
     data = sim_data(seed=6, n=40)
     hyper = Hyperparameters(sigma_theta=np.eye(2), lam=0.0)
     cfg = FitConfig(seed=0, max_outer_iters=4, obj_tol=1e-8)
     grid = LambdaGrid(np.array([1.0, 5.0]))
     folds = make_folds(data.mask, 3, seed=0)
-    entries = cv._scan_stage(1, data, folds, grid, hyper, cfg)
+    fold_sets = [cv._fold_sets(data, folds, m) for m in range(3)]
+    lam, entries = cv._scan_stage(1, fold_sets, grid, hyper, cfg)
+    assert [e.lam for e in entries if e.selected] == [lam]
     for e in entries:
         assert e.total_error == pytest.approx(e.fold_errors.sum(), rel=1e-12)
         assert e.fold_errors.size == 3
@@ -224,15 +287,15 @@ def test_fold_chains_start_cold_then_from_the_previous_candidate(monkeypatch):
     # the spy records its calls in this process, so the folds run here
     monkeypatch.setattr(_pool, "usable_cpus", lambda: 1)
     calls = []
-    real_fold_fit = cv._fold_fit
-
-    def spy(data, folds, m, hyper, cfg, init=None):
-        loss, result = real_fold_fit(data, folds, m, hyper, cfg, init=init)
-        calls.append((m, hyper.lam, init, result))
-        return loss, result
-
-    monkeypatch.setattr(cv, "_fold_fit", spy)
     data = sim_data(seed=8, n=20)
+    folds = make_folds(data.mask, 3, seed=0)
+
+    def spy(train, hyper, cfg, init=None):
+        result = optimizer.fit(train, hyper, cfg, init=init)
+        calls.append((_fold_of(train, data, folds), hyper.lam, init, result))
+        return result
+
+    monkeypatch.setattr(cv, "fit", spy)
     hyper = Hyperparameters(sigma_theta=np.eye(2), lam=0.0)
     select_lambda(data, hyper, FitConfig(seed=0, max_outer_iters=2), n_folds=3)
     assert len(calls) == 2 * 3 * 5
@@ -375,14 +438,18 @@ def test_fit_multistart_keeps_the_earliest_of_tied_starts_on_two_workers(
 
 @needs_fork
 def test_value_error_in_a_pool_task_reaches_the_caller(monkeypatch):
-    def failing(data, folds, m, hyper, cfg, init=None):
+    data = sim_data(seed=3, n=20)
+    folds = make_folds(data.mask, 3, seed=0)
+
+    def failing(train, hyper, cfg, init=None):
+        m = _fold_of(train, data, folds)
         if m == 1:
             raise ValueError(f"fold {m} cannot be fitted")
-        return 1.0, _StubResult()
+        return _StubResult(hyper.lam)
 
-    monkeypatch.setattr(cv, "_fold_fit", failing)
+    _patch_losses(monkeypatch, lambda lam: 1.0)
+    monkeypatch.setattr(cv, "fit", failing)
     _use_cpus(monkeypatch, 2)
-    data = sim_data(seed=3, n=20)
     hyper = Hyperparameters(sigma_theta=np.eye(2), lam=0.0)
     with pytest.raises(ValueError, match="fold 1 cannot be fitted"):
         select_lambda(data, hyper, FitConfig(seed=0), n_folds=3)

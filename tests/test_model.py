@@ -116,6 +116,15 @@ def test_log_prior_a_requires_positive_lambda():
         log_prior_a(np.zeros(2), 0.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_log_priors_reject_a_non_finite_scale(value):
+    # nan <= 0 is False, so a sign check alone returned nan
+    with pytest.raises(ValueError, match="lam must be finite and positive"):
+        log_prior_a(np.zeros(2), value)
+    with pytest.raises(ValueError, match="sigma_d_sq must be finite and positive"):
+        log_prior_d(np.zeros(2), value)
+
+
 def test_log_prior_d_normal_form():
     var = 100.0 ** 2
     expected = sum(-0.5 * (math.log(2 * math.pi * var) + v * v / var)
@@ -174,6 +183,14 @@ def test_hyperparameters_reject_non_finite_values(field, value):
     kwargs = {"lam": 1.0, field: value}
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         Hyperparameters(sigma_theta=np.eye(2), **kwargs)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_hyperparameters_reject_a_non_finite_sigma_theta(value):
+    # a nan entry used to be reported as an asymmetric sigma_theta
+    for sigma in ([[value]], [[1.0, value], [value, 1.0]]):
+        with pytest.raises(ValueError, match="sigma_theta must be finite"):
+            Hyperparameters(sigma_theta=sigma, lam=1.0)
 
 
 def test_model_state_validation():

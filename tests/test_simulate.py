@@ -103,6 +103,15 @@ def test_sim_design_validation():
                   n_categories=1)
 
 
+@pytest.mark.parametrize("props", [(np.nan, 0.5, 0.5), (np.inf, 0.5, 0.5),
+                                   (0.5, 0.5, -np.inf)])
+def test_sim_design_rejects_non_finite_q_proportions(props):
+    # a nan sum passed the sum check, and gen_q then failed converting nan
+    with pytest.raises(ValueError, match="q_proportions must be finite and nonnegative"):
+        SimDesign(n_respondents=10, n_items=5, n_factors=2, rho=0.1,
+                  q_proportions=props)
+
+
 def test_gen_true_params_structure():
     design = SimDesign(n_respondents=200, n_items=10, n_factors=3, rho=0.1,
                        seed=4)
