@@ -138,12 +138,8 @@ def soft_threshold(z, t):
 
 
 def adjacent_cums(z, du, dl):
-    """Upper/lower cumulative probabilities (cu, cl) of each cell's own category,
-    both brackets in one (2, ...) buffer, so the sigmoid runs once per call."""
-    x = np.empty((2, *z.shape))
-    np.add(z, du, out=x[0])
-    np.add(z, dl, out=x[1])
-    return inverse_logit(x, out=x)
+    """Upper/lower cumulative probabilities of each cell's own category."""
+    return tuple(inverse_logit(x, out=x) for x in (z + du, z + dl))
 
 
 def cell_loglik(z, du, dl, mf):

@@ -551,12 +551,20 @@ def test_replicate_prints_one_progress_line_per_replication(tmp_path, capsys,
 
 def test_cvfit_error_in_a_fold_task_prints_one_error_line(tmp_path, sim_dir, capsys,
                                                           monkeypatch):
+    # simulated responses have no missing cell, so fold m's training set
+    # leaves out exactly the cells of fold m of the default 5 folds
+    assert load_responses(str(sim_dir / "responses.csv"), categories=3).mask.all()
+
     def failing(train, hyper, cfg, init=None):
-        raise ValueError("a fold cannot be fitted")
+        folds = cv.make_folds(np.ones_like(train.mask), 5, cfg.seed)
+        (m,) = [m for m in range(5)
+                if np.array_equal(~train.mask, folds.holdout_mask(m))]
+        raise ValueError(f"fold {m} cannot be fitted")
 
     monkeypatch.setattr(cv, "fit", failing)
     monkeypatch.setattr(_pool, "usable_cpus", lambda: 2)
     assert run_cli("cv-fit", "--responses", sim_dir / "responses.csv", "--k", "3",
                    "--out", tmp_path / "cv") == 1
     err = capsys.readouterr().err.splitlines()
-    assert err == ["error: a fold cannot be fitted"]
+    # every fold fails; the error of fold 0, the first task, is the one reported
+    assert err == ["error: fold 0 cannot be fitted"]

@@ -10,7 +10,7 @@ from sparsegrm import _engine as eng
 from sparsegrm import optimizer
 from sparsegrm.data import ResponseData
 from sparsegrm.gradients import grad_a_loglik, grad_d, grad_delta, grad_theta
-from sparsegrm.model import Hyperparameters, ModelState, inverse_logit, objective
+from sparsegrm.model import Hyperparameters, ModelState, objective
 from sparsegrm.optimizer import (FitConfig, _row_args, fit, fit_multistart,
                                  log_likelihood_value, objective_value,
                                  random_init, soft_threshold, update_a,
@@ -452,22 +452,6 @@ def test_kernel_sigmoid_agrees_with_expit():
         # where exp(-x) passes 2**53, 1 + exp(-x) rounds to an even integer
         assert ulps.max() <= 4.0
         assert ulps[np.abs(z + 36.9) > 1.0].max() <= 2.0
-
-
-@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 33), (57, 571)])
-def test_kernel_sigmoid_buffer_equals_two_inverse_logit_calls(shape):
-    # both brackets go through one sigmoid call on a (2, ...) buffer; the
-    # shapes leave SIMD tails, and some brackets are +-inf as in the kernel
-    rng = np.random.default_rng(shape[1])
-    z = rng.normal(0.0, 40.0, shape)
-    du = rng.normal(0.0, 40.0, shape)
-    dl = du - rng.exponential(5.0, shape)
-    du.flat[::5] = np.inf
-    dl.flat[::3] = -np.inf
-    cu, cl = eng.adjacent_cums(z, du, dl)
-    for got, want in ((cu, inverse_logit(z + du)), (cl, inverse_logit(z + dl))):
-        assert got.shape == shape
-        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("threads", [1, 2])
