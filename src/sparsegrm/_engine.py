@@ -14,8 +14,12 @@ determinism contract).  Two rules make that hold:
 Every block evaluates its cells through one kernel, :func:`cell_loglik`,
 and steps through one backtracking routine, :func:`line_search`; the
 factor-score, loading and intercept updates differ only in the penalty,
-the proposal and the gradient mapping they hand to it.  Each block's gradient comes from its
-head (:func:`theta_head`, :func:`loglik_head`, :func:`d_head`).
+the proposal and the gradient mapping they hand to it.  A block's head
+(:func:`theta_head`, :func:`loglik_head`, :func:`d_head`) evaluates no
+cell: it reads the cells (cu, cl) handed in for the block's rows, and the
+line search leaves there the cells at the rows the block returns.  These
+cross between respondent and item rows bit for bit, as outer_sum adds the
+same products in the same k order in both.
 
 Intercept vectors of unequal length are stored in a zero-padded J x Dmax
 matrix together with the per-item count of real entries.  The kernel reads
@@ -51,10 +55,6 @@ SHRINK = 0.5
 MAX_BACKTRACKS = 30
 SUFFICIENT_INCREASE = 1e-4
 GAMMA_FLOOR = GAMMA0 * SHRINK ** MAX_BACKTRACKS
-
-# row selector for "every row of the block" (a view, not a copy)
-_ALL = np.s_[:]
-
 
 def pad_intercepts(intercepts):
     """Stack per-item intercept vectors into a zero-padded J x Dmax block."""
@@ -143,15 +143,16 @@ def adjacent_cums(z, du, dl):
 
 
 def cell_loglik(z, du, dl, mf):
-    """Row sums of masked log category probabilities, plus (cu, cl, den).
-
-    z is the linear predictor per cell, du/dl the intercepts bracketing the
-    cell's category, mf the 0/1 cell mask; den = max(cu - cl, PROB_FLOOR)
-    is the cell's category probability.
-    """
+    """Row log-likelihoods and cells (cu, cl) of the linear predictors z, the
+    intercepts du/dl bracketing each cell's category and the 0/1 mask mf."""
     cu, cl = adjacent_cums(z, du, dl)
+    return row_loglik(cu, cl, mf)[0], cu, cl
+
+
+def row_loglik(cu, cl, mf):
+    """cell_loglik's row sums from the cells, plus den = max(cu - cl, PROB_FLOOR)."""
     den = np.maximum(cu - cl, PROB_FLOOR)
-    return (np.log(den) * mf).sum(axis=1), cu, cl, den
+    return (np.log(den) * mf).sum(axis=1), den
 
 
 def live_cells(den, mf):
@@ -163,7 +164,7 @@ def live_cells(den, mf):
     return mf * (den > PROB_FLOOR)
 
 
-def loglik_head(x_rows, vt, du, dl, mf):
+def loglik_head(vt, cu, cl, mf):
     """Row log-likelihoods and their gradients with respect to each row.
 
     A row is a factor-score row against the loadings (vt = a') or a loading
@@ -171,7 +172,7 @@ def loglik_head(x_rows, vt, du, dl, mf):
     cell is w = [cu(1 - cu) - cl(1 - cl)] / den, and 0 where the cell's
     probability is floored (live_cells).
     """
-    ll, cu, cl, den = cell_loglik(outer_sum(x_rows, vt), du, dl, mf)
+    ll, den = row_loglik(cu, cl, mf)
     w = ((cu * (1.0 - cu)) - (cl * (1.0 - cl))) / den * live_cells(den, mf)
     g = np.empty((w.shape[0], vt.shape[0]), dtype=np.float64)
     for k in range(vt.shape[0]):
@@ -179,22 +180,21 @@ def loglik_head(x_rows, vt, du, dl, mf):
     return ll, g
 
 
-def theta_head(th_rows, a_t, du, dl, mf, sinv):
+def theta_head(th_rows, a_t, cu, cl, mf, sinv):
     """Row log-likelihoods and objective gradients of factor-score rows."""
-    ll, g = loglik_head(th_rows, a_t, du, dl, mf)
+    ll, g = loglik_head(a_t, cu, cl, mf)
     return ll, g - outer_sum(th_rows, sinv.T)
 
 
-def d_head(a_rows, th_t, d_rows, nt_rows, yt, mf, sigma_d_sq):
+def d_head(d_rows, nt_rows, yt, cu, cl, mf, sigma_d_sq):
     """Row log-likelihoods and objective gradients of intercept rows.
 
-    Returns (ll, g_d, delta, g_delta, z): the gradients in d and in delta
-    (to_delta; 0 where padded), delta itself and the cells' z.
-    Cells whose probability is floored have weight 0 (live_cells).
+    Returns (ll, g_d, delta, g_delta): the gradients in d and in delta
+    (to_delta; 0 where padded) and delta itself.  Cells whose probability
+    is floored have weight 0 (live_cells).
     """
     valid = np.arange(d_rows.shape[1])[None, :] < nt_rows[:, None]
-    z = outer_sum(a_rows, th_t)
-    ll, cu, cl, den = cell_loglik(z, *bracket_intercepts(d_rows, nt_rows, yt), mf)
+    ll, den = row_loglik(cu, cl, mf)
 
     up_w = cu * (1.0 - cu) / den
     dn_w = cl * (1.0 - cl) / den
@@ -209,16 +209,17 @@ def d_head(a_rows, th_t, d_rows, nt_rows, yt, mf, sigma_d_sq):
     delta = to_delta(d_rows, valid)
     trail = np.cumsum(g_d[:, ::-1], axis=1)[:, ::-1]
     jac = np.concatenate([np.ones_like(delta[:, :1]), -np.exp(delta[:, 1:])], axis=1)
-    return ll, g_d, delta, np.where(valid, trail * jac, 0.0), z
+    return ll, g_d, delta, np.where(valid, trail * jac, 0.0)
 
 
-def line_search(x0, ll0, penalty, loglik, propose, mapping_sq, pending=None,
+def line_search(x0, ll0, cu, cl, penalty, loglik, propose, mapping_sq, pending=None,
                 step=None):
     """Row-wise backtracking ascent from x0.
 
-    Returns (rows, accepted steps, row log-likelihoods).  A row's value is
-    loglik(idx, x) - penalty(idx, x) for the rows idx (penalty(_ALL, x0) at
-    the start); ll0 is loglik at x0, which the block's head has computed.
+    Returns (rows, accepted steps, row log-likelihoods) and leaves in cu, cl
+    (the cells at x0) the cells at the returned rows.  A row's value is its
+    log-likelihood minus penalty(x); loglik(idx, x) returns cell_loglik's
+    (row log-likelihoods, cu, cl) for the rows idx, and ll0 is the head's.
     propose(idx, gamma) returns candidate rows for the pending rows idx at
     their step sizes and mapping_sq(idx, gamma, cand) the squared norms of
     their gradient mappings.  A step is accepted when the value gains at
@@ -232,13 +233,14 @@ def line_search(x0, ll0, penalty, loglik, propose, mapping_sq, pending=None,
     downwards, every start gives the same row: the one at its largest
     accepted step.
 
-    Rows not pending at the start keep x0, ll0 and their start step; rows
-    that run out of grid keep x0 and ll0 and report GAMMA_FLOOR.  Every
-    other row's log-likelihood is the one its accepted step was judged by.
+    Rows not pending at the start keep x0, ll0, their cells and their start
+    step; rows that run out of grid keep them too but report GAMMA_FLOOR.
+    Every other row's log-likelihood and cells are the ones its accepted
+    step was judged by.
     """
     out = x0.copy()
     ll = ll0.copy()
-    f0 = ll0 - penalty(_ALL, x0)
+    f0 = ll0 - penalty(x0)
     gamma = np.full(x0.shape[0], GAMMA0) if step is None else step.copy()
     step = gamma.copy()  # the row's last accepted step, once it has one
     # +1 once a row's start is accepted (growing), -1 once it is rejected
@@ -250,13 +252,12 @@ def line_search(x0, ll0, penalty, loglik, propose, mapping_sq, pending=None,
         if idx.size == 0:
             break
         cand = propose(idx, gamma[idx])
-        cand_ll = loglik(idx, cand)
-        ok = cand_ll - penalty(idx, cand) >= f0[idx] + (
+        cand_ll, cand_cu, cand_cl = loglik(idx, cand)
+        ok = cand_ll - penalty(cand) >= f0[idx] + (
             SUFFICIENT_INCREASE * gamma[idx] * mapping_sq(idx, gamma[idx], cand))
         acc, rej = idx[ok], idx[~ok]
-        out[acc] = cand[ok]
-        ll[acc] = cand_ll[ok]
-        step[acc] = gamma[acc]
+        out[acc], ll[acc], step[acc] = cand[ok], cand_ll[ok], gamma[acc]
+        cu[acc], cl[acc] = cand_cu[ok], cand_cl[ok]
         # a growing row stops at its first rejection, a shrinking row at its
         # first acceptance
         pending[idx] = False
@@ -276,10 +277,10 @@ def line_search(x0, ll0, penalty, loglik, propose, mapping_sq, pending=None,
 
 def _loglik_against(vt, du, dl, mf):
     """line_search's loglik for rows x of the block rows idx against vt."""
-    return lambda idx, x: cell_loglik(outer_sum(x, vt), du[idx], dl[idx], mf[idx])[0]
+    return lambda idx, x: cell_loglik(outer_sum(x, vt), du[idx], dl[idx], mf[idx])
 
 
-def theta_block(th_rows, a_t, du, dl, mf, sinv, step=None):
+def theta_block(th_rows, a_t, du, dl, cu, cl, mf, sinv, step=None):
     """One line-searched gradient step per respondent row in the block.
 
     step holds each row's start step (default GAMMA0); returns the new rows
@@ -287,22 +288,20 @@ def theta_block(th_rows, a_t, du, dl, mf, sinv, step=None):
     objective is strictly concave, so its accepted steps are closed
     downwards and every start gives the row a cold search gives.
     """
-    ll, g = theta_head(th_rows, a_t, du, dl, mf, sinv)
+    ll, g = theta_head(th_rows, a_t, cu, cl, mf, sinv)
     gn2 = row_norm_sq(g)
     return line_search(
-        th_rows, ll, lambda idx, th: 0.5 * quad_form_rows(th, sinv),
+        th_rows, ll, cu, cl, lambda th: 0.5 * quad_form_rows(th, sinv),
         _loglik_against(a_t, du, dl, mf),
         lambda idx, gamma: th_rows[idx] + gamma[:, None] * g[idx],
-        lambda idx, gamma, th: gn2[idx],
-        step=step,
-    )[:2]
+        lambda idx, gamma, th: gn2[idx], step=step)[:2]
 
 
 # ---------------------------------------------------------------------------
 # item phase: loadings
 
 
-def a_block(a_rows, th_t, du, dl, mf, lam, step=None):
+def a_block(a_rows, th_t, du, dl, cu, cl, mf, lam, step=None):
     """One line-searched proximal gradient step per item row in the block.
 
     step holds each row's start step (default GAMMA0); returns the new rows
@@ -314,26 +313,25 @@ def a_block(a_rows, th_t, du, dl, mf, lam, step=None):
     every start gives the row a cold search gives; through the threshold
     they need not be, and a warm start can then end on another step.
     """
-    ll, g = loglik_head(a_rows, th_t, du, dl, mf)
+    ll, g = loglik_head(th_t, cu, cl, mf)
     pending = np.ones(a_rows.shape[0], dtype=bool)
     if lam > 0:
         # rows pinned at zero by the threshold stay zero at every step size
         pending &= ~(np.all(a_rows == 0.0, axis=1) & np.all(np.abs(g) <= lam, axis=1))
     return line_search(
-        a_rows, ll, lambda idx, a: lam * np.abs(a).sum(axis=1),
+        a_rows, ll, cu, cl, lambda a: lam * np.abs(a).sum(axis=1),
         _loglik_against(th_t, du, dl, mf),
         lambda idx, gamma: soft_threshold(a_rows[idx] + gamma[:, None] * g[idx],
                                           (lam * gamma)[:, None]),
         lambda idx, gamma, a: row_norm_sq((a - a_rows[idx]) / gamma[:, None]),
-        pending, step,
-    )[:2]
+        pending, step)[:2]
 
 
 # ---------------------------------------------------------------------------
 # item phase: intercepts
 
 
-def d_block(a_rows, th_t, d_rows, nt_rows, yt, mf, sigma_d_sq, step=None):
+def d_block(a_rows, th_t, d_rows, nt_rows, yt, cu, cl, mf, sigma_d_sq, step=None):
     """One line-searched gradient step in delta space per item row.
 
     step holds each row's start step (default GAMMA0).  Returns a padded
@@ -344,14 +342,14 @@ def d_block(a_rows, th_t, d_rows, nt_rows, yt, mf, sigma_d_sq, step=None):
     the cold search's step except where the row's gain is at rounding level
     and acceptance is noise.
     """
-    ll, _, delta, g_delta, z = d_head(a_rows, th_t, d_rows, nt_rows, yt, mf,
-                                      sigma_d_sq)
+    ll, _, delta, g_delta = d_head(d_rows, nt_rows, yt, cu, cl, mf, sigma_d_sq)
     valid = np.arange(d_rows.shape[1])[None, :] < nt_rows[:, None]
     gn2 = row_norm_sq(g_delta)
+    z = outer_sum(a_rows, th_t)
 
     def loglik(rows, d):
         return cell_loglik(z[rows], *bracket_intercepts(d, nt_rows[rows], yt[rows]),
-                           mf[rows])[0]
+                           mf[rows])
 
     def propose(idx, gamma):
         d = to_d(delta[idx] + gamma[:, None] * g_delta[idx], valid[idx])
@@ -362,8 +360,8 @@ def d_block(a_rows, th_t, d_rows, nt_rows, yt, mf, sigma_d_sq, step=None):
         return np.where(usable[:, None], d, np.nan)
 
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        return line_search(d_rows, ll,
-                           lambda rows, d: 0.5 * (d ** 2).sum(axis=1) / sigma_d_sq,
+        return line_search(d_rows, ll, cu, cl,
+                           lambda d: 0.5 * (d ** 2).sum(axis=1) / sigma_d_sq,
                            loglik, propose, lambda idx, gamma, d: gn2[idx], step=step)
 
 
@@ -372,8 +370,8 @@ def d_block(a_rows, th_t, d_rows, nt_rows, yt, mf, sigma_d_sq, step=None):
 
 
 def item_loglik(a, d_pad, nt, th_t, yt, mf):
-    """Masked log-likelihood of each item row of an item-major (J x N) data set."""
-    return cell_loglik(outer_sum(a, th_t), *bracket_intercepts(d_pad, nt, yt), mf)[0]
+    """cell_loglik of every cell of an item-major (J x N) data set."""
+    return cell_loglik(outer_sum(a, th_t), *bracket_intercepts(d_pad, nt, yt), mf)
 
 
 def objective(ll_items, a, d_pad, nt, th_t, hyper):
@@ -404,11 +402,11 @@ def objective(ll_items, a, d_pad, nt, th_t, hyper):
 
 
 def full_objective(a, d_pad, nt, th_t, yt, mf, hyper):
-    """Objective over the whole data set in one deterministic global pass.
+    """Objective and item-major cells (cu, cl) of the whole data set.
 
-    Layout is item-major (J x N).  Matches the per-cell reference
+    One deterministic global pass.  Matches the per-cell reference
     implementation up to floating-point addition order; fit calls it at the
     start only, and takes later trace entries from d_block's row values.
     """
-    return objective(item_loglik(a, d_pad, nt, th_t, yt, mf), a, d_pad, nt, th_t,
-                     hyper)
+    ll, cu, cl = item_loglik(a, d_pad, nt, th_t, yt, mf)
+    return objective(ll, a, d_pad, nt, th_t, hyper), cu, cl

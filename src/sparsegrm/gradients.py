@@ -40,7 +40,8 @@ def to_d(delta_j) -> np.ndarray:
 def grad_theta(data: ResponseData, state: ModelState, hyper: Hyperparameters,
                i: int) -> np.ndarray:
     """Gradient of the objective with respect to theta_i."""
-    return eng.theta_head(*_row_args(data, state, hyper, "theta", [i]))[1][0]
+    th, a_t, _, _, cu, cl, mf, sinv = _row_args(data, state, hyper, "theta", [i])
+    return eng.theta_head(th, a_t, cu, cl, mf, sinv)[1][0]
 
 
 def grad_a_loglik(data: ResponseData, state: ModelState, j: int) -> np.ndarray:
@@ -48,12 +49,14 @@ def grad_a_loglik(data: ResponseData, state: ModelState, j: int) -> np.ndarray:
 
     The Laplace prior is excluded; the proximal step absorbs it.
     """
-    return eng.loglik_head(*_row_args(data, state, None, "a", [j]))[1][0]
+    _, th_t, _, _, cu, cl, mf = _row_args(data, state, None, "a", [j])
+    return eng.loglik_head(th_t, cu, cl, mf)[1][0]
 
 
 def _intercept_grads(data, state, hyper, j):
     """Objective gradients of item j in d and in delta space."""
-    _, g_d, _, g_delta, _ = eng.d_head(*_row_args(data, state, hyper, "d", [j]))
+    # d_head takes d_block's arguments after the loadings and theta'
+    _, g_d, _, g_delta = eng.d_head(*_row_args(data, state, hyper, "d", [j])[2:])
     n = state.intercepts[j].size
     return g_d[0, :n], g_delta[0, :n]
 

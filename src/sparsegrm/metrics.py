@@ -54,8 +54,12 @@ class RecoveryReport:
     n_excluded_d: int = 0
 
     def __post_init__(self):
-        if self.error_a < 0 or self.error_d < 0:
-            raise ValueError("error fields must be nonnegative")
+        # an RMS error of finite states can overflow to inf, but is never
+        # negative or nan; a chained comparison with nan is False
+        for name in ("error_a", "error_d"):
+            v = getattr(self, name)
+            if not 0.0 <= v <= np.inf:
+                raise ValueError(f"{name} must be nonnegative, got {v}")
 
 
 def q_from_loadings(loadings, threshold: float) -> QMatrix:

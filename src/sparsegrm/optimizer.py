@@ -10,6 +10,12 @@ accepted step.  Each trace entry after the first is summed from the item
 rows' log-likelihoods that the intercept step accepted, with no further
 pass over the cells.
 
+The first trace entry's pass is the only evaluation of every cell; after
+it, cells are evaluated only inside line searches.  Each phase's head
+reads the cells (cu, cl) that the previous phase's line searches accepted,
+kept in one item-major (J x N) pair per fit, of which each block reads and
+writes its own part.  No head re-evaluates a cell.
+
 Respondent and item updates inside a phase are independent, so they run
 over contiguous blocks of rows, which ``threads`` workers of one thread pool
 per fit take in turn.  A block holds at most about BLOCK_CELLS cells, so no
@@ -152,7 +158,7 @@ def objective_value(data: ResponseData, state: ModelState,
     """Objective as computed inside fit (identical code path to the trace)."""
     ws, d_pad, th_t = _prepare(data, state, hyper)
     return eng.full_objective(state.loadings, d_pad, ws.nt, th_t, ws.yt, ws.mask_f_t,
-                              hyper)
+                              hyper)[0]
 
 
 def log_likelihood_value(data: ResponseData, state: ModelState) -> float:
@@ -162,7 +168,7 @@ def log_likelihood_value(data: ResponseData, state: ModelState) -> float:
     """
     ws, d_pad, th_t = _prepare(data, state)
     return float(np.sum(eng.item_loglik(state.loadings, d_pad, ws.nt, th_t, ws.yt,
-                                        ws.mask_f_t)))
+                                        ws.mask_f_t)[0]))
 
 
 def _blocks(rows: int, width: int, threads: int):
@@ -209,8 +215,10 @@ def fit(data: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
     theta = init.theta.copy()
     loadings = init.loadings.copy()
 
-    trace = [eng.full_objective(loadings, d_pad, ws.nt, th_t, ws.yt, ws.mask_f_t,
-                                hyper)]
+    # cu_t, cl_t: the item-major cells at the current iterate
+    obj, cu_t, cl_t = eng.full_objective(loadings, d_pad, ws.nt, th_t, ws.yt,
+                                         ws.mask_f_t, hyper)
+    trace = [obj]
     if not np.isfinite(trace[0]):
         raise ValueError("objective is not finite at the starting state")
 
@@ -225,18 +233,25 @@ def fit(data: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
     item_blocks = _blocks(*ws.mask_f_t.shape, cfg.threads)
 
     # the workers read the loop's current arrays when a phase calls them, and
-    # each gathers its own block's intercepts from the bracket table
+    # each gathers its own block's intercepts from the bracket table.  A
+    # respondent block works on a C-contiguous copy of its columns of the
+    # cells (a row sum over a transposed view adds in another order) and
+    # writes them back; an item block's rows are contiguous already
     def theta_worker(rows):
-        return eng.theta_block(theta[rows], a_t,
-                               *eng.take_brackets(table, ws.idx[rows]), ws.mask_f[rows],
-                               hyper.sigma_theta_inv, theta_step[rows])
+        cu, cl = (np.ascontiguousarray(c[:, rows].T) for c in (cu_t, cl_t))
+        out = eng.theta_block(theta[rows], a_t, *eng.take_brackets(table, ws.idx[rows]),
+                              cu, cl, ws.mask_f[rows], hyper.sigma_theta_inv,
+                              theta_step[rows])
+        cu_t[:, rows], cl_t[:, rows] = cu.T, cl.T
+        return out
 
     def item_worker(items):
+        cu, cl = cu_t[items], cl_t[items]
         a_new, a_s = eng.a_block(loadings[items], th_t,
-                                 *eng.take_brackets(table, ws.idx_t[items]),
+                                 *eng.take_brackets(table, ws.idx_t[items]), cu, cl,
                                  ws.mask_f_t[items], hyper.lam, a_step[items])
         return (a_new, a_s, *eng.d_block(a_new, th_t, d_pad[items], ws.nt[items],
-                                         ws.yt[items], ws.mask_f_t[items],
+                                         ws.yt[items], cu, cl, ws.mask_f_t[items],
                                          hyper.sigma_d_sq, d_step[items]))
 
     with (ThreadPoolExecutor(max_workers=cfg.threads) if cfg.threads > 1
@@ -297,19 +312,23 @@ def _row_args(data: ResponseData, state: ModelState,
 
     phase "theta" gives theta_block's arguments up to sinv; "a" gives
     a_block's up to mf (hyper may be None); "d" gives d_block's up to
-    sigma_d_sq.  The gradient heads take the same.
+    sigma_d_sq.  The cells (cu, cl) among them are evaluated once here, by
+    the kernel fit uses; the gradient heads read them.
     """
     ws, d_pad, th_t = _prepare(data, state, hyper)
     table = eng.bracket_table(d_pad, ws.nt)
     if phase == "theta":
-        return (state.theta[rows], np.ascontiguousarray(state.loadings.T),
-                *eng.take_brackets(table, ws.idx[rows]), ws.mask_f[rows],
-                hyper.sigma_theta_inv)
+        x, vt, idx, mf = (state.theta[rows], np.ascontiguousarray(state.loadings.T),
+                          ws.idx[rows], ws.mask_f[rows])
+    else:
+        x, vt, idx, mf = state.loadings[rows], th_t, ws.idx_t[rows], ws.mask_f_t[rows]
+    du, dl = eng.take_brackets(table, idx)
+    cells = eng.cell_loglik(eng.outer_sum(x, vt), du, dl, mf)[1:]
+    if phase == "theta":
+        return (x, vt, du, dl, *cells, mf, hyper.sigma_theta_inv)
     if phase == "a":
-        return (state.loadings[rows], th_t, *eng.take_brackets(table, ws.idx_t[rows]),
-                ws.mask_f_t[rows])
-    return (state.loadings[rows], th_t, d_pad[rows], ws.nt[rows], ws.yt[rows],
-            ws.mask_f_t[rows], hyper.sigma_d_sq)
+        return (x, vt, du, dl, *cells, mf)
+    return (x, vt, d_pad[rows], ws.nt[rows], ws.yt[rows], *cells, mf, hyper.sigma_d_sq)
 
 
 def update_theta(data: ResponseData, state: ModelState, hyper: Hyperparameters,

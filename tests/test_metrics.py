@@ -186,6 +186,20 @@ def test_recovery_report_validates_errors():
                        relbias_d=0.0)
 
 
+@pytest.mark.parametrize("field", ["error_a", "error_d"])
+@pytest.mark.parametrize("value", [np.nan, -np.inf, -0.1])
+def test_recovery_report_rejects_nan_and_negative_errors(field, value):
+    errors = {"error_a": 0.0, "error_d": 0.0, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be nonnegative, got {value}"):
+        RecoveryReport(**errors, relbias_a=0.0, relbias_d=0.0)
+
+
+def test_recovery_report_accepts_an_overflowed_error():
+    # squared differences of finite estimates can overflow
+    assert RecoveryReport(error_a=np.inf, error_d=0.0, relbias_a=0.0,
+                          relbias_d=0.0).error_a == np.inf
+
+
 def test_score_of_a_signed_permuted_truth_is_zero():
     _, star, q = state_pair()
     shuffled = apply_alignment(star, Alignment(permutation=np.array([1, 0]),

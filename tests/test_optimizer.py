@@ -221,6 +221,57 @@ def test_cell_bounded_blocks_are_bit_identical(monkeypatch, threads):
         np.testing.assert_array_equal(d_bounded, d_whole)
 
 
+@pytest.mark.parametrize("k,props", [(1, (1.0, 0.0, 0.0)), (3, (0.6, 0.2, 0.2)),
+                                     (5, (0.6, 0.2, 0.2))])
+def test_cells_are_bit_equal_across_orientations(monkeypatch, k, props):
+    # fit hands the cells a respondent block's line search accepted to the
+    # item phase's heads, and the item phase's to the next respondent heads;
+    # outer_sum multiplies the same pairs in the same k order either way
+    data, hyper, _ = sim_ragged(k, props)
+    init = random_init(data, hyper, seed=k)
+    moved = fit(data, hyper, FitConfig(seed=k, max_outer_iters=2, obj_tol=1e-9),
+                init=init).state
+    for state in (init, moved):
+        items = _row_args(data, state, hyper, "a", np.arange(data.n_items))[4:6]
+        n_blocks = []
+        for bound in (64, 700, 2 ** 15):
+            monkeypatch.setattr(optimizer, "BLOCK_CELLS", bound)
+            blocks = optimizer._blocks(data.n_respondents, data.n_items, 1)
+            n_blocks.append(len(blocks))
+            for rows in blocks:
+                cells = _row_args(data, state, hyper, "theta", rows)[4:6]
+                for got, want in zip(cells, items):
+                    np.testing.assert_array_equal(got.T, want[:, rows])
+        assert n_blocks == [38, 4, 1]
+
+
+def test_outer_iterations_evaluate_cells_only_in_line_searches(monkeypatch):
+    # after the starting pass no head evaluates a cell: each reads the cells
+    # the previous phase's line searches accepted
+    data, hyper, _ = sim_ragged(2, (0.5, 0.5, 0.0))
+    inside, calls = [0], []
+    search, kernel = eng.line_search, eng.cell_loglik
+
+    def counted_search(*args, **kwargs):
+        inside[0] += 1
+        try:
+            return search(*args, **kwargs)
+        finally:
+            inside[0] -= 1
+
+    def spied_kernel(*args):
+        calls.append(inside[0] > 0)
+        return kernel(*args)
+
+    monkeypatch.setattr(eng, "line_search", counted_search)
+    monkeypatch.setattr(eng, "cell_loglik", spied_kernel)
+    result = fit(data, hyper, FitConfig(seed=0, max_outer_iters=3, obj_tol=1e-9))
+    assert result.n_iters == 3
+    # the starting pass, then at least one search evaluation per phase
+    assert calls[0] is False
+    assert all(calls[1:]) and len(calls) >= 1 + 3 * 3
+
+
 def test_large_lambda_zeroes_all_loadings():
     data, _ = sim_small(seed=14)
     hyper = Hyperparameters(sigma_theta=np.eye(2), lam=1e4)
@@ -344,13 +395,13 @@ def a_block(data, state, hyper, step=None):
     args = _row_args(data, state, hyper, "a", np.arange(data.n_items))
     with mock.patch.object(eng, "line_search", wraps=eng.line_search) as spy:
         rows, steps = eng.a_block(*args, hyper.lam, step)
-    x0, ll0, penalty, loglik, propose, mapping_sq, pending, _ = spy.call_args.args
+    x0, ll0, _, _, penalty, loglik, propose, mapping_sq, pending, _ = spy.call_args.args
     idx = np.arange(data.n_items)
 
     def ok(gamma):
         cand = propose(idx, gamma)
-        return loglik(idx, cand) - penalty(idx, cand) >= (
-            ll0 - penalty(idx, x0)
+        return loglik(idx, cand)[0] - penalty(cand) >= (
+            ll0 - penalty(x0)
             + eng.SUFFICIENT_INCREASE * gamma * mapping_sq(idx, gamma, cand))
 
     return rows, steps, ok, pending
@@ -413,7 +464,7 @@ def test_loading_row_near_a_kkt_point_does_not_exhaust_the_grid():
                            mask=data.mask[:, j:j + 1], categories=[data.categories[j]])
         with mock.patch.object(eng, "cell_loglik", wraps=eng.cell_loglik) as spy:
             _, steps, _, _ = a_block(row, one, hyper)
-        evals.append(spy.call_count - 1)  # less the head's evaluation
+        evals.append(spy.call_count - 1)  # less _row_args' evaluation at the start
         assert steps[0] != eng.GAMMA_FLOOR
     assert max(evals) < eng.MAX_BACKTRACKS + 1
     assert np.mean(evals) <= 6

@@ -115,18 +115,23 @@ def test_line_search_walks_the_grid_once_from_each_start(rows):
         return gamma[:, None]
 
     def loglik(idx, cand):
-        return np.where(cand[:, 0] <= largest[idx], np.inf, -np.inf)
+        # the candidate itself stands in for its cells (cu, cl)
+        return np.where(cand[:, 0] <= largest[idx], np.inf, -np.inf), cand, -cand
 
-    def penalty(idx, x):
+    def penalty(x):
         return np.zeros(x.shape[0])
 
     start = eng.GAMMA0 * eng.SHRINK ** s.astype(np.float64)
-    out, steps, _ = eng.line_search(np.zeros((k.size, 1)), np.zeros(k.size), penalty,
-                                    loglik, propose, lambda idx, gamma, cand: 1.0,
-                                    step=start)
+    cu, cl = np.zeros((k.size, 1)), np.zeros((k.size, 1))
+    out, steps, _ = eng.line_search(np.zeros((k.size, 1)), np.zeros(k.size), cu, cl,
+                                    penalty, loglik, propose,
+                                    lambda idx, gamma, cand: 1.0, step=start)
     found = k <= eng.MAX_BACKTRACKS
     np.testing.assert_array_equal(out[:, 0], np.where(found, largest, 0.0))
     np.testing.assert_array_equal(steps, np.where(found, largest, eng.GAMMA_FLOOR))
+    # each row's cells are its accepted candidate's, or its start's
+    np.testing.assert_array_equal(cu, out)
+    np.testing.assert_array_equal(cl, -out)
     # from an accepted start: up to the largest accepted step, then the
     # rejected one above it; from a rejected start: down to the first accepted
     want = np.where(s >= k, s - k + 1 + (k > 0), k - s + found)
@@ -143,13 +148,13 @@ def _theta_block(data, state, step=None):
     args = _row_args(data, state, hyper, "theta", np.arange(data.n_respondents))
     with mock.patch.object(eng, "line_search", wraps=eng.line_search) as spy:
         rows, steps = eng.theta_block(*args, step)
-    x0, ll0, penalty, loglik, propose, mapping_sq = spy.call_args.args
+    x0, ll0, _, _, penalty, loglik, propose, mapping_sq = spy.call_args.args
     idx = np.arange(data.n_respondents)
 
     def ok(gamma):
         cand = propose(idx, gamma)
-        return loglik(idx, cand) - penalty(idx, cand) >= (
-            ll0 - penalty(idx, x0)
+        return loglik(idx, cand)[0] - penalty(cand) >= (
+            ll0 - penalty(x0)
             + eng.SUFFICIENT_INCREASE * gamma * mapping_sq(idx, gamma, cand))
 
     return rows, steps, ok
