@@ -1,3 +1,4 @@
+import sys
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -243,6 +244,62 @@ def test_cells_are_bit_equal_across_orientations(monkeypatch, k, props):
                 for got, want in zip(cells, items):
                     np.testing.assert_array_equal(got.T, want[:, rows])
         assert n_blocks == [38, 4, 1]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_fit_hands_each_block_the_cells_at_its_rows(monkeypatch, threads):
+    # a head reads the cells it is given; during a fit they must be the ones
+    # a fresh evaluation at the block's rows gives, bit for bit
+    data, hyper, _ = sim_ragged(3, (0.6, 0.2, 0.2))
+    monkeypatch.setattr(optimizer, "BLOCK_CELLS", 500)
+    checked = []
+
+    def check(name, fresh, at):
+        block = getattr(eng, name)
+
+        def run(*args):
+            for got, want in zip(args[at:at + 2], fresh(*args)):
+                np.testing.assert_array_equal(got, want)
+            checked.append(name)
+            return block(*args)
+
+        monkeypatch.setattr(eng, name, run)
+
+    def against(x, vt, du, dl, cu, cl, mf, *_):
+        return eng.cell_loglik(eng.outer_sum(x, vt), du, dl, mf)[1:]
+
+    def intercepts(a, th_t, d, nt, yt, cu, cl, mf, *_):
+        return eng.cell_loglik(eng.outer_sum(a, th_t), *eng.bracket_intercepts(d, nt, yt),
+                               mf)[1:]
+
+    check("theta_block", against, 4)
+    check("a_block", against, 4)
+    check("d_block", intercepts, 5)
+    result = fit(data, hyper, FitConfig(seed=1, max_outer_iters=4, obj_tol=1e-9,
+                                        threads=threads))
+    rows = len(optimizer._blocks(data.n_respondents, data.n_items, threads))
+    items = len(optimizer._blocks(data.n_items, data.n_respondents, threads))
+    assert rows > 2 and items > 2
+    assert len(checked) == result.n_iters * (rows + 2 * items)
+
+
+def test_threads_share_the_cells_without_losing_a_write(monkeypatch):
+    # respondent blocks write their columns of the shared cells and item
+    # blocks their rows; with more threads than cores, blocks of a few cells
+    # and a short switch interval, a lost or misplaced write would move bits
+    data, hyper, _ = sim_ragged(2, (0.5, 0.5, 0.0))
+    cfg = FitConfig(seed=5, max_outer_iters=4, obj_tol=1e-9)
+    serial = fit(data, hyper, cfg)
+    monkeypatch.setattr(optimizer, "BLOCK_CELLS", 64)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        shared = fit(data, hyper, replace(cfg, threads=6))
+    finally:
+        sys.setswitchinterval(interval)
+    np.testing.assert_array_equal(shared.objective_trace, serial.objective_trace)
+    np.testing.assert_array_equal(shared.state.theta, serial.state.theta)
+    np.testing.assert_array_equal(shared.state.loadings, serial.state.loadings)
 
 
 def test_outer_iterations_evaluate_cells_only_in_line_searches(monkeypatch):
