@@ -24,15 +24,16 @@ same products in the same k order in both.
 Intercept vectors of unequal length are stored in a zero-padded J x Dmax
 matrix together with the per-item count of real entries.  The kernel reads
 them from :func:`bracket_table`, which widens item j's row to
-[+inf, d_1, ..., d_{C_j-1}, -inf, ..., -inf]: category y lies between
-columns y and y + 1, which states P(Y >= 0) = 1 and P(Y >= C_j) = 0 as
-intercepts, and the kernel's sigmoid (model.inverse_logit) is exactly 1.0
-at +inf and 0.0 at -inf.  A cell reads both columns at one flat index
-(:func:`cell_index`, :func:`take_brackets`); unobserved cells are stored as category 0, so every
-index is in range.  Padded entries are exactly 0.0: pad_intercepts
-zero-fills them and d_block's proposals keep them 0.0 (or reject the whole
-row), so the intercept prior's sums of squares and its gradient need no
-mask.
+[+inf, d_1, ..., d_{C_j-1}, -inf, ..., -inf, +inf, -inf]: category y lies
+between columns y and y + 1, which states P(Y >= 0) = 1 and P(Y >= C_j) = 0
+as intercepts, and the kernel's sigmoid (model.inverse_logit) is exactly 1.0
+at +inf and 0.0 at -inf.  An unobserved cell has category Dmax + 2
+(:func:`item_categories`), so its cells are exactly (1.0, 0.0) and it adds
+0.0 to every sum: no function takes a mask.  A cell reads both columns at
+one flat index (:func:`cell_index`, :func:`take_brackets`).  Padded entries
+are exactly 0.0: pad_intercepts zero-fills them and d_block's proposals keep
+them 0.0 (or reject the whole row), so the intercept prior's sums of squares
+and its gradient need no mask.
 """
 
 from __future__ import annotations
@@ -69,15 +70,20 @@ def unpad_intercepts(d_pad, nt):
 
 
 def bracket_table(d_rows, nt_rows):
-    """Bracket rows [+inf, d_1, ..., d_{C_j-1}, -inf, ..., -inf] of d_rows."""
+    """Bracket rows [+inf, d_1, ..., d_{C_j-1}, -inf, ..., -inf, +inf, -inf] of d_rows."""
     real = np.arange(d_rows.shape[1])[None, :] < nt_rows[:, None]
     edge = np.full((d_rows.shape[0], 1), np.inf)
-    return np.concatenate([edge, np.where(real, d_rows, -np.inf), -edge], axis=1)
+    return np.concatenate([edge, np.where(real, d_rows, -np.inf), -edge, edge, -edge], 1)
+
+
+def item_categories(responses, mask, dmax):
+    """Item-major (J x N) categories of the cells, dmax + 2 where mask is False."""
+    return np.ascontiguousarray(np.where(mask, responses, dmax + 2).T)
 
 
 def cell_index(yt, dmax):
-    """Flat index r * (dmax + 2) + y of each cell into its rows' bracket table."""
-    return yt + (dmax + 2) * np.arange(yt.shape[0])[:, None]
+    """Flat index r * (dmax + 4) + y of each cell into its rows' bracket table."""
+    return yt + (dmax + 4) * np.arange(yt.shape[0])[:, None]
 
 
 def take_brackets(table, idx):
@@ -142,63 +148,60 @@ def adjacent_cums(z, du, dl):
     return tuple(inverse_logit(x, out=x) for x in (z + du, z + dl))
 
 
-def cell_loglik(z, du, dl, mf):
-    """Row log-likelihoods and cells (cu, cl) of the linear predictors z, the
-    intercepts du/dl bracketing each cell's category and the 0/1 mask mf."""
+def cell_loglik(z, du, dl):
+    """Row log-likelihoods and cells (cu, cl) of predictors z and brackets du/dl."""
     cu, cl = adjacent_cums(z, du, dl)
-    return row_loglik(cu, cl, mf)[0], cu, cl
+    return row_loglik(cu, cl)[0], cu, cl
 
 
-def row_loglik(cu, cl, mf):
+def row_loglik(cu, cl):
     """cell_loglik's row sums from the cells, plus den = max(cu - cl, PROB_FLOOR)."""
     den = np.maximum(cu - cl, PROB_FLOOR)
-    return (np.log(den) * mf).sum(axis=1), den
+    return np.log(den).sum(axis=1), den
 
 
-def live_cells(den, mf):
-    """mf with the cells whose probability is floored set to 0.
-
-    Where cu - cl <= PROB_FLOOR, den is PROB_FLOOR and cell_loglik's
-    log(den) is constant, so such a cell adds nothing to any gradient.
-    """
-    return mf * (den > PROB_FLOOR)
+def live_cells(den):
+    """False where cu - cl <= PROB_FLOOR: there den is floored and log(den)
+    constant, so the cell adds nothing to any gradient."""
+    return den > PROB_FLOOR
 
 
-def loglik_head(vt, cu, cl, mf):
+def loglik_head(vt, cu, cl):
     """Row log-likelihoods and their gradients with respect to each row.
 
     A row is a factor-score row against the loadings (vt = a') or a loading
     row against the factor scores (vt = theta'); the gradient weight of a
-    cell is w = [cu(1 - cu) - cl(1 - cl)] / den, and 0 where the cell's
-    probability is floored (live_cells).
+    cell is w = [cu(1 - cu) - cl(1 - cl)] / den: 0 where the cell's
+    probability is floored (live_cells), and 0.0 at an unobserved cell.
     """
-    ll, den = row_loglik(cu, cl, mf)
-    w = ((cu * (1.0 - cu)) - (cl * (1.0 - cl))) / den * live_cells(den, mf)
+    ll, den = row_loglik(cu, cl)
+    w = ((cu * (1.0 - cu)) - (cl * (1.0 - cl))) / den * live_cells(den)
     g = np.empty((w.shape[0], vt.shape[0]), dtype=np.float64)
     for k in range(vt.shape[0]):
         g[:, k] = (w * vt[k][None, :]).sum(axis=1)
     return ll, g
 
 
-def theta_head(th_rows, a_t, cu, cl, mf, sinv):
+def theta_head(th_rows, a_t, cu, cl, sinv):
     """Row log-likelihoods and objective gradients of factor-score rows."""
-    ll, g = loglik_head(a_t, cu, cl, mf)
+    ll, g = loglik_head(a_t, cu, cl)
     return ll, g - outer_sum(th_rows, sinv.T)
 
 
-def d_head(d_rows, nt_rows, yt, cu, cl, mf, sigma_d_sq):
+def d_head(d_rows, nt_rows, yt, cu, cl, sigma_d_sq):
     """Row log-likelihoods and objective gradients of intercept rows.
 
     Returns (ll, g_d, delta, g_delta): the gradients in d and in delta
     (to_delta; 0 where padded) and delta itself.  Cells whose probability
-    is floored have weight 0 (live_cells).
+    is floored have weight 0 (live_cells); an unobserved cell's category
+    names no intercept.
     """
     valid = np.arange(d_rows.shape[1])[None, :] < nt_rows[:, None]
-    ll, den = row_loglik(cu, cl, mf)
+    ll, den = row_loglik(cu, cl)
 
     up_w = cu * (1.0 - cu) / den
     dn_w = cl * (1.0 - cl) / den
-    live = live_cells(den, mf) > 0
+    live = live_cells(den)
     g_d = np.zeros_like(d_rows)
     for m in range(d_rows.shape[1]):
         up = np.where((yt == m + 1) & live, up_w, 0.0).sum(axis=1)
@@ -275,12 +278,12 @@ def line_search(x0, ll0, cu, cl, penalty, loglik, propose, mapping_sq, pending=N
 # respondent phase
 
 
-def _loglik_against(vt, du, dl, mf):
+def _loglik_against(vt, du, dl):
     """line_search's loglik for rows x of the block rows idx against vt."""
-    return lambda idx, x: cell_loglik(outer_sum(x, vt), du[idx], dl[idx], mf[idx])
+    return lambda idx, x: cell_loglik(outer_sum(x, vt), du[idx], dl[idx])
 
 
-def theta_block(th_rows, a_t, du, dl, cu, cl, mf, sinv, step=None):
+def theta_block(th_rows, a_t, du, dl, cu, cl, sinv, step=None):
     """One line-searched gradient step per respondent row in the block.
 
     step holds each row's start step (default GAMMA0); returns the new rows
@@ -288,11 +291,11 @@ def theta_block(th_rows, a_t, du, dl, cu, cl, mf, sinv, step=None):
     objective is strictly concave, so its accepted steps are closed
     downwards and every start gives the row a cold search gives.
     """
-    ll, g = theta_head(th_rows, a_t, cu, cl, mf, sinv)
+    ll, g = theta_head(th_rows, a_t, cu, cl, sinv)
     gn2 = row_norm_sq(g)
     return line_search(
         th_rows, ll, cu, cl, lambda th: 0.5 * quad_form_rows(th, sinv),
-        _loglik_against(a_t, du, dl, mf),
+        _loglik_against(a_t, du, dl),
         lambda idx, gamma: th_rows[idx] + gamma[:, None] * g[idx],
         lambda idx, gamma, th: gn2[idx], step=step)[:2]
 
@@ -301,7 +304,7 @@ def theta_block(th_rows, a_t, du, dl, cu, cl, mf, sinv, step=None):
 # item phase: loadings
 
 
-def a_block(a_rows, th_t, du, dl, cu, cl, mf, lam, step=None):
+def a_block(a_rows, th_t, du, dl, cu, cl, lam, step=None):
     """One line-searched proximal gradient step per item row in the block.
 
     step holds each row's start step (default GAMMA0); returns the new rows
@@ -313,14 +316,14 @@ def a_block(a_rows, th_t, du, dl, cu, cl, mf, lam, step=None):
     every start gives the row a cold search gives; through the threshold
     they need not be, and a warm start can then end on another step.
     """
-    ll, g = loglik_head(th_t, cu, cl, mf)
+    ll, g = loglik_head(th_t, cu, cl)
     pending = np.ones(a_rows.shape[0], dtype=bool)
     if lam > 0:
         # rows pinned at zero by the threshold stay zero at every step size
         pending &= ~(np.all(a_rows == 0.0, axis=1) & np.all(np.abs(g) <= lam, axis=1))
     return line_search(
         a_rows, ll, cu, cl, lambda a: lam * np.abs(a).sum(axis=1),
-        _loglik_against(th_t, du, dl, mf),
+        _loglik_against(th_t, du, dl),
         lambda idx, gamma: soft_threshold(a_rows[idx] + gamma[:, None] * g[idx],
                                           (lam * gamma)[:, None]),
         lambda idx, gamma, a: row_norm_sq((a - a_rows[idx]) / gamma[:, None]),
@@ -331,7 +334,7 @@ def a_block(a_rows, th_t, du, dl, cu, cl, mf, lam, step=None):
 # item phase: intercepts
 
 
-def d_block(a_rows, th_t, d_rows, nt_rows, yt, cu, cl, mf, sigma_d_sq, step=None):
+def d_block(a_rows, th_t, d_rows, nt_rows, yt, cu, cl, sigma_d_sq, step=None):
     """One line-searched gradient step in delta space per item row.
 
     step holds each row's start step (default GAMMA0).  Returns a padded
@@ -342,14 +345,13 @@ def d_block(a_rows, th_t, d_rows, nt_rows, yt, cu, cl, mf, sigma_d_sq, step=None
     the cold search's step except where the row's gain is at rounding level
     and acceptance is noise.
     """
-    ll, _, delta, g_delta = d_head(d_rows, nt_rows, yt, cu, cl, mf, sigma_d_sq)
+    ll, _, delta, g_delta = d_head(d_rows, nt_rows, yt, cu, cl, sigma_d_sq)
     valid = np.arange(d_rows.shape[1])[None, :] < nt_rows[:, None]
     gn2 = row_norm_sq(g_delta)
     z = outer_sum(a_rows, th_t)
 
     def loglik(rows, d):
-        return cell_loglik(z[rows], *bracket_intercepts(d, nt_rows[rows], yt[rows]),
-                           mf[rows])
+        return cell_loglik(z[rows], *bracket_intercepts(d, nt_rows[rows], yt[rows]))
 
     def propose(idx, gamma):
         d = to_d(delta[idx] + gamma[:, None] * g_delta[idx], valid[idx])
@@ -369,9 +371,9 @@ def d_block(a_rows, th_t, d_rows, nt_rows, yt, cu, cl, mf, sigma_d_sq, step=None
 # full objective
 
 
-def item_loglik(a, d_pad, nt, th_t, yt, mf):
+def item_loglik(a, d_pad, nt, th_t, yt):
     """cell_loglik of every cell of an item-major (J x N) data set."""
-    return cell_loglik(outer_sum(a, th_t), *bracket_intercepts(d_pad, nt, yt), mf)
+    return cell_loglik(outer_sum(a, th_t), *bracket_intercepts(d_pad, nt, yt))
 
 
 def objective(ll_items, a, d_pad, nt, th_t, hyper):
@@ -401,12 +403,12 @@ def objective(ll_items, a, d_pad, nt, th_t, hyper):
     return float(ll + prior_theta + prior_a + prior_d)
 
 
-def full_objective(a, d_pad, nt, th_t, yt, mf, hyper):
+def full_objective(a, d_pad, nt, th_t, yt, hyper):
     """Objective and item-major cells (cu, cl) of the whole data set.
 
     One deterministic global pass.  Matches the per-cell reference
     implementation up to floating-point addition order; fit calls it at the
     start only, and takes later trace entries from d_block's row values.
     """
-    ll, cu, cl = item_loglik(a, d_pad, nt, th_t, yt, mf)
+    ll, cu, cl = item_loglik(a, d_pad, nt, th_t, yt)
     return objective(ll, a, d_pad, nt, th_t, hyper), cu, cl

@@ -61,7 +61,8 @@ class ResponseData:
         upper = np.broadcast_to(self.categories[None, :], self.responses.shape)
         if np.any(self.mask & (self.responses > upper - 1)):
             raise ValueError("response exceeds categories - 1 for its item")
-        # normalize unobserved cells so downstream code can index safely
+        # unobserved cells are stored as 0; the engine reads the mask, not
+        # these zeros (_engine.item_categories)
         self.responses = np.where(self.mask, self.responses, 0)
 
     @property
@@ -93,6 +94,14 @@ class QMatrix:
         return self.entries.shape
 
 
+def _numeric(cell: str) -> bool:
+    try:
+        float(cell)
+        return True
+    except ValueError:
+        return False
+
+
 def _parse_table(path: str, missing_token: str):
     """Parse a delimited text table into string cells, skipping comments."""
     rows = []
@@ -108,17 +117,8 @@ def _parse_table(path: str, missing_token: str):
     for r, row in enumerate(rows):
         if len(row) != width:
             raise ValueError(f"{path}: row {r} has {len(row)} fields, expected {width}")
-    # optional header: drop the first row if any field is non-numeric
-    def _numeric(cell):
-        if cell == "" or cell == missing_token:
-            return True
-        try:
-            float(cell)
-            return True
-        except ValueError:
-            return False
-
-    if not all(_numeric(c) for c in rows[0]):
+    # optional header: a first row none of whose fields is numeric or missing
+    if not any(c in ("", missing_token) or _numeric(c) for c in rows[0]):
         rows = rows[1:]
         if not rows:
             raise ValueError(f"{path}: only a header row present")
@@ -147,8 +147,8 @@ def load_responses(path: str, categories=None) -> ResponseData:
         for c, cell in enumerate(row):
             if cell == "" or cell == MISSING_TOKEN:
                 continue
-            value = float(cell)
-            # nan, inf and values past int64 fail the first test
+            value = float(cell) if _numeric(cell) else np.nan
+            # nan, inf, values past int64 and text fail the first test
             if not (abs(value) < 2.0 ** 63 and value == int(value)):
                 raise ValueError(f"{path}: response {cell!r} at ({r}, {c}) is not "
                                  "an integer in the int64 range")

@@ -40,8 +40,8 @@ def to_d(delta_j) -> np.ndarray:
 def grad_theta(data: ResponseData, state: ModelState, hyper: Hyperparameters,
                i: int) -> np.ndarray:
     """Gradient of the objective with respect to theta_i."""
-    th, a_t, _, _, cu, cl, mf, sinv = _row_args(data, state, hyper, "theta", [i])
-    return eng.theta_head(th, a_t, cu, cl, mf, sinv)[1][0]
+    th, a_t, _, _, cu, cl, sinv = _row_args(data, state, hyper, "theta", [i])
+    return eng.theta_head(th, a_t, cu, cl, sinv)[1][0]
 
 
 def grad_a_loglik(data: ResponseData, state: ModelState, j: int) -> np.ndarray:
@@ -49,8 +49,8 @@ def grad_a_loglik(data: ResponseData, state: ModelState, j: int) -> np.ndarray:
 
     The Laplace prior is excluded; the proximal step absorbs it.
     """
-    _, th_t, _, _, cu, cl, mf = _row_args(data, state, None, "a", [j])
-    return eng.loglik_head(th_t, cu, cl, mf)[1][0]
+    _, th_t, _, _, cu, cl = _row_args(data, state, None, "a", [j])
+    return eng.loglik_head(th_t, cu, cl)[1][0]
 
 
 def _intercept_grads(data, state, hyper, j):

@@ -20,7 +20,7 @@ Respondent and item updates inside a phase are independent, so they run
 over contiguous blocks of rows, which ``threads`` workers of one thread pool
 per fit take in turn.  A block holds at most about BLOCK_CELLS cells, so no
 array of the loop is larger than a block: each block gathers its own cells'
-intercepts from the J x (Dmax + 2) bracket table built once per iteration.
+intercepts from the J x (Dmax + 4) bracket table built once per iteration.
 The block arithmetic is written so the result is bit-identical for any
 thread count and any block bound.
 """
@@ -108,18 +108,19 @@ def soft_threshold(z, t):
 class _Workspace:
     """Fixed per-fit arrays shared by every phase.
 
-    The mask and each cell's flat index j * (Dmax + 2) + y into the
-    J x (Dmax + 2) bracket table (_engine.cell_index) are kept contiguous
+    yt holds the item-major categories, with the engine's category for an
+    unobserved cell where data.mask is False (_engine.item_categories), so
+    no phase reads the mask.  Each cell's flat index j * (Dmax + 4) + y into
+    the J x (Dmax + 4) bracket table (_engine.cell_index) is kept contiguous
     in both orientations: respondent-major for the theta phase, item-major
-    for the item phase.  Responses are only read item-major.
+    for the item phase.
     """
 
     def __init__(self, data: ResponseData):
         self.nt = data.categories - 1
-        self.yt = np.ascontiguousarray(data.responses.T)
-        self.mask_f = data.mask.astype(np.float64)
-        self.mask_f_t = np.ascontiguousarray(self.mask_f.T)
-        self.idx_t = eng.cell_index(self.yt, int(self.nt.max()))
+        dmax = int(self.nt.max())
+        self.yt = eng.item_categories(data.responses, data.mask, dmax)
+        self.idx_t = eng.cell_index(self.yt, dmax)
         self.idx = np.ascontiguousarray(self.idx_t.T)
 
 
@@ -157,8 +158,7 @@ def objective_value(data: ResponseData, state: ModelState,
                     hyper: Hyperparameters) -> float:
     """Objective as computed inside fit (identical code path to the trace)."""
     ws, d_pad, th_t = _prepare(data, state, hyper)
-    return eng.full_objective(state.loadings, d_pad, ws.nt, th_t, ws.yt, ws.mask_f_t,
-                              hyper)[0]
+    return eng.full_objective(state.loadings, d_pad, ws.nt, th_t, ws.yt, hyper)[0]
 
 
 def log_likelihood_value(data: ResponseData, state: ModelState) -> float:
@@ -167,8 +167,7 @@ def log_likelihood_value(data: ResponseData, state: ModelState) -> float:
     Equals model.log_likelihood up to floating-point addition order.
     """
     ws, d_pad, th_t = _prepare(data, state)
-    return float(np.sum(eng.item_loglik(state.loadings, d_pad, ws.nt, th_t, ws.yt,
-                                        ws.mask_f_t)[0]))
+    return float(np.sum(eng.item_loglik(state.loadings, d_pad, ws.nt, th_t, ws.yt)[0]))
 
 
 def _blocks(rows: int, width: int, threads: int):
@@ -216,8 +215,7 @@ def fit(data: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
     loadings = init.loadings.copy()
 
     # cu_t, cl_t: the item-major cells at the current iterate
-    obj, cu_t, cl_t = eng.full_objective(loadings, d_pad, ws.nt, th_t, ws.yt,
-                                         ws.mask_f_t, hyper)
+    obj, cu_t, cl_t = eng.full_objective(loadings, d_pad, ws.nt, th_t, ws.yt, hyper)
     trace = [obj]
     if not np.isfinite(trace[0]):
         raise ValueError("objective is not finite at the starting state")
@@ -229,8 +227,8 @@ def fit(data: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
     d_step = np.full(loadings.shape[0], eng.GAMMA0)
     converged = False
     n_iters = 0
-    row_blocks = _blocks(*ws.mask_f.shape, cfg.threads)
-    item_blocks = _blocks(*ws.mask_f_t.shape, cfg.threads)
+    row_blocks = _blocks(*ws.idx.shape, cfg.threads)
+    item_blocks = _blocks(*ws.idx_t.shape, cfg.threads)
 
     # the workers read the loop's current arrays when a phase calls them, and
     # each gathers its own block's intercepts from the bracket table.  A
@@ -240,8 +238,7 @@ def fit(data: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
     def theta_worker(rows):
         cu, cl = (np.ascontiguousarray(c[:, rows].T) for c in (cu_t, cl_t))
         out = eng.theta_block(theta[rows], a_t, *eng.take_brackets(table, ws.idx[rows]),
-                              cu, cl, ws.mask_f[rows], hyper.sigma_theta_inv,
-                              theta_step[rows])
+                              cu, cl, hyper.sigma_theta_inv, theta_step[rows])
         cu_t[:, rows], cl_t[:, rows] = cu.T, cl.T
         return out
 
@@ -249,10 +246,10 @@ def fit(data: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
         cu, cl = cu_t[items], cl_t[items]
         a_new, a_s = eng.a_block(loadings[items], th_t,
                                  *eng.take_brackets(table, ws.idx_t[items]), cu, cl,
-                                 ws.mask_f_t[items], hyper.lam, a_step[items])
+                                 hyper.lam, a_step[items])
         return (a_new, a_s, *eng.d_block(a_new, th_t, d_pad[items], ws.nt[items],
-                                         ws.yt[items], cu, cl, ws.mask_f_t[items],
-                                         hyper.sigma_d_sq, d_step[items]))
+                                         ws.yt[items], cu, cl, hyper.sigma_d_sq,
+                                         d_step[items]))
 
     with (ThreadPoolExecutor(max_workers=cfg.threads) if cfg.threads > 1
           else nullcontext()) as pool:
@@ -311,24 +308,23 @@ def _row_args(data: ResponseData, state: ModelState,
     """Engine arguments for the respondents or items of the index array rows.
 
     phase "theta" gives theta_block's arguments up to sinv; "a" gives
-    a_block's up to mf (hyper may be None); "d" gives d_block's up to
+    a_block's before lam (hyper may be None); "d" gives d_block's up to
     sigma_d_sq.  The cells (cu, cl) among them are evaluated once here, by
     the kernel fit uses; the gradient heads read them.
     """
     ws, d_pad, th_t = _prepare(data, state, hyper)
     table = eng.bracket_table(d_pad, ws.nt)
     if phase == "theta":
-        x, vt, idx, mf = (state.theta[rows], np.ascontiguousarray(state.loadings.T),
-                          ws.idx[rows], ws.mask_f[rows])
+        x, vt, idx = state.theta[rows], np.ascontiguousarray(state.loadings.T), ws.idx[rows]
     else:
-        x, vt, idx, mf = state.loadings[rows], th_t, ws.idx_t[rows], ws.mask_f_t[rows]
+        x, vt, idx = state.loadings[rows], th_t, ws.idx_t[rows]
     du, dl = eng.take_brackets(table, idx)
-    cells = eng.cell_loglik(eng.outer_sum(x, vt), du, dl, mf)[1:]
+    cells = eng.cell_loglik(eng.outer_sum(x, vt), du, dl)[1:]
     if phase == "theta":
-        return (x, vt, du, dl, *cells, mf, hyper.sigma_theta_inv)
+        return (x, vt, du, dl, *cells, hyper.sigma_theta_inv)
     if phase == "a":
-        return (x, vt, du, dl, *cells, mf)
-    return (x, vt, d_pad[rows], ws.nt[rows], ws.yt[rows], *cells, mf, hyper.sigma_d_sq)
+        return (x, vt, du, dl, *cells)
+    return (x, vt, d_pad[rows], ws.nt[rows], ws.yt[rows], *cells, hyper.sigma_d_sq)
 
 
 def update_theta(data: ResponseData, state: ModelState, hyper: Hyperparameters,

@@ -91,6 +91,31 @@ def test_load_responses_rejects_non_integer(tmp_path):
         load_responses(path)
 
 
+def test_load_responses_rejects_a_first_row_with_some_text(tmp_path):
+    # a first row with numeric fields is data, not a header: dropping it
+    # silently loaded two respondents of three
+    path = tmp_path / "resp.csv"
+    path.write_text("1,2,x\n0,1,1\n1,0,2\n")
+    with pytest.raises(ValueError, match=r"resp\.csv: response 'x' at \(0, 2\)"):
+        load_responses(path)
+
+
+def test_load_responses_names_a_text_cell_by_position(tmp_path):
+    path = tmp_path / "resp.csv"
+    path.write_text("item1,item2\n0,1\n1,x\n")
+    with pytest.raises(ValueError, match=r"resp\.csv: response 'x' at \(1, 1\) is not "
+                                         "an integer"):
+        load_responses(path)
+
+
+def test_load_responses_keeps_a_missing_first_row(tmp_path):
+    path = tmp_path / "resp.csv"
+    path.write_text("NA,\n0,1\n1,0\n")
+    data = load_responses(path)
+    assert data.n_respondents == 3
+    assert not data.mask[0].any()
+
+
 def test_load_responses_rejects_ragged(tmp_path):
     path = tmp_path / "resp.csv"
     path.write_text("0,1\n1\n")

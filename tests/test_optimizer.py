@@ -265,12 +265,11 @@ def test_fit_hands_each_block_the_cells_at_its_rows(monkeypatch, threads):
 
         monkeypatch.setattr(eng, name, run)
 
-    def against(x, vt, du, dl, cu, cl, mf, *_):
-        return eng.cell_loglik(eng.outer_sum(x, vt), du, dl, mf)[1:]
+    def against(x, vt, du, dl, *_):
+        return eng.cell_loglik(eng.outer_sum(x, vt), du, dl)[1:]
 
-    def intercepts(a, th_t, d, nt, yt, cu, cl, mf, *_):
-        return eng.cell_loglik(eng.outer_sum(a, th_t), *eng.bracket_intercepts(d, nt, yt),
-                               mf)[1:]
+    def intercepts(a, th_t, d, nt, yt, *_):
+        return eng.cell_loglik(eng.outer_sum(a, th_t), *eng.bracket_intercepts(d, nt, yt))[1:]
 
     check("theta_block", against, 4)
     check("a_block", against, 4)
@@ -577,6 +576,63 @@ def test_fit_with_overflowing_cells_warns_on_no_thread(threads):
         warnings.simplefilter("error", RuntimeWarning)
         result = fit(data, hyper, cfg, init=init)
     assert np.isfinite(result.objective_trace).all()
+
+
+def test_missing_cells_read_brackets_that_add_exactly_zero():
+    # an unobserved cell's category reads the bracket (+inf, -inf) on items
+    # with one intercept and with Dmax of them; its cells are exactly
+    # (1.0, 0.0) at any z, so it adds exactly 0.0 to the row log-likelihood,
+    # to the gradient of either orientation and to the intercept gradient
+    d_pad = eng.pad_intercepts([np.array([0.4]), np.array([2.0, 0.5, -0.3, -1.8]),
+                                np.array([1.1, -0.6])])
+    nt = np.array([1, 4, 2])
+    zs = np.array([-700.0, -30.0, 0.0, 30.0, 700.0])
+    n = 4 * zs.size
+    rng = np.random.default_rng(3)
+    responses = rng.integers(0, nt + 1, size=(n, nt.size))
+    # every item has observed and unobserved cells at every z
+    mask = (np.arange(n)[:, None] + np.arange(nt.size)[None, :]) % 2 == 0
+    yt = eng.item_categories(responses, mask, d_pad.shape[1])
+    missing = ~mask.T
+    du, dl = eng.bracket_intercepts(d_pad, nt, yt)
+    np.testing.assert_array_equal(du[missing], np.inf)
+    np.testing.assert_array_equal(dl[missing], -np.inf)
+    assert np.all(np.isfinite(du[~missing]) | np.isfinite(dl[~missing]))
+
+    z = np.tile(np.repeat(zs, 4), (nt.size, 1))
+    _, cu, cl = eng.cell_loglik(z, du, dl)
+    np.testing.assert_array_equal(cu[missing], 1.0)
+    np.testing.assert_array_equal(cl[missing], 0.0)
+
+    vt = rng.normal(size=(2, n))
+    for j, i in np.argwhere(missing):
+        one = (slice(j, j + 1), slice(i, i + 1))
+        ll, den = eng.row_loglik(cu[one], cl[one])
+        assert ll[0] == 0.0 and den[0, 0] == 1.0
+        ll, g = eng.loglik_head(vt[:, i:i + 1], cu[one], cl[one])
+        assert ll[0] == 0.0
+        np.testing.assert_array_equal(g, 0.0)
+        # no prior term at sigma_d_sq = inf: g_d is the cell's part alone
+        g_d = eng.d_head(d_pad[j:j + 1], nt[j:j + 1], yt[one], cu[one], cl[one],
+                         np.inf)[1]
+        np.testing.assert_array_equal(g_d, 0.0)
+
+    # moving the unobserved cells' z, or the column of vt that a row reads
+    # at them, moves no bit of a row's sums
+    _, cu_moved, cl_moved = eng.cell_loglik(np.where(missing, 5.0 - z, z), du, dl)
+    for orient in (lambda c: c, lambda c: np.ascontiguousarray(c.T)):
+        for got, want in zip(eng.row_loglik(orient(cu_moved), orient(cl_moved)),
+                             eng.row_loglik(orient(cu), orient(cl))):
+            np.testing.assert_array_equal(got, want)
+    for j in range(nt.size):
+        row = slice(j, j + 1)
+        vt_moved = np.where(missing[j], 1e3 * vt, vt)
+        for got, want in zip(eng.loglik_head(vt_moved, cu_moved[row], cl_moved[row]),
+                             eng.loglik_head(vt, cu[row], cl[row])):
+            np.testing.assert_array_equal(got, want)
+    for got, want in zip(eng.d_head(d_pad, nt, yt, cu_moved, cl_moved, 4.0),
+                         eng.d_head(d_pad, nt, yt, cu, cl, 4.0)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_fully_missing_rows_shrink_theta_to_zero():

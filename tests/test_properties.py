@@ -181,8 +181,8 @@ def test_theta_warm_start_matches_cold_search(instance, draws):
 @settings(derandomize=True, deadline=None)
 @given(tiny_instances(), st.data())
 def test_missing_cells_are_excluded_exactly(instance, draws):
-    # unobserved cells are stored as category 0 and read the intercept
-    # bracket's first two columns; the mask alone must keep them out
+    # unobserved cells read the bracket (+inf, -inf) whatever the intercepts,
+    # loadings or factor scores of their row and item; no mask keeps them out
     data, state = instance
     hyper = Hyperparameters(sigma_theta=np.eye(state.n_factors), lam=1.0)
     row = int(np.flatnonzero(~data.mask.any(axis=1))[0])
