@@ -144,8 +144,22 @@ def soft_threshold(z, t):
 
 
 def adjacent_cums(z, du, dl):
-    """Upper/lower cumulative probabilities of each cell's own category."""
-    return tuple(inverse_logit(x, out=x) for x in (z + du, z + dl))
+    """Upper/lower cumulative probabilities of each cell's own category.
+
+    Bit for bit inverse_logit(z + du) and inverse_logit(z + dl), with the
+    arguments clamped where the sigmoid is already exact.  The upper one is
+    capped at 40: from 37 on, 1 + exp(-x) rounds to 1.0.  The lower one is
+    raised to -700, and its cells below -700 then set to 0.0, only when each
+    of them is -inf: a finite one needs exp's own result.
+    """
+    xu = np.add(z, du)
+    cu = inverse_logit(np.minimum(xu, 40.0, out=xu), out=xu)
+    xl = np.add(z, dl)
+    low = xl < -700.0
+    if np.count_nonzero(low) != np.count_nonzero(xl == -np.inf):
+        return cu, inverse_logit(xl, out=xl)
+    cl = inverse_logit(np.maximum(xl, -700.0, out=xl), out=xl)
+    return cu, np.multiply(cl, ~low, out=cl)
 
 
 def cell_loglik(z, du, dl):

@@ -103,26 +103,30 @@ def _numeric(cell: str) -> bool:
 
 
 def _parse_table(path: str, missing_token: str):
-    """Parse a delimited text table into string cells, skipping comments."""
-    rows = []
+    """Parse a delimited text table into string cells, skipping comments.
+
+    Returns the rows and the file's 1-based line number of each.
+    """
+    rows, lines = [], []
     with open(path, "r") as fh:
-        for line in fh:
+        for ln, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             rows.append([cell.strip() for cell in line.split(",")])
+            lines.append(ln)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     width = len(rows[0])
-    for r, row in enumerate(rows):
+    for ln, row in zip(lines, rows):
         if len(row) != width:
-            raise ValueError(f"{path}: row {r} has {len(row)} fields, expected {width}")
+            raise ValueError(f"{path}: line {ln} has {len(row)} fields, expected {width}")
     # optional header: a first row none of whose fields is numeric or missing
     if not any(c in ("", missing_token) or _numeric(c) for c in rows[0]):
-        rows = rows[1:]
+        rows, lines = rows[1:], lines[1:]
         if not rows:
             raise ValueError(f"{path}: only a header row present")
-    return rows
+    return rows, lines
 
 
 def load_responses(path: str, categories=None) -> ResponseData:
@@ -139,7 +143,7 @@ def load_responses(path: str, categories=None) -> ResponseData:
         within the int64 range, negative entries, an item column with no
         observed values, or more than MAX_CATEGORIES categories for an item.
     """
-    rows = _parse_table(path, MISSING_TOKEN)
+    rows, lines = _parse_table(path, MISSING_TOKEN)
     n, j = len(rows), len(rows[0])
     responses = np.zeros((n, j), dtype=np.int64)
     mask = np.zeros((n, j), dtype=bool)
@@ -150,8 +154,8 @@ def load_responses(path: str, categories=None) -> ResponseData:
             value = float(cell) if _numeric(cell) else np.nan
             # nan, inf, values past int64 and text fail the first test
             if not (abs(value) < 2.0 ** 63 and value == int(value)):
-                raise ValueError(f"{path}: response {cell!r} at ({r}, {c}) is not "
-                                 "an integer in the int64 range")
+                raise ValueError(f"{path}: response {cell!r} on line {lines[r]} "
+                                 f"(item {c}) is not an integer in the int64 range")
             responses[r, c] = int(value)
             mask[r, c] = True
     if not mask.any(axis=0).all():
@@ -226,19 +230,24 @@ def write_matrix(path: str, matrix, comments=()) -> None:
             fh.write(",".join(format(v, ".17g") for v in row) + "\n")
 
 
+def _parse_matrix(path: str):
+    """read_matrix's matrix and the file's line number of each of its rows."""
+    rows, lines = _parse_table(path, missing_token="nan")
+    parsed = []
+    for ln, row in zip(lines, rows):
+        try:
+            parsed.append([float(c) if c != "" else np.nan for c in row])
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {ln} is not numeric") from exc
+    return np.asarray(parsed, dtype=float), lines
+
+
 def read_matrix(path: str) -> np.ndarray:
     """Read a matrix written by :func:`write_matrix`.
 
     NaN cells are preserved (used as padding for ragged intercepts).
     """
-    rows = _parse_table(path, missing_token="nan")
-    parsed = []
-    for r, row in enumerate(rows):
-        try:
-            parsed.append([float(c) if c != "" else np.nan for c in row])
-        except ValueError as exc:
-            raise ValueError(f"{path}: row {r} is not numeric") from exc
-    return np.asarray(parsed, dtype=float)
+    return _parse_matrix(path)[0]
 
 
 def write_intercepts(path: str, intercepts, comments=()) -> None:
@@ -253,13 +262,13 @@ def write_intercepts(path: str, intercepts, comments=()) -> None:
 
 def read_intercepts(path: str) -> list:
     """Read intercept vectors written by :func:`write_intercepts`."""
-    mat = np.atleast_2d(read_matrix(path))
+    mat, lines = _parse_matrix(path)
     out = []
-    for r, row in enumerate(mat):
+    for ln, row in zip(lines, mat):
         pad = np.isnan(row)
         n_real = int((~pad).sum())
         if pad[:n_real].any():
-            raise ValueError(f"{path}: row {r} has NaN before the padding tail")
+            raise ValueError(f"{path}: line {ln} has NaN before the padding tail")
         out.append(row[:n_real].copy())
     return out
 

@@ -376,7 +376,7 @@ def test_fit_rejects_non_finite_and_huge_cells(tmp_path, capsys, cell):
                    "--out", tmp_path / "fit") == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert err[0].startswith("error: ") and f"'{cell}' at (1, 1)" in err[0]
+    assert err[0].startswith("error: ") and f"'{cell}' on line 2 (item 1)" in err[0]
 
 
 def test_fit_rejects_more_than_max_categories(tmp_path, capsys):

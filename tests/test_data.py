@@ -96,16 +96,30 @@ def test_load_responses_rejects_a_first_row_with_some_text(tmp_path):
     # silently loaded two respondents of three
     path = tmp_path / "resp.csv"
     path.write_text("1,2,x\n0,1,1\n1,0,2\n")
-    with pytest.raises(ValueError, match=r"resp\.csv: response 'x' at \(0, 2\)"):
+    with pytest.raises(ValueError, match=r"resp\.csv: response 'x' on line 1 \(item 2\)"):
         load_responses(path)
 
 
 def test_load_responses_names_a_text_cell_by_position(tmp_path):
+    # the position is the file's line, counting the header, and the item
     path = tmp_path / "resp.csv"
     path.write_text("item1,item2\n0,1\n1,x\n")
-    with pytest.raises(ValueError, match=r"resp\.csv: response 'x' at \(1, 1\) is not "
-                                         "an integer"):
+    with pytest.raises(ValueError, match=r"resp\.csv: response 'x' on line 3 \(item 1\) "
+                                         "is not an integer"):
         load_responses(path)
+
+
+@pytest.mark.parametrize("read,text,message", [
+    (load_responses, "0,1\n1\n", "line 4 has 1 fields, expected 2"),
+    (read_matrix, "0.5,1\n1,x\n", "line 4 is not numeric"),
+    (read_intercepts, "0.5,-1\nnan,1\n", "line 4 has NaN before the padding tail"),
+])
+def test_table_errors_name_the_file_line(tmp_path, read, text, message):
+    # comment and blank lines count: the message names the line an editor shows
+    path = tmp_path / "table.csv"
+    path.write_text("# written by hand\n\n" + text)
+    with pytest.raises(ValueError, match=rf"table\.csv: {message}"):
+        read(path)
 
 
 def test_load_responses_keeps_a_missing_first_row(tmp_path):
@@ -201,7 +215,7 @@ def test_derive_seeds_distinct_and_reproducible():
 def test_load_responses_rejects_non_finite_and_huge_cells(tmp_path, cell):
     path = tmp_path / "resp.csv"
     path.write_text(f"0,1\n1,{cell}\n")
-    with pytest.raises(ValueError, match=rf"resp\.csv: response '{cell}' at \(1, 1\)"):
+    with pytest.raises(ValueError, match=rf"resp\.csv: response '{cell}' on line 2 \(item 1\)"):
         load_responses(path)
 
 

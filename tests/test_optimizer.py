@@ -11,7 +11,7 @@ from sparsegrm import _engine as eng
 from sparsegrm import optimizer
 from sparsegrm.data import ResponseData
 from sparsegrm.gradients import grad_a_loglik, grad_d, grad_delta, grad_theta
-from sparsegrm.model import Hyperparameters, ModelState, objective
+from sparsegrm.model import Hyperparameters, ModelState, inverse_logit, objective
 from sparsegrm.optimizer import (FitConfig, _row_args, fit, fit_multistart,
                                  log_likelihood_value, objective_value,
                                  random_init, soft_threshold, update_a,
@@ -559,6 +559,66 @@ def test_kernel_sigmoid_agrees_with_expit():
         # where exp(-x) passes 2**53, 1 + exp(-x) rounds to an even integer
         assert ulps.max() <= 4.0
         assert ulps[np.abs(z + 36.9) > 1.0].max() <= 2.0
+
+
+def plain_adjacent_cums(z, du, dl):
+    """adjacent_cums without its clamps: the sigmoid of each sum as it is."""
+    return tuple(inverse_logit(x, out=x) for x in (z + du, z + dl))
+
+
+def test_kernel_sigmoid_clamps_keep_every_bit():
+    # adjacent_cums caps the upper argument at 40 and raises the lower one to
+    # -700 when its only cells below -700 are -inf; neither may move a bit,
+    # a sign or a NaN of inverse_logit's result on the unclamped sums
+    def check(z, du, dl):
+        z, du, dl = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (z, du, dl)))
+        got = eng.adjacent_cums(z.copy(), du.copy(), dl.copy())
+        for g, w in zip(got, plain_adjacent_cums(z, du, dl)):
+            assert np.array_equal(g, w, equal_nan=True)
+            np.testing.assert_array_equal(np.isnan(g), np.isnan(w))
+            np.testing.assert_array_equal(np.signbit(g), np.signbit(w))
+
+    z = np.linspace(-800.0, 800.0, 32_001)
+    finite = np.array([-2.5, 0.0, 0.75, 3.0])[:, None]
+    # lower brackets all -inf (clamped), all finite (some x_l below -700,
+    # so exp's own path), and both against finite and +inf upper brackets
+    for du in (finite, np.inf):
+        check(z, du, -np.inf)
+        check(z, du, finite - 1.0)
+    # -inf among finite x_l that all stay above -700: the clamped path
+    mixed = np.where(np.arange(z.size) % 3 == 0, -np.inf, -1.0)
+    check(np.linspace(-690.0, 800.0, z.size), finite, mixed)
+    # 1 + exp(-x) reaches 1.0 near 36.7; the cap must sit past it
+    check(np.linspace(36.0, 41.0, 50_001), 0.0, -np.inf)
+    # NaN, +-0 and +-inf against finite and infinite brackets; inf - inf is
+    # NaN in the sum itself, with or without the clamps
+    special = np.array([np.nan, 0.0, -0.0, np.inf, -np.inf])[:, None]
+    with np.errstate(invalid="ignore"):
+        check(special, np.array([0.0, -0.0, 1.5, np.inf]),
+              np.array([0.0, -0.0, -1.5, -np.inf]))
+    # one finite x_l in (-709.79, -700) beside -inf: the finite cells keep
+    # exp's nonzero result, so this array takes the unclamped path
+    z = np.array([0.0, -700.5, -705.0, -709.5, -709.78])
+    dl = np.array([-np.inf, 0.0, 0.0, 0.0, 0.0])
+    check(z, 0.0, dl)
+    assert np.all(eng.adjacent_cums(z, np.zeros(5), dl)[1][1:] > 0.0)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_fit_is_bit_identical_to_the_plain_kernel_sigmoid(monkeypatch, threads):
+    # ragged items and unobserved cells give many brackets at +-inf, which
+    # adjacent_cums clamps; the unclamped kernel must give the same fit
+    data, hyper, _ = sim_ragged(3, (0.6, 0.2, 0.2))
+    cfg = FitConfig(seed=5, max_outer_iters=8, obj_tol=1e-9, threads=threads)
+    clamped = fit(data, hyper, cfg)
+    monkeypatch.setattr(eng, "adjacent_cums", plain_adjacent_cums)
+    plain = fit(data, hyper, cfg)
+    assert clamped.n_iters == 8
+    np.testing.assert_array_equal(clamped.objective_trace, plain.objective_trace)
+    np.testing.assert_array_equal(clamped.state.theta, plain.state.theta)
+    np.testing.assert_array_equal(clamped.state.loadings, plain.state.loadings)
+    for d_clamped, d_plain in zip(clamped.state.intercepts, plain.state.intercepts):
+        np.testing.assert_array_equal(d_clamped, d_plain)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
