@@ -27,13 +27,16 @@ them from :func:`bracket_table`, which widens item j's row to
 [+inf, d_1, ..., d_{C_j-1}, -inf, ..., -inf, +inf, -inf]: category y lies
 between columns y and y + 1, which states P(Y >= 0) = 1 and P(Y >= C_j) = 0
 as intercepts, and the kernel's sigmoid (model.inverse_logit) is exactly 1.0
-at +inf and 0.0 at -inf.  An unobserved cell has category Dmax + 2
-(:func:`item_categories`), so its cells are exactly (1.0, 0.0) and it adds
-0.0 to every sum: no function takes a mask.  A cell reads both columns at
-one flat index (:func:`cell_index`, :func:`take_brackets`).  Padded entries
-are exactly 0.0: pad_intercepts zero-fills them and d_block's proposals keep
-them 0.0 (or reject the whole row), so the intercept prior's sums of squares
-and its gradient need no mask.
+at +inf and 0.0 at -inf.  numpy's exp leaves its fast vector loop for
+infinite and very large arguments, so :func:`adjacent_cums` clamps each
+sigmoid argument where the result is already exact, keeping every bit.  An
+unobserved cell has category Dmax + 2 (:func:`item_categories`), so its
+cells are exactly (1.0, 0.0) and it adds 0.0 to every sum: no function takes
+a mask.  A cell reads both columns at one flat index (:func:`cell_index`,
+:func:`take_brackets`).  Padded entries are exactly 0.0: pad_intercepts
+zero-fills them and d_block's proposals keep them 0.0 (or reject the whole
+row), so the intercept prior's sums of squares and its gradient need no
+mask.
 """
 
 from __future__ import annotations
@@ -146,11 +149,12 @@ def soft_threshold(z, t):
 def adjacent_cums(z, du, dl):
     """Upper/lower cumulative probabilities of each cell's own category.
 
-    Bit for bit inverse_logit(z + du) and inverse_logit(z + dl), with the
-    arguments clamped where the sigmoid is already exact.  The upper one is
+    Bit for bit inverse_logit(z + du) and inverse_logit(z + dl), with each
+    argument clamped where the sigmoid is already exact, so that no +-inf
+    (du is finite or +inf, dl finite or -inf) reaches exp.  The upper one is
     capped at 40: from 37 on, 1 + exp(-x) rounds to 1.0.  The lower one is
-    raised to -700, and its cells below -700 then set to 0.0, only when each
-    of them is -inf: a finite one needs exp's own result.
+    raised to -700 and its cells below -700 set to 0.0 only when each of
+    them is -inf; a finite one there needs exp's own result.
     """
     xu = np.add(z, du)
     cu = inverse_logit(np.minimum(xu, 40.0, out=xu), out=xu)
