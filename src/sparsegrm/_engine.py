@@ -257,38 +257,36 @@ def line_search(x0, ll0, cu, cl, penalty, loglik, propose, mapping_sq, pending=N
     Rows not pending at the start keep x0, ll0, their cells and their start
     step; rows that run out of grid keep them too but report GAMMA_FLOOR.
     Every other row's log-likelihood and cells are the ones its accepted
-    step was judged by.
+    step was judged by.  A pass carries only the rows still searching: their
+    indices, their next steps and their direction, which the first pass
+    sets from the start's test.
     """
     out = x0.copy()
     ll = ll0.copy()
     f0 = ll0 - penalty(x0)
-    gamma = np.full(x0.shape[0], GAMMA0) if step is None else step.copy()
-    step = gamma.copy()  # the row's last accepted step, once it has one
-    # +1 once a row's start is accepted (growing), -1 once it is rejected
-    heading = np.zeros(x0.shape[0], dtype=np.int8)
-    pending = np.ones(x0.shape[0], dtype=bool) if pending is None else pending.copy()
+    step = np.full(x0.shape[0], GAMMA0) if step is None else step.copy()
+    idx = np.arange(x0.shape[0]) if pending is None else np.flatnonzero(pending)
+    gamma = step[idx]
+    grow = None  # True where the start was accepted, set by the first pass
     # every row visits the grid in one direction, so at most its size
     for _ in range(MAX_BACKTRACKS + 1):
-        idx = np.flatnonzero(pending)
         if idx.size == 0:
             break
-        cand = propose(idx, gamma[idx])
+        cand = propose(idx, gamma)
         cand_ll, cand_cu, cand_cl = loglik(idx, cand)
         ok = cand_ll - penalty(cand) >= f0[idx] + (
-            SUFFICIENT_INCREASE * gamma[idx] * mapping_sq(idx, gamma[idx], cand))
-        acc, rej = idx[ok], idx[~ok]
-        out[acc], ll[acc], step[acc] = cand[ok], cand_ll[ok], gamma[acc]
+            SUFFICIENT_INCREASE * gamma * mapping_sq(idx, gamma, cand))
+        acc = idx[ok]
+        out[acc], ll[acc], step[acc] = cand[ok], cand_ll[ok], gamma[ok]
         cu[acc], cl[acc] = cand_cu[ok], cand_cl[ok]
+        grow = ok if grow is None else grow
         # a growing row stops at its first rejection, a shrinking row at its
-        # first acceptance
-        pending[idx] = False
-        grow, shrink = acc[heading[acc] >= 0], rej[heading[rej] <= 0]
-        heading[grow], heading[shrink] = 1, -1
-        gamma[grow] /= SHRINK
-        gamma[shrink] *= SHRINK
-        pending[grow] = gamma[grow] <= GAMMA0
-        pending[shrink] = gamma[shrink] >= GAMMA_FLOOR
-        step[shrink[gamma[shrink] < GAMMA_FLOOR]] = GAMMA_FLOOR
+        # first acceptance or below the grid
+        gamma = np.where(grow, gamma / SHRINK, gamma * SHRINK)
+        in_grid = np.where(grow, gamma <= GAMMA0, gamma >= GAMMA_FLOOR)
+        step[idx[~(ok | grow | in_grid)]] = GAMMA_FLOOR
+        keep = (ok == grow) & in_grid
+        idx, gamma, grow = idx[keep], gamma[keep], grow[keep]
     return out, step, ll
 
 

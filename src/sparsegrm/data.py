@@ -156,13 +156,14 @@ def load_responses(path: str, categories=None) -> ResponseData:
             if not (abs(value) < 2.0 ** 63 and value == int(value)):
                 raise ValueError(f"{path}: response {cell!r} on line {lines[r]} "
                                  f"(item {c}) is not an integer in the int64 range")
+            if value < 0:
+                raise ValueError(f"{path}: response {cell!r} on line {lines[r]} "
+                                 f"(item {c}) is negative")
             responses[r, c] = int(value)
             mask[r, c] = True
     if not mask.any(axis=0).all():
         empty = int(np.flatnonzero(~mask.any(axis=0))[0])
         raise ValueError(f"{path}: item column {empty} has no observed values")
-    if np.any(responses[mask] < 0):
-        raise ValueError(f"{path}: negative response entry")
     if categories is None:
         cats = np.maximum(np.max(np.where(mask, responses, 0), axis=0) + 1, 2)
     else:

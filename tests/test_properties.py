@@ -99,43 +99,75 @@ def test_gradient_heads_match_central_differences_of_per_cell_reference(instance
               to_delta(state.intercepts[j]))
 
 
+GRID = eng.MAX_BACKTRACKS + 1
+# which of the grid steps GAMMA0 * SHRINK**i a row accepts: the nested
+# pattern of a concave row (every step up to GAMMA0 * SHRINK**k, none when k
+# is past the grid) or any pattern at all, as soft-thresholded loading rows
+# can produce
+acceptance = st.one_of(
+    st.integers(0, GRID).map(lambda k: tuple(i >= k for i in range(GRID))),
+    st.lists(st.booleans(), min_size=GRID, max_size=GRID).map(tuple))
+
+
+def _walk(accepts, s):
+    """The docstring's rule for one row started at GAMMA0 * SHRINK**s: the
+    exponent of its returned step (GRID when it runs out of grid) and its
+    number of evaluations."""
+    if accepts[s]:
+        i = s
+        while i > 0 and accepts[i - 1]:
+            i -= 1
+        return i, s - i + 1 + (i > 0)
+    i = next((i for i in range(s + 1, GRID) if accepts[i]), GRID)
+    return i, min(i, eng.MAX_BACKTRACKS) - s + 1
+
+
 @settings(derandomize=True, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, eng.MAX_BACKTRACKS + 1),
-                          st.integers(0, eng.MAX_BACKTRACKS)),
-                min_size=1, max_size=8))
-def test_line_search_walks_the_grid_once_from_each_start(rows):
-    # row r accepts exactly the steps up to GAMMA0 * SHRINK**k[r]; none when
-    # k[r] is past the grid
-    k, s = (np.array(col) for col in zip(*rows))
-    largest = eng.GAMMA0 * eng.SHRINK ** k.astype(np.float64)
-    evals = np.zeros(k.size, dtype=np.int64)
+@given(st.lists(st.tuples(acceptance, st.integers(0, eng.MAX_BACKTRACKS), st.booleans()),
+                min_size=1, max_size=8),
+       st.booleans())
+def test_line_search_walks_the_grid_once_from_each_start(rows, pass_pending):
+    accepts, s, pending = (np.array(col) for col in zip(*rows))
+    if not pass_pending:
+        pending[:] = True
+    grid = eng.GAMMA0 * eng.SHRINK ** np.arange(GRID, dtype=np.float64)
+    evals = np.zeros(s.size, dtype=np.int64)
 
     def propose(idx, gamma):
         evals[idx] += 1
         return gamma[:, None]
 
     def loglik(idx, cand):
-        # the candidate itself stands in for its cells (cu, cl)
-        return np.where(cand[:, 0] <= largest[idx], np.inf, -np.inf), cand, -cand
+        # an accepted step i reads the log-likelihood 1 + i; a rejected one
+        # -1 - i, or NaN at odd i.  The candidate stands in for its cells.
+        i = np.rint(np.log(cand[:, 0] / eng.GAMMA0) / np.log(eng.SHRINK)).astype(np.int64)
+        ok = accepts[idx, i]
+        return np.where(ok, 1.0 + i, np.where(i % 2, np.nan, -1.0 - i)), cand, -cand
 
     def penalty(x):
         return np.zeros(x.shape[0])
 
-    start = eng.GAMMA0 * eng.SHRINK ** s.astype(np.float64)
-    cu, cl = np.zeros((k.size, 1)), np.zeros((k.size, 1))
-    out, steps, _ = eng.line_search(np.zeros((k.size, 1)), np.zeros(k.size), cu, cl,
-                                    penalty, loglik, propose,
-                                    lambda idx, gamma, cand: 1.0, step=start)
-    found = k <= eng.MAX_BACKTRACKS
-    np.testing.assert_array_equal(out[:, 0], np.where(found, largest, 0.0))
-    np.testing.assert_array_equal(steps, np.where(found, largest, eng.GAMMA_FLOOR))
-    # each row's cells are its accepted candidate's, or its start's
-    np.testing.assert_array_equal(cu, out)
-    np.testing.assert_array_equal(cl, -out)
-    # from an accepted start: up to the largest accepted step, then the
-    # rejected one above it; from a rejected start: down to the first accepted
-    want = np.where(s >= k, s - k + 1 + (k > 0), k - s + found)
-    np.testing.assert_array_equal(evals, want)
+    start = grid[s]
+    cu, cl = np.zeros((s.size, 1)), np.zeros((s.size, 1))
+    out, steps, ll = eng.line_search(np.zeros((s.size, 1)), np.zeros(s.size), cu, cl,
+                                     penalty, loglik, propose,
+                                     lambda idx, gamma, cand: 1.0,
+                                     pending=pending if pass_pending else None,
+                                     step=start)
+    for r in range(s.size):
+        if not pending[r]:
+            # a row not pending keeps its row, cells and start step
+            want_x, want_step, want_ll, want_evals = 0.0, start[r], 0.0, 0
+        else:
+            i, want_evals = _walk(accepts[r], s[r])
+            found = i < GRID
+            want_x = grid[i] if found else 0.0
+            want_step = grid[i] if found else eng.GAMMA_FLOOR
+            want_ll = 1.0 + i if found else 0.0
+        assert (out[r, 0], steps[r], ll[r], evals[r]) == (
+            want_x, want_step, want_ll, want_evals), r
+        # each row's cells are its accepted candidate's, or its start's
+        assert (cu[r, 0], cl[r, 0]) == (want_x, -want_x), r
 
 
 def _theta_block(data, state, step=None):
