@@ -257,9 +257,8 @@ def line_search(x0, ll0, cu, cl, penalty, loglik, propose, mapping_sq, pending=N
     Rows not pending at the start keep x0, ll0, their cells and their start
     step; rows that run out of grid keep them too but report GAMMA_FLOOR.
     Every other row's log-likelihood and cells are the ones its accepted
-    step was judged by.  A pass carries only the rows still searching: their
-    indices, their next steps and their direction, which the first pass
-    sets from the start's test.
+    step was judged by.  Besides out, ll and step, a pass carries only the
+    rows still searching: their indices, next steps and directions.
     """
     out = x0.copy()
     ll = ll0.copy()

@@ -109,18 +109,9 @@ def test_load_responses_names_a_text_cell_by_position(tmp_path):
         load_responses(path)
 
 
-@pytest.mark.parametrize("cell", ["-1", "-2.0"])
-def test_load_responses_names_a_negative_cell_by_position(tmp_path, cell):
-    # the line counts the comment and the header; the item is 0-based
-    path = tmp_path / "resp.csv"
-    path.write_text(f"# comment\nitem1,item2,item3\n0,1,2\n1,{cell},\n")
-    with pytest.raises(ValueError,
-                       match=rf"resp\.csv: response '{cell}' on line 4 \(item 1\) is negative"):
-        load_responses(path)
-
-
 @pytest.mark.parametrize("read,text,message", [
     (load_responses, "0,1\n1\n", "line 4 has 1 fields, expected 2"),
+    (load_responses, "0,1\n1,-2.0\n", r"response '-2.0' on line 4 \(item 1\) is negative"),
     (read_matrix, "0.5,1\n1,x\n", "line 4 is not numeric"),
     (read_intercepts, "0.5,-1\nnan,1\n", "line 4 has NaN before the padding tail"),
 ])

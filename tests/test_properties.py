@@ -110,9 +110,11 @@ acceptance = st.one_of(
 
 
 def _walk(accepts, s):
-    """The docstring's rule for one row started at GAMMA0 * SHRINK**s: the
+    """line_search's rule for one row started at GAMMA0 * SHRINK**s: the
     exponent of its returned step (GRID when it runs out of grid) and its
-    number of evaluations."""
+    number of evaluations.  From an accepted start the row walks up while
+    accepted, and also evaluates the rejected step above (unless at GAMMA0);
+    from a rejected start it walks down to its first accepted step."""
     if accepts[s]:
         i = s
         while i > 0 and accepts[i - 1]:
