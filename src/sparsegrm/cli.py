@@ -27,7 +27,7 @@ from .metrics import (LOADING_ZERO_THRESHOLD, RecoveryReport,
                       SelectionReport, score)
 from .model import Hyperparameters, ModelState
 from .optimizer import FitConfig, fit_multistart
-from .simulate import (SimDesign, _replicate, gen_sigma, gen_true_params,
+from .simulate import (SimDesign, gen_sigma, gen_true_params, run_replication,
                        sample_responses)
 
 
@@ -247,8 +247,8 @@ def _load_fit_inputs(settings: dict):
     return data, np.eye(k)
 
 
-def _write_fit(settings: dict, lam_key: str, lam: float, result) -> None:
-    """Write the fitted parameters and summary.txt into --out."""
+def _write_fit(settings: dict, lam_key: str, result) -> None:
+    """Write the fitted parameters and summary.txt, the fit's lambda as lam_key."""
     out, echo = settings["out"], _echo(settings)
     trace = result.objective_trace
     write_matrix(os.path.join(out, "theta_est.csv"), result.state.theta, echo)
@@ -256,7 +256,7 @@ def _write_fit(settings: dict, lam_key: str, lam: float, result) -> None:
     write_intercepts(os.path.join(out, "intercepts_est.csv"),
                      result.state.intercepts, echo)
     _write_pairs(os.path.join(out, "summary.txt"), echo, [
-        (lam_key, format(lam, ".17g")),
+        (lam_key, format(result.hyper.lam, ".17g")),
         ("converged", result.converged),
         ("n_iters", result.n_iters),
         ("elapsed_seconds", format(result.elapsed_seconds, ".3f")),
@@ -289,7 +289,7 @@ def cmd_fit(settings: dict) -> None:
     cfg = _fit_config(settings)
     os.makedirs(settings["out"], exist_ok=True)
     result = fit_multistart(data, hyper, cfg)
-    _write_fit(settings, "lambda", settings["lam"], result)
+    _write_fit(settings, "lambda", result)
 
 
 def cmd_cvfit(settings: dict) -> None:
@@ -301,7 +301,7 @@ def cmd_cvfit(settings: dict) -> None:
         data.n_respondents, settings["train_fraction"], split_seed)
     out = settings["out"]
     os.makedirs(out, exist_ok=True)
-    result, lam_hat, table = tune_and_fit(
+    result, _, table = tune_and_fit(
         data, hyper, cfg, train_fraction=settings["train_fraction"],
         seed=split_seed, n_folds=settings["folds"])
     echo = _echo(settings)
@@ -313,7 +313,7 @@ def cmd_cvfit(settings: dict) -> None:
          for e in table])
     write_matrix(os.path.join(out, "train_rows.csv"), train_rows[None, :], echo)
     write_matrix(os.path.join(out, "test_rows.csv"), test_rows[None, :], echo)
-    _write_fit(settings, "lambda_hat", lam_hat, result)
+    _write_fit(settings, "lambda_hat", result)
 
 
 def cmd_evaluate(settings: dict) -> None:
@@ -374,11 +374,11 @@ def cmd_replicate(settings: dict) -> None:
     rows = []
     for r, design in enumerate(designs):
         t0 = time.perf_counter()
-        selection, recovery, result, lam = _replicate(
+        selection, recovery, result = run_replication(
             design, cfg, settings["train_fraction"], settings["folds"],
             settings.get("lam"))
         print(f"replicate: rep {r + 1}/{settings['reps']} seed {rep_seeds[r]} "
-              f"{lam_key} {lam:.6g} n_iters {result.n_iters} "
+              f"{lam_key} {result.hyper.lam:.6g} n_iters {result.n_iters} "
               f"seconds {time.perf_counter() - t0:.2f}", file=sys.stderr, flush=True)
         rows.append([
             r, rep_seeds[r], *astuple(selection), *astuple(recovery),

@@ -182,8 +182,9 @@ def tune_and_fit(data: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
                  n_folds: int = 5):
     """Split rows, select lambda on one half, fit the other half with it.
 
-    Returns (FitResult on the test half, lambda_hat, CV table).  The final
-    fit honors cfg.n_starts.  The row split is reproducible from the seed
+    Returns (FitResult on the test half, lambda_hat, CV table), where
+    lambda_hat is the FitResult's hyper.lam.  The final fit honors
+    cfg.n_starts.  The row split is reproducible from the seed
     via data.split_row_indices.  One process pool serves both CV stages
     and the final starts.
     """

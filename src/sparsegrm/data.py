@@ -55,12 +55,12 @@ class ResponseData:
             j = int(np.argmax(self.categories > MAX_CATEGORIES))
             raise ValueError(f"item {j} has {int(self.categories[j])} categories; "
                              f"at most {MAX_CATEGORIES} are supported")
-        observed = self.responses[self.mask]
-        if observed.size and observed.min() < 0:
-            raise ValueError("negative response category")
-        upper = np.broadcast_to(self.categories[None, :], self.responses.shape)
-        if np.any(self.mask & (self.responses > upper - 1)):
-            raise ValueError("response exceeds categories - 1 for its item")
+        bad = self.mask & ((self.responses < 0) | (self.responses >= self.categories))
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            c = int(self.categories[j])
+            raise ValueError(f"response {self.responses[i, j]} at row {i}, item {j} "
+                             f"is outside 0..{c - 1}, the range of its {c} categories")
         # unobserved cells are stored as 0; the engine reads the mask, not
         # these zeros (_engine.item_categories)
         self.responses = np.where(self.mask, self.responses, 0)
@@ -140,8 +140,9 @@ def load_responses(path: str, categories=None) -> ResponseData:
     ------
     ValueError
         For non-rectangular input, entries that are not finite integers
-        within the int64 range, negative entries, an item column with no
-        observed values, or more than MAX_CATEGORIES categories for an item.
+        within the int64 range, negative entries, entries at or above their
+        item's given ``categories``, an item column with no observed values,
+        or more than MAX_CATEGORIES categories for an item.
     """
     rows, lines = _parse_table(path, MISSING_TOKEN)
     n, j = len(rows), len(rows[0])
@@ -168,6 +169,12 @@ def load_responses(path: str, categories=None) -> ResponseData:
         cats = np.maximum(np.max(np.where(mask, responses, 0), axis=0) + 1, 2)
     else:
         cats = np.broadcast_to(np.asarray(categories, dtype=np.int64), (j,)).copy()
+        over = mask & (responses >= cats)
+        if over.any():
+            r, c = np.argwhere(over)[0]
+            raise ValueError(f"{path}: response {rows[r][c]!r} on line {lines[r]} (item "
+                             f"{c}) is outside 0..{cats[c] - 1}, the range of its "
+                             f"{cats[c]} categories")
     return ResponseData(responses=responses, mask=mask, categories=cats)
 
 

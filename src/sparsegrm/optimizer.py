@@ -89,13 +89,18 @@ class FitConfig:
 
 @dataclass
 class FitResult:
-    """Fitted state plus the optimization record."""
+    """Fitted state plus the optimization record: hyper is what fit was
+    called with, and n_iters counts the trace entries after the first."""
 
     state: ModelState
     objective_trace: np.ndarray
-    n_iters: int
+    hyper: Hyperparameters
     converged: bool
     elapsed_seconds: float
+
+    @property
+    def n_iters(self) -> int:
+        return len(self.objective_trace) - 1
 
 
 def soft_threshold(z, t):
@@ -205,7 +210,8 @@ def fit(data: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
 
     Within one outer iteration every theta row is updated against the
     current loadings/intercepts, then every item is updated against the
-    new thetas.  The returned trace is non-decreasing up to roundoff.
+    new thetas.  The returned trace is non-decreasing up to roundoff, and
+    the result's hyper is the hyper passed in.
     """
     t0 = time.perf_counter()
     if init is None:
@@ -226,7 +232,6 @@ def fit(data: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
     a_step = np.full(loadings.shape[0], eng.GAMMA0)
     d_step = np.full(loadings.shape[0], eng.GAMMA0)
     converged = False
-    n_iters = 0
     row_blocks = _blocks(*ws.idx.shape, cfg.threads)
     item_blocks = _blocks(*ws.idx_t.shape, cfg.threads)
 
@@ -264,7 +269,6 @@ def fit(data: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
             if not np.isfinite(obj):
                 raise ValueError("objective became non-finite during fitting")
             trace.append(obj)
-            n_iters += 1
             if abs(trace[-1] - trace[-2]) < cfg.obj_tol:
                 converged = True
                 break
@@ -277,7 +281,7 @@ def fit(data: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
     return FitResult(
         state=state,
         objective_trace=np.asarray(trace),
-        n_iters=n_iters,
+        hyper=hyper,
         converged=converged,
         elapsed_seconds=time.perf_counter() - t0,
     )

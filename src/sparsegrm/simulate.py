@@ -136,14 +136,9 @@ def run_replication(design: SimDesign, cfg: FitConfig,
     With lam=None the sparsity weight is selected by two-stage CV on a
     row split and only the test half is fitted and scored; with a fixed
     lam the whole data set is fitted directly.  Returns
-    (SelectionReport, RecoveryReport, FitResult).
+    (SelectionReport, RecoveryReport, FitResult); the final fit's lambda,
+    selected or fixed, is FitResult.hyper.lam.
     """
-    return _replicate(design, cfg, train_fraction, n_folds, lam)[:3]
-
-
-def _replicate(design: SimDesign, cfg: FitConfig, train_fraction: float,
-               n_folds: int, lam: float | None):
-    """run_replication's reports and fit, plus the weight of the final fit."""
     seeds = derive_seeds(design.seed, 4)
     truth, q_star = gen_true_params(replace(design, seed=seeds[0]))
     data = sample_responses(truth, design.n_categories, seed=seeds[1])
@@ -152,12 +147,11 @@ def _replicate(design: SimDesign, cfg: FitConfig, train_fraction: float,
 
     if lam is None:
         hyper = Hyperparameters(sigma_theta=sigma, lam=0.0)
-        result, lam_hat, _ = tune_and_fit(
+        result = tune_and_fit(
             data, hyper, cfg_fit, train_fraction=train_fraction,
-            seed=seeds[3], n_folds=n_folds)
+            seed=seeds[3], n_folds=n_folds)[0]
     else:
-        lam_hat = float(lam)
-        hyper = Hyperparameters(sigma_theta=sigma, lam=lam_hat)
+        hyper = Hyperparameters(sigma_theta=sigma, lam=float(lam))
         result = fit_multistart(data, hyper, cfg_fit)
     selection, recovery = score(result.state, truth, q_star)
-    return selection, recovery, result, lam_hat
+    return selection, recovery, result

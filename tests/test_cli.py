@@ -17,7 +17,8 @@ from sparsegrm.cli import main
 from sparsegrm.data import (load_responses, read_intercepts, read_matrix,
                             write_intercepts, write_matrix)
 from sparsegrm.metrics import RecoveryReport, SelectionReport
-from sparsegrm.simulate import gen_sigma
+from sparsegrm.optimizer import FitConfig
+from sparsegrm.simulate import SimDesign, gen_sigma, run_replication
 
 SIM_ARGS = ["--n", "40", "--j", "5", "--k", "3", "--c", "3",
             "--rho", "0.1", "--seed", "7"]
@@ -546,7 +547,13 @@ def test_replicate_prints_one_progress_line_per_replication(tmp_path, capsys,
         assert int(m[1]) == r + 1
         assert m[2] == row[1]  # the replication's seed
         assert m[4] == row[12]  # its final fit's iterations
-        assert float(m[3]) == 1.5 if key == "lambda" else float(m[3]) > 0
+        if key == "lambda":
+            assert float(m[3]) == 1.5
+        else:  # the final fit's selected lambda, recomputed
+            design = SimDesign(n_respondents=40, n_items=5, n_factors=3, rho=0.1,
+                               n_categories=3, seed=int(m[2]))
+            result = run_replication(design, FitConfig(max_outer_iters=3, seed=7))[2]
+            assert m[3] == format(result.hyper.lam, ".6g")
 
 
 def test_cvfit_error_in_a_fold_task_prints_one_error_line(tmp_path, sim_dir, capsys,

@@ -278,6 +278,7 @@ def test_tune_and_fit_end_to_end():
     selected = [e for e in table if e.selected]
     assert len(selected) == 2
     assert selected[1].stage == 2 and selected[1].lam == lam_hat
+    assert result.hyper.lam == lam_hat
     _, test_rows = split_row_indices(data.n_respondents, 0.5, 11)
     assert result.state.n_respondents == test_rows.size
     assert np.all(np.diff(result.objective_trace) >= -1e-8)
@@ -366,8 +367,8 @@ def _table_bytes(table):
 def _result_bytes(result):
     state = result.state
     return ([x.tobytes() for x in (state.theta, state.loadings, *state.intercepts,
-                                   result.objective_trace)],
-            result.n_iters, result.converged)
+                                   result.objective_trace, result.hyper.sigma_theta)],
+            result.hyper.lam, result.n_iters, result.converged)
 
 
 @needs_fork
@@ -432,7 +433,12 @@ def test_fit_multistart_keeps_the_earliest_of_tied_starts_on_two_workers(
     runs = []
     for cpus in (1, 2):
         _use_cpus(monkeypatch, cpus)
-        runs.append(_result_bytes(optimizer.fit_multistart(data, hyper, cfg)))
+        best = optimizer.fit_multistart(data, hyper, cfg)
+        # the record carries the hyperparameters back from a pool worker
+        assert best.hyper.lam == hyper.lam
+        assert np.array_equal(best.hyper.sigma_theta, hyper.sigma_theta)
+        assert best.n_iters == len(best.objective_trace) - 1
+        runs.append(_result_bytes(best))
     assert runs[0] == runs[1]
 
 

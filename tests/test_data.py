@@ -1,4 +1,5 @@
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,9 +17,15 @@ def small_data():
 
 
 def test_response_data_validates_range():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"response 2 at row 0, item 0 is outside 0\.\.1, "
+                                         "the range of its 2 categories"):
         ResponseData(responses=np.array([[2]]), mask=np.array([[True]]),
                      categories=[2])
+    # the first offending cell in row order; the unobserved 9 is no offence
+    with pytest.raises(ValueError, match=r"response -1 at row 1, item 0 is outside 0\.\.2, "
+                                         "the range of its 3 categories"):
+        ResponseData(responses=np.array([[0, 9], [-1, 4]]),
+                     mask=np.array([[True, False], [True, True]]), categories=[3, 2])
 
 
 def test_response_data_masked_cells_ignored_in_range_check():
@@ -112,6 +119,8 @@ def test_load_responses_names_a_text_cell_by_position(tmp_path):
 @pytest.mark.parametrize("read,text,message", [
     (load_responses, "0,1\n1\n", "line 4 has 1 fields, expected 2"),
     (load_responses, "0,1\n1,-2.0\n", r"response '-2.0' on line 4 \(item 1\) is negative"),
+    (partial(load_responses, categories=2), "0,1\n1,2\n",
+     r"response '2' on line 4 \(item 1\) is outside 0\.\.1, the range of its 2 categories"),
     (read_matrix, "0.5,1\n1,x\n", "line 4 is not numeric"),
     (read_intercepts, "0.5,-1\nnan,1\n", "line 4 has NaN before the padding tail"),
 ])

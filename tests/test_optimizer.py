@@ -93,6 +93,7 @@ def test_fit_trace_monotone_and_converged():
     assert np.all(np.diff(trace) >= -1e-8)
     assert result.n_iters == trace.size - 1
     assert abs(trace[-1] - trace[-2]) < 1e-2
+    assert result.hyper is hyper
 
 
 def test_fit_trace_head_is_initial_objective():

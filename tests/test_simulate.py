@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from sparsegrm.data import derive_seeds
+from sparsegrm.data import derive_seeds, split_rows
 from sparsegrm.metrics import score
 from sparsegrm.model import (Hyperparameters, ModelState, category_prob,
                              default_intercept_ranges, draw_intercepts)
-from sparsegrm.optimizer import FitConfig, random_init
+from sparsegrm.optimizer import FitConfig, objective_value, random_init
 from sparsegrm.simulate import (SimDesign, gen_q, gen_sigma, gen_true_params,
                                 run_replication, sample_responses)
 
@@ -236,6 +236,13 @@ def test_run_replication_scores_its_fit_against_the_regenerated_truth(lam):
     cfg = FitConfig(seed=0, max_outer_iters=10, obj_tol=1.0)
     selection, recovery, result = run_replication(design, cfg, n_folds=2,
                                                   lam=lam)
-    truth_seed = derive_seeds(design.seed, 4)[0]
-    truth, q_star = gen_true_params(replace(design, seed=truth_seed))
+    seeds = derive_seeds(design.seed, 4)
+    truth, q_star = gen_true_params(replace(design, seed=seeds[0]))
     assert (selection, recovery) == score(result.state, truth, q_star)
+    if lam is not None:
+        assert result.hyper.lam == lam
+    else:
+        # the fit's record reproduces its final objective on the test half
+        data = sample_responses(truth, design.n_categories, seed=seeds[1])
+        test = split_rows(data, 0.5, seeds[3])[1]
+        assert objective_value(test, result.state, result.hyper) == result.objective_trace[-1]
