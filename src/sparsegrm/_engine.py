@@ -22,8 +22,8 @@ cross between respondent and item rows bit for bit, as outer_sum adds the
 same products in the same k order in both.
 
 Intercept vectors of unequal length are stored in a zero-padded J x Dmax
-matrix together with the per-item count of real entries.  The kernel reads
-them from :func:`bracket_table`, which widens item j's row to
+matrix, whose real entries the J x Dmax booleans valid mark.  The kernel
+reads them from :func:`bracket_table`, which widens item j's row to
 [+inf, d_1, ..., d_{C_j-1}, -inf, ..., -inf, +inf, -inf]: category y lies
 between columns y and y + 1, which states P(Y >= 0) = 1 and P(Y >= C_j) = 0
 as intercepts, and the kernel's sigmoid (model.inverse_logit) is exactly 1.0
@@ -32,11 +32,13 @@ infinite and very large arguments, so :func:`adjacent_cums` clamps each
 sigmoid argument where the result is already exact, keeping every bit.  An
 unobserved cell has category Dmax + 2 (:func:`item_categories`), so its
 cells are exactly (1.0, 0.0) and it adds 0.0 to every sum: no function takes
-a mask.  A cell reads both columns at one flat index (:func:`cell_index`,
-:func:`take_brackets`).  Padded entries are exactly 0.0: pad_intercepts
-zero-fills them and d_block's proposals keep them 0.0 (or reject the whole
-row), so the intercept prior's sums of squares and its gradient need no
-mask.
+the missingness mask.  A cell reads both columns at one flat index
+(:func:`cell_index`, :func:`take_brackets`).  optimizer._Workspace states
+this layout once per data set (valid, categories, flat indices); only
+d_block's candidate tables compute flat indices again.  Padded entries are
+exactly 0.0: pad_intercepts zero-fills them and d_block's proposals keep
+them 0.0 (or reject the whole row), so the intercept prior's sums of
+squares and its gradient need no mask.
 """
 
 from __future__ import annotations
@@ -68,15 +70,15 @@ def pad_intercepts(intercepts):
     return d_pad
 
 
-def unpad_intercepts(d_pad, nt):
-    return [d_pad[j, : int(nt[j])].copy() for j in range(d_pad.shape[0])]
+def unpad_intercepts(d_pad, valid):
+    return [row[real] for row, real in zip(d_pad, valid)]
 
 
-def bracket_table(d_rows, nt_rows):
+def bracket_table(d_rows, valid_rows):
     """Bracket rows [+inf, d_1, ..., d_{C_j-1}, -inf, ..., -inf, +inf, -inf] of d_rows."""
-    real = np.arange(d_rows.shape[1])[None, :] < nt_rows[:, None]
     edge = np.full((d_rows.shape[0], 1), np.inf)
-    return np.concatenate([edge, np.where(real, d_rows, -np.inf), -edge, edge, -edge], 1)
+    real = np.where(valid_rows, d_rows, -np.inf)
+    return np.concatenate([edge, real, -edge, edge, -edge], 1)
 
 
 def item_categories(responses, mask, dmax):
@@ -92,11 +94,6 @@ def cell_index(yt, dmax):
 def take_brackets(table, idx):
     """Columns y and y + 1 (du, dl) of table at each cell's flat index idx."""
     return np.take(table, idx), np.take(table.ravel()[1:], idx)
-
-
-def bracket_intercepts(d_rows, nt_rows, yt):
-    """(du, dl) of the cells yt of the zero-padded intercept rows d_rows."""
-    return take_brackets(bracket_table(d_rows, nt_rows), cell_index(yt, d_rows.shape[1]))
 
 
 def to_delta(d_rows, valid):
@@ -206,7 +203,7 @@ def theta_head(th_rows, a_t, cu, cl, sinv):
     return ll, g - outer_sum(th_rows, sinv.T)
 
 
-def d_head(d_rows, nt_rows, yt, cu, cl, sigma_d_sq):
+def d_head(d_rows, valid, yt, cu, cl, sigma_d_sq):
     """Row log-likelihoods and objective gradients of intercept rows.
 
     Returns (ll, g_d, delta, g_delta): the gradients in d and in delta
@@ -214,7 +211,6 @@ def d_head(d_rows, nt_rows, yt, cu, cl, sigma_d_sq):
     is floored have weight 0 (live_cells); an unobserved cell's category
     names no intercept.
     """
-    valid = np.arange(d_rows.shape[1])[None, :] < nt_rows[:, None]
     ll, den = row_loglik(cu, cl)
 
     up_w = cu * (1.0 - cu) / den
@@ -255,10 +251,11 @@ def line_search(x0, ll0, cu, cl, penalty, loglik, propose, mapping_sq, pending=N
     accepted step.
 
     Rows not pending at the start keep x0, ll0, their cells and their start
-    step; rows that run out of grid keep them too but report GAMMA_FLOOR.
-    Every other row's log-likelihood and cells are the ones its accepted
-    step was judged by.  Besides out, ll and step, a pass carries only the
-    rows still searching: their indices, next steps and directions.
+    step; rows that run out of grid keep them too but report GAMMA_FLOOR,
+    which a searching row's step holds until the row accepts one.  Every
+    other row's log-likelihood and cells are the ones its accepted step was
+    judged by.  Besides out, ll and step, a pass carries only the rows still
+    searching: their indices, next steps and directions.
     """
     out = x0.copy()
     ll = ll0.copy()
@@ -266,6 +263,7 @@ def line_search(x0, ll0, cu, cl, penalty, loglik, propose, mapping_sq, pending=N
     step = np.full(x0.shape[0], GAMMA0) if step is None else step.copy()
     idx = np.arange(x0.shape[0]) if pending is None else np.flatnonzero(pending)
     gamma = step[idx]
+    step[idx] = GAMMA_FLOOR
     grow = None  # True where the start was accepted, set by the first pass
     # every row visits the grid in one direction, so at most its size
     for _ in range(MAX_BACKTRACKS + 1):
@@ -283,7 +281,6 @@ def line_search(x0, ll0, cu, cl, penalty, loglik, propose, mapping_sq, pending=N
         # first acceptance or below the grid
         gamma = np.where(grow, gamma / SHRINK, gamma * SHRINK)
         in_grid = np.where(grow, gamma <= GAMMA0, gamma >= GAMMA_FLOOR)
-        step[idx[~(ok | grow | in_grid)]] = GAMMA_FLOOR
         keep = (ok == grow) & in_grid
         idx, gamma, grow = idx[keep], gamma[keep], grow[keep]
     return out, step, ll
@@ -349,7 +346,7 @@ def a_block(a_rows, th_t, du, dl, cu, cl, lam, step=None):
 # item phase: intercepts
 
 
-def d_block(a_rows, th_t, d_rows, nt_rows, yt, cu, cl, sigma_d_sq, step=None):
+def d_block(a_rows, th_t, d_rows, valid, yt, cu, cl, sigma_d_sq, step=None):
     """One line-searched gradient step in delta space per item row.
 
     step holds each row's start step (default GAMMA0).  Returns a padded
@@ -360,13 +357,13 @@ def d_block(a_rows, th_t, d_rows, nt_rows, yt, cu, cl, sigma_d_sq, step=None):
     the cold search's step except where the row's gain is at rounding level
     and acceptance is noise.
     """
-    ll, _, delta, g_delta = d_head(d_rows, nt_rows, yt, cu, cl, sigma_d_sq)
-    valid = np.arange(d_rows.shape[1])[None, :] < nt_rows[:, None]
+    ll, _, delta, g_delta = d_head(d_rows, valid, yt, cu, cl, sigma_d_sq)
     gn2 = row_norm_sq(g_delta)
     z = outer_sum(a_rows, th_t)
 
     def loglik(rows, d):
-        return cell_loglik(z[rows], *bracket_intercepts(d, nt_rows[rows], yt[rows]))
+        table = bracket_table(d, valid[rows])
+        return cell_loglik(z[rows], *take_brackets(table, cell_index(yt[rows], d.shape[1])))
 
     def propose(idx, gamma):
         d = to_d(delta[idx] + gamma[:, None] * g_delta[idx], valid[idx])
@@ -386,12 +383,12 @@ def d_block(a_rows, th_t, d_rows, nt_rows, yt, cu, cl, sigma_d_sq, step=None):
 # full objective
 
 
-def item_loglik(a, d_pad, nt, th_t, yt):
-    """cell_loglik of every cell of an item-major (J x N) data set."""
-    return cell_loglik(outer_sum(a, th_t), *bracket_intercepts(d_pad, nt, yt))
+def item_loglik(a, d_pad, valid, th_t, idx_t):
+    """cell_loglik of every cell of an item-major data set, at its flat indices idx_t."""
+    return cell_loglik(outer_sum(a, th_t), *take_brackets(bracket_table(d_pad, valid), idx_t))
 
 
-def objective(ll_items, a, d_pad, nt, th_t, hyper):
+def objective(ll_items, a, d_pad, valid, th_t, hyper):
     """Objective from the items' row log-likelihoods and hyper's priors.
 
     ll_items holds each item's log-likelihood as item_loglik or d_block
@@ -410,7 +407,7 @@ def objective(ll_items, a, d_pad, nt, th_t, hyper):
     prior_a = (a.size * np.log(lam / 2.0) - lam * float(np.sum(np.abs(a)))
                if lam > 0 else 0.0)
 
-    n_thresh = float(np.sum(nt))
+    n_thresh = float(np.count_nonzero(valid))
     quad_d = float(np.sum((d_pad ** 2).sum(axis=1)))
     prior_d = -0.5 * n_thresh * np.log(2.0 * np.pi * sigma_d_sq) \
         - 0.5 * quad_d / sigma_d_sq
@@ -418,12 +415,13 @@ def objective(ll_items, a, d_pad, nt, th_t, hyper):
     return float(ll + prior_theta + prior_a + prior_d)
 
 
-def full_objective(a, d_pad, nt, th_t, yt, hyper):
+def full_objective(a, d_pad, valid, th_t, idx_t, hyper):
     """Objective and item-major cells (cu, cl) of the whole data set.
 
-    One deterministic global pass.  Matches the per-cell reference
-    implementation up to floating-point addition order; fit calls it at the
-    start only, and takes later trace entries from d_block's row values.
+    One deterministic global pass (item_loglik).  Matches the per-cell
+    reference implementation up to floating-point addition order; fit calls
+    it at the start only, and takes later trace entries from d_block's row
+    values.
     """
-    ll, cu, cl = item_loglik(a, d_pad, nt, th_t, yt)
-    return objective(ll, a, d_pad, nt, th_t, hyper), cu, cl
+    ll, cu, cl = item_loglik(a, d_pad, valid, th_t, idx_t)
+    return objective(ll, a, d_pad, valid, th_t, hyper), cu, cl

@@ -41,8 +41,8 @@ class FoldAssignment:
 
     def __post_init__(self):
         self.fold = np.asarray(self.fold, dtype=np.int64)
-        if self.n_folds < 1:
-            raise ValueError("n_folds must be positive")
+        if self.n_folds < 2:  # one fold would leave no training cells
+            raise ValueError(f"need at least 2 folds, got {self.n_folds}")
         if self.fold.ndim != 2:
             raise ValueError(f"fold must be 2-D, got ndim={self.fold.ndim}")
         if self.fold.min() < -1 or self.fold.max() >= self.n_folds:

@@ -111,22 +111,22 @@ def soft_threshold(z, t):
 
 
 class _Workspace:
-    """Fixed per-fit arrays shared by every phase.
+    """The data set's layout, stated once for every engine call.
 
-    yt holds the item-major categories, with the engine's category for an
-    unobserved cell where data.mask is False (_engine.item_categories), so
-    no phase reads the mask.  Each cell's flat index j * (Dmax + 4) + y into
-    the J x (Dmax + 4) bracket table (_engine.cell_index) is kept contiguous
-    in both orientations: respondent-major for the theta phase, item-major
-    for the item phase.
+    valid (J x Dmax) marks the real columns of the zero-padded intercepts:
+    item j has C_j - 1 of them.  yt holds the item-major categories, with
+    the engine's category for an unobserved cell where data.mask is False
+    (_engine.item_categories), so no phase reads the mask.  idx_t holds each
+    cell's item-major flat index j * (Dmax + 4) + y into the J x (Dmax + 4)
+    bracket table (_engine.cell_index).
     """
 
     def __init__(self, data: ResponseData):
-        self.nt = data.categories - 1
-        dmax = int(self.nt.max())
+        nt = data.categories - 1
+        dmax = int(nt.max())
+        self.valid = np.arange(dmax)[None, :] < nt[:, None]
         self.yt = eng.item_categories(data.responses, data.mask, dmax)
         self.idx_t = eng.cell_index(self.yt, dmax)
-        self.idx = np.ascontiguousarray(self.idx_t.T)
 
 
 def _prepare(data: ResponseData, state: ModelState,
@@ -163,7 +163,7 @@ def objective_value(data: ResponseData, state: ModelState,
                     hyper: Hyperparameters) -> float:
     """Objective as computed inside fit (identical code path to the trace)."""
     ws, d_pad, th_t = _prepare(data, state, hyper)
-    return eng.full_objective(state.loadings, d_pad, ws.nt, th_t, ws.yt, hyper)[0]
+    return eng.full_objective(state.loadings, d_pad, ws.valid, th_t, ws.idx_t, hyper)[0]
 
 
 def log_likelihood_value(data: ResponseData, state: ModelState) -> float:
@@ -172,7 +172,7 @@ def log_likelihood_value(data: ResponseData, state: ModelState) -> float:
     Equals model.log_likelihood up to floating-point addition order.
     """
     ws, d_pad, th_t = _prepare(data, state)
-    return float(np.sum(eng.item_loglik(state.loadings, d_pad, ws.nt, th_t, ws.yt)[0]))
+    return float(np.sum(eng.item_loglik(state.loadings, d_pad, ws.valid, th_t, ws.idx_t)[0]))
 
 
 def _blocks(rows: int, width: int, threads: int):
@@ -217,11 +217,12 @@ def fit(data: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
     if init is None:
         init = random_init(data, hyper, cfg.seed)
     ws, d_pad, th_t = _prepare(data, init, hyper)
-    theta = init.theta.copy()
-    loadings = init.loadings.copy()
+    # the first iteration replaces both, and no block writes its inputs
+    theta, loadings = init.theta, init.loadings
+    idx = np.ascontiguousarray(ws.idx_t.T)  # read by the theta phase only
 
     # cu_t, cl_t: the item-major cells at the current iterate
-    obj, cu_t, cl_t = eng.full_objective(loadings, d_pad, ws.nt, th_t, ws.yt, hyper)
+    obj, cu_t, cl_t = eng.full_objective(loadings, d_pad, ws.valid, th_t, ws.idx_t, hyper)
     trace = [obj]
     if not np.isfinite(trace[0]):
         raise ValueError("objective is not finite at the starting state")
@@ -231,8 +232,7 @@ def fit(data: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
     theta_step = np.full(theta.shape[0], eng.GAMMA0)
     a_step = np.full(loadings.shape[0], eng.GAMMA0)
     d_step = np.full(loadings.shape[0], eng.GAMMA0)
-    converged = False
-    row_blocks = _blocks(*ws.idx.shape, cfg.threads)
+    row_blocks = _blocks(*idx.shape, cfg.threads)
     item_blocks = _blocks(*ws.idx_t.shape, cfg.threads)
 
     # the workers read the loop's current arrays when a phase calls them, and
@@ -242,7 +242,7 @@ def fit(data: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
     # writes them back; an item block's rows are contiguous already
     def theta_worker(rows):
         cu, cl = (np.ascontiguousarray(c[:, rows].T) for c in (cu_t, cl_t))
-        out = eng.theta_block(theta[rows], a_t, *eng.take_brackets(table, ws.idx[rows]),
+        out = eng.theta_block(theta[rows], a_t, *eng.take_brackets(table, idx[rows]),
                               cu, cl, hyper.sigma_theta_inv, theta_step[rows])
         cu_t[:, rows], cl_t[:, rows] = cu.T, cl.T
         return out
@@ -252,37 +252,36 @@ def fit(data: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
         a_new, a_s = eng.a_block(loadings[items], th_t,
                                  *eng.take_brackets(table, ws.idx_t[items]), cu, cl,
                                  hyper.lam, a_step[items])
-        return (a_new, a_s, *eng.d_block(a_new, th_t, d_pad[items], ws.nt[items],
+        return (a_new, a_s, *eng.d_block(a_new, th_t, d_pad[items], ws.valid[items],
                                          ws.yt[items], cu, cl, hyper.sigma_d_sq,
                                          d_step[items]))
 
     with (ThreadPoolExecutor(max_workers=cfg.threads) if cfg.threads > 1
           else nullcontext()) as pool:
         for _ in range(cfg.max_outer_iters):
-            table = eng.bracket_table(d_pad, ws.nt)
+            table = eng.bracket_table(d_pad, ws.valid)
             a_t = np.ascontiguousarray(loadings.T)
             theta, theta_step = _phase(theta_worker, row_blocks, pool)
             th_t = np.ascontiguousarray(theta.T)
             loadings, a_step, d_pad, d_step, ll_items = _phase(item_worker,
                                                                item_blocks, pool)
-            obj = eng.objective(ll_items, loadings, d_pad, ws.nt, th_t, hyper)
+            obj = eng.objective(ll_items, loadings, d_pad, ws.valid, th_t, hyper)
             if not np.isfinite(obj):
                 raise ValueError("objective became non-finite during fitting")
             trace.append(obj)
             if abs(trace[-1] - trace[-2]) < cfg.obj_tol:
-                converged = True
                 break
 
     state = ModelState(
         theta=theta,
         loadings=loadings,
-        intercepts=eng.unpad_intercepts(d_pad, ws.nt),
+        intercepts=eng.unpad_intercepts(d_pad, ws.valid),
     )
     return FitResult(
         state=state,
         objective_trace=np.asarray(trace),
         hyper=hyper,
-        converged=converged,
+        converged=abs(trace[-1] - trace[-2]) < cfg.obj_tol,
         elapsed_seconds=time.perf_counter() - t0,
     )
 
@@ -317,9 +316,10 @@ def _row_args(data: ResponseData, state: ModelState,
     the kernel fit uses; the gradient heads read them.
     """
     ws, d_pad, th_t = _prepare(data, state, hyper)
-    table = eng.bracket_table(d_pad, ws.nt)
+    table = eng.bracket_table(d_pad, ws.valid)
     if phase == "theta":
-        x, vt, idx = state.theta[rows], np.ascontiguousarray(state.loadings.T), ws.idx[rows]
+        x, vt = state.theta[rows], np.ascontiguousarray(state.loadings.T)
+        idx = ws.idx_t[:, rows].T
     else:
         x, vt, idx = state.loadings[rows], th_t, ws.idx_t[rows]
     du, dl = eng.take_brackets(table, idx)
@@ -328,7 +328,7 @@ def _row_args(data: ResponseData, state: ModelState,
         return (x, vt, du, dl, *cells, hyper.sigma_theta_inv)
     if phase == "a":
         return (x, vt, du, dl, *cells)
-    return (x, vt, d_pad[rows], ws.nt[rows], ws.yt[rows], *cells, hyper.sigma_d_sq)
+    return (x, vt, d_pad[rows], ws.valid[rows], ws.yt[rows], *cells, hyper.sigma_d_sq)
 
 
 def update_theta(data: ResponseData, state: ModelState, hyper: Hyperparameters,

@@ -282,23 +282,36 @@ def test_align_recovers_signed_permutation(tmp_path):
     signs = np.array([-1.0, 1.0, -1.0])
     est = ref[:, perm] * signs
     theta = rng.normal(size=(4, 3))
+    intercepts = [np.array([1.5, -0.5]), np.array([0.25]), np.array([2.0, 0.0, -1.0]),
+                  np.array([0.5]), np.array([-0.75]), np.array([1.0, -2.0])]
     write_matrix(str(tmp_path / "est.csv"), est)
     write_matrix(str(tmp_path / "ref.csv"), ref)
     write_matrix(str(tmp_path / "theta.csv"), theta)
+    write_intercepts(str(tmp_path / "intercepts.csv"), intercepts)
     out = tmp_path / "aligned"
     code = run_cli("align", "--loadings", tmp_path / "est.csv",
                    "--ref-loadings", tmp_path / "ref.csv",
-                   "--theta", tmp_path / "theta.csv", "--out", out)
+                   "--theta", tmp_path / "theta.csv",
+                   "--intercepts", tmp_path / "intercepts.csv", "--out", out)
     assert code == 0
     aligned = read_matrix(str(out / "loadings_aligned.csv"))
     np.testing.assert_allclose(aligned, ref, atol=1e-12)
-    # the factor-score rotation must preserve the model product
+    # column t of the aligned loadings is signs[t] times column order[t] of
+    # the estimate; the factor scores take the same signed permutation, and
+    # so the model product is preserved
+    order = np.argsort(perm)
     theta_aligned = read_matrix(str(out / "theta_aligned.csv"))
+    np.testing.assert_allclose(theta_aligned, theta[:, order] * signs[order],
+                               atol=1e-12)
     np.testing.assert_allclose(theta_aligned @ aligned.T, theta @ est.T,
                                atol=1e-12)
+    # intercepts do not depend on the factor order or signs
+    for got, want in zip(read_intercepts(str(out / "intercepts_aligned.csv")),
+                         intercepts, strict=True):
+        np.testing.assert_array_equal(got, want)
     report = read_summary(out / "alignment.txt")
-    assert len(report["permutation"].split(",")) == 3
-    assert set(report["signs"].split(",")) <= {"1", "-1"}
+    assert report["permutation"].split(",") == [str(t) for t in order]
+    assert report["signs"].split(",") == [format(s, ".0f") for s in signs[order]]
 
 
 def test_replicate_table_with_fixed_lambda(tmp_path):

@@ -99,6 +99,11 @@ def test_make_folds_too_few_cells():
 def test_fold_assignment_validation():
     with pytest.raises(ValueError):
         FoldAssignment(n_folds=2, fold=np.array([[0, 2]]))
+    with pytest.raises(ValueError, match="fold must be 2-D"):
+        FoldAssignment(n_folds=2, fold=np.array([0, 1]))
+    # one fold would hold out every observed cell and fit on none
+    with pytest.raises(ValueError, match="need at least 2 folds, got 1"):
+        FoldAssignment(n_folds=1, fold=np.array([[0, 0, -1]]))
     folds = FoldAssignment(n_folds=2, fold=np.array([[0, 1, -1]]))
     with pytest.raises(ValueError):
         folds.holdout_mask(2)

@@ -168,6 +168,10 @@ def test_hyperparameters_validation():
         Hyperparameters(sigma_theta=np.eye(2), lam=-0.5)
     with pytest.raises(ValueError):
         Hyperparameters(sigma_theta=np.eye(2), lam=1.0, sigma_d_sq=0.0)
+    # det(-I) = 1 passes the determinant's sign check; the Cholesky
+    # factorization rejects it
+    with pytest.raises(ValueError, match="positive definite"):
+        Hyperparameters(sigma_theta=-np.eye(2), lam=1.0)
 
 
 def test_hyperparameters_reject_empty_sigma_theta():

@@ -269,8 +269,9 @@ def test_fit_hands_each_block_the_cells_at_its_rows(monkeypatch, threads):
     def against(x, vt, du, dl, *_):
         return eng.cell_loglik(eng.outer_sum(x, vt), du, dl)[1:]
 
-    def intercepts(a, th_t, d, nt, yt, *_):
-        return eng.cell_loglik(eng.outer_sum(a, th_t), *eng.bracket_intercepts(d, nt, yt))[1:]
+    def intercepts(a, th_t, d, valid, yt, *_):
+        brackets = eng.take_brackets(eng.bracket_table(d, valid), eng.cell_index(yt, d.shape[1]))
+        return eng.cell_loglik(eng.outer_sum(a, th_t), *brackets)[1:]
 
     check("theta_block", against, 4)
     check("a_block", against, 4)
@@ -647,6 +648,7 @@ def test_missing_cells_read_brackets_that_add_exactly_zero():
     d_pad = eng.pad_intercepts([np.array([0.4]), np.array([2.0, 0.5, -0.3, -1.8]),
                                 np.array([1.1, -0.6])])
     nt = np.array([1, 4, 2])
+    valid = np.arange(4)[None, :] < nt[:, None]
     zs = np.array([-700.0, -30.0, 0.0, 30.0, 700.0])
     n = 4 * zs.size
     rng = np.random.default_rng(3)
@@ -655,7 +657,7 @@ def test_missing_cells_read_brackets_that_add_exactly_zero():
     mask = (np.arange(n)[:, None] + np.arange(nt.size)[None, :]) % 2 == 0
     yt = eng.item_categories(responses, mask, d_pad.shape[1])
     missing = ~mask.T
-    du, dl = eng.bracket_intercepts(d_pad, nt, yt)
+    du, dl = eng.take_brackets(eng.bracket_table(d_pad, valid), eng.cell_index(yt, 4))
     np.testing.assert_array_equal(du[missing], np.inf)
     np.testing.assert_array_equal(dl[missing], -np.inf)
     assert np.all(np.isfinite(du[~missing]) | np.isfinite(dl[~missing]))
@@ -674,7 +676,7 @@ def test_missing_cells_read_brackets_that_add_exactly_zero():
         assert ll[0] == 0.0
         np.testing.assert_array_equal(g, 0.0)
         # no prior term at sigma_d_sq = inf: g_d is the cell's part alone
-        g_d = eng.d_head(d_pad[j:j + 1], nt[j:j + 1], yt[one], cu[one], cl[one],
+        g_d = eng.d_head(d_pad[j:j + 1], valid[j:j + 1], yt[one], cu[one], cl[one],
                          np.inf)[1]
         np.testing.assert_array_equal(g_d, 0.0)
 
