@@ -22,7 +22,7 @@ cross between respondent and item rows bit for bit, as outer_sum adds the
 same products in the same k order in both.
 
 Intercept vectors of unequal length are stored in a zero-padded J x Dmax
-matrix, whose real entries the J x Dmax booleans valid mark.  The kernel
+matrix; the J x Dmax boolean mask valid marks its real entries.  The kernel
 reads them from :func:`bracket_table`, which widens item j's row to
 [+inf, d_1, ..., d_{C_j-1}, -inf, ..., -inf, +inf, -inf]: category y lies
 between columns y and y + 1, which states P(Y >= 0) = 1 and P(Y >= C_j) = 0
