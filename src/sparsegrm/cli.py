@@ -1,10 +1,13 @@
 """Command-line interface.
 
-Subcommands: simulate | fit | cv-fit | evaluate | align | replicate.
-Values resolve with the precedence command-line flag > config-file entry
-> built-in default.  Config files hold ``key = value`` lines ('#' starts
-a comment); keys are the flag names with dashes replaced by underscores.
-Every output file starts with commented config-echo lines.
+Subcommands: simulate | fit | cv-fit | evaluate | align | replicate.  Each
+is one _COMMANDS entry: its handler, its flags in config-echo order, and the
+flags it cannot run without.  Values resolve with the precedence
+command-line flag > config-file entry > built-in default; a default the
+library states (FitConfig, SimDesign, the cv constants) is read from it.
+Config files hold ``key = value`` lines ('#' starts a comment); keys are
+the flag names with dashes replaced by underscores.  Every output file
+starts with commented config-echo lines.
 """
 
 from __future__ import annotations
@@ -15,11 +18,12 @@ import sys
 import time
 from collections import namedtuple
 from dataclasses import astuple, fields, replace
+from functools import partial
 
 import numpy as np
 
 from .align import apply_alignment, best_alignment
-from .cv import tune_and_fit
+from .cv import N_FOLDS, TRAIN_FRACTION, tune_and_fit
 from .data import (QMatrix, derive_seeds, load_responses, read_intercepts,
                    read_matrix, save_responses, split_row_indices,
                    write_intercepts, write_matrix)
@@ -39,25 +43,26 @@ _OPTIONS = {
     "sigma_theta": _Option("--sigma-theta", str, None,
                            "factor covariance CSV (identity when omitted)"),
     "lam": _Option("--lambda", float, None, "sparsity weight"),
-    "threads": _Option("--threads", int, 1,
+    "threads": _Option("--threads", int, FitConfig.threads,
                        "update blocks per phase; also divides the CPUs among "
                        "the process workers that run CV folds and starts",
                        least=1),
     "seed": _Option("--seed", int, 0, "master seed", least=0),
     "out": _Option("--out", str, None, "output directory"),
-    "n_starts": _Option("--n-starts", int, 1, "independent random starts",
-                        least=1),
-    "max_iters": _Option("--max-iters", int, 1000, "outer iteration cap",
-                         least=1),
-    "obj_tol": _Option("--obj-tol", float, 5.0, "objective-change stopping rule"),
-    "train_fraction": _Option("--train-fraction", float, 0.5,
+    "n_starts": _Option("--n-starts", int, FitConfig.n_starts,
+                        "independent random starts", least=1),
+    "max_iters": _Option("--max-iters", int, FitConfig.max_outer_iters,
+                         "outer iteration cap", least=1),
+    "obj_tol": _Option("--obj-tol", float, FitConfig.obj_tol,
+                       "objective-change stopping rule"),
+    "train_fraction": _Option("--train-fraction", float, TRAIN_FRACTION,
                               "row fraction used for lambda selection"),
-    "folds": _Option("--folds", int, 5, "CV fold count", least=2),
+    "folds": _Option("--folds", int, N_FOLDS, "CV fold count", least=2),
     "n": _Option("--n", int, None, "respondents", least=2),
     "j": _Option("--j", int, None, "items", least=1),
     "k": _Option("--k", int, None, "factors", least=1),
     "c": _Option("--c", int, None,
-                 "response categories per item (simulation default 4; "
+                 f"response categories per item (simulation default {SimDesign.n_categories}; "
                  "inferred from the data when fitting)", least=2),
     "rho": _Option("--rho", float, None, "factor correlation"),
     "reps": _Option("--reps", int, 10, "replication count", least=1),
@@ -71,30 +76,6 @@ _OPTIONS = {
     "intercepts": _Option("--intercepts", str, None, "estimated intercepts CSV"),
 }
 
-_COMMAND_OPTS = {
-    "simulate": ["n", "j", "k", "c", "rho", "seed", "out"],
-    "fit": ["responses", "sigma_theta", "lam", "k", "c", "threads", "seed",
-            "n_starts", "max_iters", "obj_tol", "out"],
-    "cv-fit": ["responses", "sigma_theta", "k", "c", "threads", "seed",
-               "n_starts", "max_iters", "obj_tol", "train_fraction", "folds",
-               "out"],
-    "evaluate": ["est", "truth", "threshold", "out"],
-    "align": ["loadings", "ref_loadings", "theta", "intercepts", "out"],
-    "replicate": ["n", "j", "k", "c", "rho", "reps", "lam", "threads", "seed",
-                  "n_starts", "max_iters", "obj_tol", "train_fraction",
-                  "folds", "out"],
-}
-
-# flags a command cannot run without
-_REQUIRED = {
-    "simulate": ["n", "j", "k", "rho", "out"],
-    "fit": ["responses", "lam", "out"],
-    "cv-fit": ["responses", "out"],
-    "evaluate": ["est", "truth", "out"],
-    "align": ["loadings", "ref_loadings", "out"],
-    "replicate": ["n", "j", "k", "rho", "out"],
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -102,11 +83,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Sparse joint modal estimation for graded response models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, keys in _COMMAND_OPTS.items():
-        p = sub.add_parser(command)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None,
                        help="key = value settings file")
-        for key in keys:
+        for key in command.options:
             opt = _OPTIONS[key]
             p.add_argument(opt.flag, dest=key, type=opt.type, help=opt.help)
     return parser
@@ -133,11 +114,12 @@ def _resolve(args: argparse.Namespace) -> dict:
     """Merge CLI flags, config file, and defaults, and check every value."""
     config = _read_config(args.config) if args.config else {}
     command = args.command
-    unknown = set(config) - set(_COMMAND_OPTS[command])
+    spec = _COMMANDS[command]
+    unknown = set(config) - set(spec.options)
     if unknown:
         raise ValueError(f"config keys not used by {command}: {sorted(unknown)}")
     settings = {"command": command}
-    for key in _COMMAND_OPTS[command]:
+    for key in spec.options:
         opt = _OPTIONS[key]
         value = getattr(args, key)
         if value is None and key in config:
@@ -148,7 +130,7 @@ def _resolve(args: argparse.Namespace) -> dict:
                                  f"valid {opt.type.__name__}") from None
         if value is None:
             value = opt.default
-        if value is None and key in _REQUIRED[command]:
+        if value is None and key in spec.required:
             raise ValueError(f"{command}: {opt.flag} is required")
         if value is not None and opt.least is not None and value < opt.least:
             raise ValueError(f"{command}: {opt.flag} must be at least "
@@ -178,12 +160,18 @@ def _resolve(args: argparse.Namespace) -> dict:
     return settings
 
 
-def _echo(settings: dict) -> list:
-    lines = [f"sparsegrm {settings['command']}"]
-    for key, value in settings.items():
-        if key != "command" and value is not None:
-            lines.append(f"{key} = {value}")
-    return lines
+def _output(settings: dict):
+    """Create --out; return its file-path joiner and the config echo."""
+    os.makedirs(settings["out"], exist_ok=True)
+    echo = [f"sparsegrm {settings['command']}"] + [
+        f"{key} = {value}" for key, value in settings.items()
+        if key != "command" and value is not None]
+    return partial(os.path.join, settings["out"]), echo
+
+
+def _lam_key(settings: dict) -> str:
+    """The fit's weight is the given --lambda, or else the CV-selected one."""
+    return "lambda" if settings.get("lam") is not None else "lambda_hat"
 
 
 def _write_pairs(path: str, echo: list, pairs) -> None:
@@ -216,7 +204,7 @@ def _sim_design(settings: dict, seed: int) -> SimDesign:
     return SimDesign(
         n_respondents=settings["n"], n_items=settings["j"],
         n_factors=settings["k"], rho=settings["rho"],
-        n_categories=settings["c"] if settings["c"] is not None else 4,
+        n_categories=settings["c"] if settings["c"] is not None else SimDesign.n_categories,
         seed=seed,
     )
 
@@ -247,16 +235,14 @@ def _load_fit_inputs(settings: dict):
     return data, np.eye(k)
 
 
-def _write_fit(settings: dict, lam_key: str, result) -> None:
-    """Write the fitted parameters and summary.txt, the fit's lambda as lam_key."""
-    out, echo = settings["out"], _echo(settings)
+def _write_fit(settings: dict, path, echo: list, result) -> None:
+    """Write the fitted parameters and summary.txt through _output's path and echo."""
     trace = result.objective_trace
-    write_matrix(os.path.join(out, "theta_est.csv"), result.state.theta, echo)
-    write_matrix(os.path.join(out, "loadings_est.csv"), result.state.loadings, echo)
-    write_intercepts(os.path.join(out, "intercepts_est.csv"),
-                     result.state.intercepts, echo)
-    _write_pairs(os.path.join(out, "summary.txt"), echo, [
-        (lam_key, format(result.hyper.lam, ".17g")),
+    write_matrix(path("theta_est.csv"), result.state.theta, echo)
+    write_matrix(path("loadings_est.csv"), result.state.loadings, echo)
+    write_intercepts(path("intercepts_est.csv"), result.state.intercepts, echo)
+    _write_pairs(path("summary.txt"), echo, [
+        (_lam_key(settings), format(result.hyper.lam, ".17g")),
         ("converged", result.converged),
         ("n_iters", result.n_iters),
         ("elapsed_seconds", format(result.elapsed_seconds, ".3f")),
@@ -270,26 +256,22 @@ def cmd_simulate(settings: dict) -> None:
     design = _sim_design(settings, seeds[0])
     truth, q_star = gen_true_params(design)
     data = sample_responses(truth, design.n_categories, seed=seeds[1])
-    out = settings["out"]
-    os.makedirs(out, exist_ok=True)
-    echo = _echo(settings)
-    save_responses(os.path.join(out, "responses.csv"), data, comments=echo)
-    write_matrix(os.path.join(out, "theta_true.csv"), truth.theta, echo)
-    write_matrix(os.path.join(out, "loadings_true.csv"), truth.loadings, echo)
-    write_intercepts(os.path.join(out, "intercepts_true.csv"),
-                     truth.intercepts, echo)
-    write_matrix(os.path.join(out, "q_true.csv"), q_star.entries, echo)
-    write_matrix(os.path.join(out, "sigma_theta.csv"),
-                 gen_sigma(design.n_factors, design.rho), echo)
+    path, echo = _output(settings)
+    save_responses(path("responses.csv"), data, comments=echo)
+    write_matrix(path("theta_true.csv"), truth.theta, echo)
+    write_matrix(path("loadings_true.csv"), truth.loadings, echo)
+    write_intercepts(path("intercepts_true.csv"), truth.intercepts, echo)
+    write_matrix(path("q_true.csv"), q_star.entries, echo)
+    write_matrix(path("sigma_theta.csv"), gen_sigma(design.n_factors, design.rho), echo)
 
 
 def cmd_fit(settings: dict) -> None:
     data, sigma = _load_fit_inputs(settings)
     hyper = Hyperparameters(sigma_theta=sigma, lam=settings["lam"])
     cfg = _fit_config(settings)
-    os.makedirs(settings["out"], exist_ok=True)
+    path, echo = _output(settings)
     result = fit_multistart(data, hyper, cfg)
-    _write_fit(settings, "lambda", result)
+    _write_fit(settings, path, echo, result)
 
 
 def cmd_cvfit(settings: dict) -> None:
@@ -299,43 +281,37 @@ def cmd_cvfit(settings: dict) -> None:
     cfg = replace(_fit_config(settings), seed=fit_seed)
     train_rows, test_rows = split_row_indices(
         data.n_respondents, settings["train_fraction"], split_seed)
-    out = settings["out"]
-    os.makedirs(out, exist_ok=True)
+    path, echo = _output(settings)
     result, _, table = tune_and_fit(
         data, hyper, cfg, train_fraction=settings["train_fraction"],
         seed=split_seed, n_folds=settings["folds"])
-    echo = _echo(settings)
     fold_cols = [f"err_fold{m}" for m in range(table[0].fold_errors.size)]
     _write_table(
-        os.path.join(out, "cv_table.csv"), echo,
+        path("cv_table.csv"), echo,
         ["stage", "lambda", *fold_cols, "total_error", "selected"],
         [[e.stage, e.lam, *e.fold_errors, e.total_error, int(e.selected)]
          for e in table])
-    write_matrix(os.path.join(out, "train_rows.csv"), train_rows[None, :], echo)
-    write_matrix(os.path.join(out, "test_rows.csv"), test_rows[None, :], echo)
-    _write_fit(settings, "lambda_hat", result)
+    write_matrix(path("train_rows.csv"), train_rows[None, :], echo)
+    write_matrix(path("test_rows.csv"), test_rows[None, :], echo)
+    _write_fit(settings, path, echo, result)
 
 
 def cmd_evaluate(settings: dict) -> None:
-    a_hat = read_matrix(os.path.join(settings["est"], "loadings_est.csv"))
-    d_hat = read_intercepts(os.path.join(settings["est"], "intercepts_est.csv"))
-    a_star = read_matrix(os.path.join(settings["truth"], "loadings_true.csv"))
-    d_star = read_intercepts(os.path.join(settings["truth"], "intercepts_true.csv"))
-    q_star = QMatrix(entries=read_matrix(
-        os.path.join(settings["truth"], "q_true.csv")))
+    est, true = (partial(os.path.join, settings[key]) for key in ("est", "truth"))
+    a_hat = read_matrix(est("loadings_est.csv"))
+    d_hat = read_intercepts(est("intercepts_est.csv"))
+    a_star = read_matrix(true("loadings_true.csv"))
+    d_star = read_intercepts(true("intercepts_true.csv"))
+    q_star = QMatrix(entries=read_matrix(true("q_true.csv")))
 
     k = a_hat.shape[1]
     estimate = ModelState(theta=np.zeros((0, k)), loadings=a_hat, intercepts=d_hat)
     truth = ModelState(theta=np.zeros((0, k)), loadings=a_star, intercepts=d_star)
     selection, recovery = score(estimate, truth, q_star, settings["threshold"])
     values = [*astuple(selection), *astuple(recovery)]
-    out = settings["out"]
-    os.makedirs(out, exist_ok=True)
-    echo = _echo(settings)
-    _write_pairs(os.path.join(out, "metrics.txt"), echo,
-                 zip(_METRIC_NAMES, values))
-    _write_table(os.path.join(out, "metrics_row.csv"), echo, _METRIC_NAMES,
-                 [values])
+    path, echo = _output(settings)
+    _write_pairs(path("metrics.txt"), echo, zip(_METRIC_NAMES, values))
+    _write_table(path("metrics_row.csv"), echo, _METRIC_NAMES, [values])
 
 
 def cmd_align(settings: dict) -> None:
@@ -349,16 +325,13 @@ def cmd_align(settings: dict) -> None:
                   else [np.zeros(1) for _ in range(a_hat.shape[0])])
     state = ModelState(theta=theta, loadings=a_hat, intercepts=intercepts)
     aligned = apply_alignment(state, alignment)
-    out = settings["out"]
-    os.makedirs(out, exist_ok=True)
-    echo = _echo(settings)
-    write_matrix(os.path.join(out, "loadings_aligned.csv"), aligned.loadings, echo)
+    path, echo = _output(settings)
+    write_matrix(path("loadings_aligned.csv"), aligned.loadings, echo)
     if settings.get("theta"):
-        write_matrix(os.path.join(out, "theta_aligned.csv"), aligned.theta, echo)
+        write_matrix(path("theta_aligned.csv"), aligned.theta, echo)
     if settings.get("intercepts"):
-        write_intercepts(os.path.join(out, "intercepts_aligned.csv"),
-                         aligned.intercepts, echo)
-    _write_pairs(os.path.join(out, "alignment.txt"), echo, [
+        write_intercepts(path("intercepts_aligned.csv"), aligned.intercepts, echo)
+    _write_pairs(path("alignment.txt"), echo, [
         ("permutation", ",".join(map(str, alignment.permutation))),
         ("signs", ",".join(format(s, ".0f") for s in alignment.signs)),
     ])
@@ -368,9 +341,7 @@ def cmd_replicate(settings: dict) -> None:
     cfg = _fit_config(settings)
     rep_seeds = derive_seeds(settings["seed"], settings["reps"])
     designs = [_sim_design(settings, seed) for seed in rep_seeds]
-    out = settings["out"]
-    os.makedirs(out, exist_ok=True)
-    lam_key = "lambda" if settings.get("lam") is not None else "lambda_hat"
+    path, echo = _output(settings)
     rows = []
     for r, design in enumerate(designs):
         t0 = time.perf_counter()
@@ -378,7 +349,7 @@ def cmd_replicate(settings: dict) -> None:
             design, cfg, settings["train_fraction"], settings["folds"],
             settings.get("lam"))
         print(f"replicate: rep {r + 1}/{settings['reps']} seed {rep_seeds[r]} "
-              f"{lam_key} {result.hyper.lam:.6g} n_iters {result.n_iters} "
+              f"{_lam_key(settings)} {result.hyper.lam:.6g} n_iters {result.n_iters} "
               f"seconds {time.perf_counter() - t0:.2f}", file=sys.stderr, flush=True)
         rows.append([
             r, rep_seeds[r], *astuple(selection), *astuple(recovery),
@@ -389,19 +360,34 @@ def cmd_replicate(settings: dict) -> None:
     means = values.mean(axis=0)
     sds = values.std(axis=0, ddof=1) if len(rows) > 1 else np.zeros(values.shape[1])
     _write_table(
-        os.path.join(out, "replications.csv"), _echo(settings),
+        path("replications.csv"), echo,
         ["rep", "seed", *_METRIC_NAMES, "objective", "n_iters", "converged",
          "elapsed_seconds"],
         rows + [["mean", "", *means], ["sd", "", *sds]])
 
 
-_HANDLERS = {
-    "simulate": cmd_simulate,
-    "fit": cmd_fit,
-    "cv-fit": cmd_cvfit,
-    "evaluate": cmd_evaluate,
-    "align": cmd_align,
-    "replicate": cmd_replicate,
+# command: its handler, its flags in config-echo order, and the flags it
+# cannot run without
+_Command = namedtuple("_Command", "handler options required")
+_COMMANDS = {
+    "simulate": _Command(cmd_simulate, ["n", "j", "k", "c", "rho", "seed", "out"],
+                         ["n", "j", "k", "rho", "out"]),
+    "fit": _Command(cmd_fit, ["responses", "sigma_theta", "lam", "k", "c", "threads",
+                              "seed", "n_starts", "max_iters", "obj_tol", "out"],
+                    ["responses", "lam", "out"]),
+    "cv-fit": _Command(cmd_cvfit, ["responses", "sigma_theta", "k", "c", "threads",
+                                   "seed", "n_starts", "max_iters", "obj_tol",
+                                   "train_fraction", "folds", "out"],
+                       ["responses", "out"]),
+    "evaluate": _Command(cmd_evaluate, ["est", "truth", "threshold", "out"],
+                         ["est", "truth", "out"]),
+    "align": _Command(cmd_align,
+                      ["loadings", "ref_loadings", "theta", "intercepts", "out"],
+                      ["loadings", "ref_loadings", "out"]),
+    "replicate": _Command(cmd_replicate, ["n", "j", "k", "c", "rho", "reps", "lam",
+                                          "threads", "seed", "n_starts", "max_iters",
+                                          "obj_tol", "train_fraction", "folds", "out"],
+                          ["n", "j", "k", "rho", "out"]),
 }
 
 
@@ -410,7 +396,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         settings = _resolve(args)
-        _HANDLERS[args.command](settings)
+        _COMMANDS[args.command].handler(settings)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

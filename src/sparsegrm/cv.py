@@ -30,6 +30,9 @@ from .model import Hyperparameters, category_prob  # noqa: F401
 from .optimizer import FitConfig, fit, fit_multistart, log_likelihood_value
 
 STAGE1_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
+# default fold count, and default share of rows on which lambda is selected
+N_FOLDS = 5
+TRAIN_FRACTION = 0.5
 
 
 @dataclass
@@ -159,7 +162,7 @@ def _scan_stage(stage: int, fold_sets, grid: LambdaGrid, hyper: Hyperparameters,
 
 
 def select_lambda(train: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
-                  n_folds: int = 5, pool=None):
+                  n_folds: int = N_FOLDS, pool=None):
     """Two-stage CV search; returns (lambda_hat, list of CvEntry rows).
 
     One fold assignment (seeded by cfg.seed), and each fold's training and
@@ -178,8 +181,8 @@ def select_lambda(train: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
 
 
 def tune_and_fit(data: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
-                 train_fraction: float = 0.5, seed: int = 0,
-                 n_folds: int = 5):
+                 train_fraction: float = TRAIN_FRACTION, seed: int = 0,
+                 n_folds: int = N_FOLDS):
     """Split rows, select lambda on one half, fit the other half with it.
 
     Returns (FitResult on the test half, lambda_hat, CV table), where

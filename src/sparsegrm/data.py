@@ -7,6 +7,7 @@ through the same delimited format at full double precision.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,32 +39,40 @@ class ResponseData:
     categories: np.ndarray
 
     def __post_init__(self):
-        self.responses = np.asarray(self.responses, dtype=np.int64)
+        responses = np.asarray(self.responses)
         self.mask = np.asarray(self.mask, dtype=bool)
-        self.categories = np.atleast_1d(np.asarray(self.categories, dtype=np.int64))
-        if self.responses.ndim != 2:
+        categories = np.atleast_1d(np.asarray(self.categories))
+        if responses.ndim != 2:
             raise ValueError("responses must be a 2-D matrix")
-        if self.mask.shape != self.responses.shape:
+        if self.mask.shape != responses.shape:
             raise ValueError(
-                f"mask shape {self.mask.shape} != responses shape {self.responses.shape}"
+                f"mask shape {self.mask.shape} != responses shape {responses.shape}"
             )
-        if self.categories.shape != (self.responses.shape[1],):
+        if categories.shape != (responses.shape[1],):
             raise ValueError("categories must have one entry per item")
-        if np.any(self.categories < 2):
+        if not np.all(categories == np.round(categories)):  # nan != nan
+            raise ValueError(f"categories must be integers, got {categories}")
+        if np.any(categories < 2):
             raise ValueError("every item needs at least 2 categories")
-        if np.any(self.categories > MAX_CATEGORIES):
-            j = int(np.argmax(self.categories > MAX_CATEGORIES))
-            raise ValueError(f"item {j} has {int(self.categories[j])} categories; "
+        if np.any(categories > MAX_CATEGORIES):
+            j = int(np.argmax(categories > MAX_CATEGORIES))
+            raise ValueError(f"item {j} has {categories[j]} categories; "
                              f"at most {MAX_CATEGORIES} are supported")
-        bad = self.mask & ((self.responses < 0) | (self.responses >= self.categories))
+        self.categories = categories.astype(np.int64)
+        # checked before the int cast, which would truncate 1.5 and warn on nan;
+        # unobserved cells, which may hold anything, are stored as 0 (the engine
+        # reads the mask, not these zeros: _engine.item_categories)
+        responses = np.where(self.mask, responses, 0)
+        bad = (responses < 0) | (responses >= self.categories)
+        if responses.dtype.kind == "f":
+            bad |= responses != np.round(responses)  # nan != nan
         if bad.any():
             i, j = np.argwhere(bad)[0]
-            c = int(self.categories[j])
-            raise ValueError(f"response {self.responses[i, j]} at row {i}, item {j} "
-                             f"is outside 0..{c - 1}, the range of its {c} categories")
-        # unobserved cells are stored as 0; the engine reads the mask, not
-        # these zeros (_engine.item_categories)
-        self.responses = np.where(self.mask, self.responses, 0)
+            value, c = responses[i, j], int(self.categories[j])
+            what = "outside" if value == np.round(value) else "not an integer in"
+            raise ValueError(f"response {value} at row {i}, item {j} is {what} "
+                             f"0..{c - 1}, the range of its {c} categories")
+        self.responses = responses.astype(np.int64, copy=False)
 
     @property
     def n_respondents(self) -> int:
@@ -89,9 +98,16 @@ class QMatrix:
             raise ValueError("Q matrix entries must be 0 or 1")
         self.entries = entries.astype(np.int64)
 
-    @property
-    def shape(self):
-        return self.entries.shape
+
+def check_counts(obj, **least) -> None:
+    """Reject the first named field of obj that is not an integer (Python or
+    numpy) of at least its given least value."""
+    for name, lo in least.items():
+        value = getattr(obj, name)
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < lo:
+            raise ValueError(f"{name} must be at least {lo}, got {value}")
 
 
 def _numeric(cell: str) -> bool:
@@ -168,7 +184,7 @@ def load_responses(path: str, categories=None) -> ResponseData:
     if categories is None:
         cats = np.maximum(np.max(np.where(mask, responses, 0), axis=0) + 1, 2)
     else:
-        cats = np.broadcast_to(np.asarray(categories, dtype=np.int64), (j,)).copy()
+        cats = np.broadcast_to(categories, (j,))  # ResponseData checks and casts them
         over = mask & (responses >= cats)
         if over.any():
             r, c = np.argwhere(over)[0]

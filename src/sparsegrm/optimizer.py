@@ -36,7 +36,7 @@ import numpy as np
 
 from . import _engine as eng
 from . import _pool
-from .data import ResponseData
+from .data import ResponseData, check_counts
 from .model import (LOADING_RANGE, Hyperparameters, ModelState,
                     draw_intercepts, draw_theta)
 
@@ -76,15 +76,10 @@ class FitConfig:
     n_starts: int = 1
 
     def __post_init__(self):
-        if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be positive")
+        check_counts(self, max_outer_iters=1, threads=1, seed=0, n_starts=1)
         # a chained comparison with nan is False, so this also rejects nan
         if not 0.0 < self.obj_tol < np.inf:
             raise ValueError(f"obj_tol must be finite and positive, got {self.obj_tol}")
-        if self.threads < 1:
-            raise ValueError("threads must be positive")
-        if self.n_starts < 1:
-            raise ValueError("n_starts must be positive")
 
 
 @dataclass

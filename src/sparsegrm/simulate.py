@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cv import tune_and_fit
-from .data import QMatrix, ResponseData, derive_seeds
+from .cv import N_FOLDS, TRAIN_FRACTION, tune_and_fit
+from .data import QMatrix, ResponseData, check_counts, derive_seeds
 from .metrics import score
 from .model import (LOADING_RANGE, Hyperparameters, ModelState,
                     draw_intercepts, draw_theta, inverse_logit)
@@ -39,10 +39,7 @@ class SimDesign:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_respondents < 2 or self.n_items < 1 or self.n_factors < 1:
-            raise ValueError("sizes must be positive (and N at least 2)")
-        if self.n_categories < 2:
-            raise ValueError(f"need at least 2 categories, got {self.n_categories}")
+        check_counts(self, n_respondents=2, n_items=1, n_factors=1, n_categories=2, seed=0)
         if not all(0.0 <= p < np.inf for p in self.q_proportions):
             raise ValueError(
                 f"q_proportions must be finite and nonnegative: {self.q_proportions}")
@@ -129,7 +126,7 @@ def sample_responses(truth: ModelState, categories, seed: int) -> ResponseData:
 
 
 def run_replication(design: SimDesign, cfg: FitConfig,
-                    train_fraction: float = 0.5, n_folds: int = 5,
+                    train_fraction: float = TRAIN_FRACTION, n_folds: int = N_FOLDS,
                     lam: float | None = None):
     """Generate, fit, align, and score one replication.
 

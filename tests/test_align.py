@@ -19,6 +19,11 @@ def test_alignment_validation():
         Alignment(permutation=np.array([0, 1]), signs=np.array([1, 2]))
     with pytest.raises(ValueError):
         Alignment(permutation=np.array([0, 2]), signs=np.array([1, 1]))
+    with pytest.raises(ValueError, match="permutation and signs must be 1-D of equal length"):
+        Alignment(permutation=np.array([0, 1]), signs=np.array([1]))
+    for align in (best_alignment, exhaustive_alignment):
+        with pytest.raises(ValueError, match=r"shape mismatch: \(4, 2\) vs \(4, 3\)"):
+            align(np.zeros((4, 2)), np.zeros((4, 3)))
 
 
 def test_identity_alignment_on_identical_matrices():
@@ -118,6 +123,9 @@ def test_apply_alignment_consistency():
                                state.theta @ state.loadings.T, rtol=1e-12)
     out.intercepts[0][0] = 9.0
     assert state.intercepts[0][0] == 0.5
+    with pytest.raises(ValueError, match="alignment has 2 columns, state has 3"):
+        apply_alignment(state, Alignment(permutation=np.array([1, 0]),
+                                         signs=np.array([1.0, 1.0])))
 
 
 def test_inverse_round_trips():

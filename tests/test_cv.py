@@ -53,6 +53,9 @@ def test_second_stage_grid_rejects_non_finite(lambda_hat):
 
 
 def test_lambda_grid_validation():
+    for values in ([[1.0, 2.0]], []):
+        with pytest.raises(ValueError, match="grid must be a nonempty 1-D vector"):
+            LambdaGrid(np.array(values))
     with pytest.raises(ValueError):
         LambdaGrid(np.array([1.0, 1.0]))
     with pytest.raises(ValueError):

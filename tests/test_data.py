@@ -26,12 +26,33 @@ def test_response_data_validates_range():
                                          "the range of its 3 categories"):
         ResponseData(responses=np.array([[0, 9], [-1, 4]]),
                      mask=np.array([[True, False], [True, True]]), categories=[3, 2])
+    # checked before the int cast, which truncated 1.5 and 2.9 to valid cells
+    # and warned on nan
+    cells = dict(mask=np.ones((2, 2), dtype=bool), categories=[3, 3])
+    for responses, message in [
+            ([[1.5, 0.0], [2.9, 1.0]], "response 1.5 at row 0, item 0 is not an integer in"),
+            ([[0.0, 1.0], [np.nan, 1.0]], "response nan at row 1, item 0 is not an integer in"),
+            ([[0.0, 1.0], [3.0, 1.0]], "response 3.0 at row 1, item 0 is outside")]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"{message} 0\.\.2, the range of its 3"):
+                ResponseData(responses=np.array(responses), **cells)
+    with pytest.raises(ValueError, match=r"categories must be integers, got \[2\.5 3\. \]"):
+        ResponseData(responses=np.zeros((2, 2)), mask=cells["mask"], categories=[2.5, 3])
 
 
 def test_response_data_masked_cells_ignored_in_range_check():
     data = ResponseData(responses=np.array([[9]]), mask=np.array([[False]]),
                         categories=[2])
     assert data.responses[0, 0] == 0
+    # nan marks a missing cell; unobserved cells are zeroed before the cast
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        data = ResponseData(responses=np.array([[np.nan, 1.0], [2.0, 0.5]]),
+                            mask=np.array([[False, True], [True, False]]),
+                            categories=[3, 2])
+    assert data.responses.dtype == np.int64
+    assert data.responses.tolist() == [[0, 1], [2, 0]]
 
 
 def test_response_data_requires_two_categories():
@@ -44,11 +65,19 @@ def test_response_data_shape_mismatch():
     with pytest.raises(ValueError):
         ResponseData(responses=np.zeros((2, 3), dtype=int),
                      mask=np.zeros((3, 2), dtype=bool), categories=[2, 2, 2])
+    with pytest.raises(ValueError, match="responses must be a 2-D matrix"):
+        ResponseData(responses=np.zeros(3, dtype=int), mask=np.zeros(3, dtype=bool),
+                     categories=[2, 2, 2])
+    with pytest.raises(ValueError, match="categories must have one entry per item"):
+        ResponseData(responses=np.zeros((2, 3), dtype=int),
+                     mask=np.zeros((2, 3), dtype=bool), categories=[2, 2])
 
 
 def test_qmatrix_rejects_non_binary():
     with pytest.raises(ValueError):
         QMatrix(entries=np.array([[0, 2]]))
+    with pytest.raises(ValueError, match="Q matrix must be 2-D"):
+        QMatrix(entries=np.array([0, 1]))
 
 
 @pytest.mark.parametrize("entry", [0.5, np.nan])
@@ -96,6 +125,10 @@ def test_load_responses_rejects_non_integer(tmp_path):
     path.write_text("0,1\n0.5,0\n")
     with pytest.raises(ValueError):
         load_responses(path)
+    # a non-integer category count used to be cast to 2
+    path.write_text("0,1\n1,0\n")
+    with pytest.raises(ValueError, match=r"categories must be integers, got \[2\.5 2\.5\]"):
+        load_responses(path, categories=2.5)
 
 
 def test_load_responses_rejects_a_first_row_with_some_text(tmp_path):
@@ -123,6 +156,8 @@ def test_load_responses_names_a_text_cell_by_position(tmp_path):
      r"response '2' on line 4 \(item 1\) is outside 0\.\.1, the range of its 2 categories"),
     (read_matrix, "0.5,1\n1,x\n", "line 4 is not numeric"),
     (read_intercepts, "0.5,-1\nnan,1\n", "line 4 has NaN before the padding tail"),
+    (load_responses, "", "no data rows"),
+    (read_matrix, "item1,item2\n", "only a header row present"),
 ])
 def test_table_errors_name_the_file_line(tmp_path, read, text, message):
     # comment and blank lines count: the message names the line an editor shows
@@ -175,6 +210,8 @@ def test_split_rows_deterministic():
 def test_split_rows_bad_fraction():
     with pytest.raises(ValueError):
         split_row_indices(10, 1.0, seed=0)
+    with pytest.raises(ValueError, match="need at least 2 respondents to split"):
+        split_row_indices(1, 0.5, seed=0)
 
 
 def test_take_rows_copies():

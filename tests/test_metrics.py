@@ -83,6 +83,8 @@ def test_selection_metrics_degenerate_truth_errors():
         selection_metrics(ones, ones)
     with pytest.raises(ValueError):
         selection_metrics(ones, zeros)
+    with pytest.raises(ValueError, match=r"shape mismatch: \(2, 2\) vs \(2, 3\)"):
+        selection_metrics(ones, QMatrix(entries=np.array([[1, 0, 1], [0, 1, 0]])))
 
 
 def test_selection_report_range_validated():
@@ -178,6 +180,18 @@ def test_recovery_requires_matching_shapes():
                                    np.array([0.4])])
     with pytest.raises(ValueError):
         recovery_metrics(short, star, q)
+    narrow = ModelState(theta=np.zeros((3, 1)), loadings=star.loadings[:, :1],
+                        intercepts=star.intercepts)
+    with pytest.raises(ValueError, match=r"loading shape mismatch: \(3, 1\) vs \(3, 2\)"):
+        recovery_metrics(narrow, star, q)
+    # ModelState ties the intercept count to the loadings; a state edited
+    # after construction can break the tie
+    edited = hat.copy()
+    edited.intercepts = edited.intercepts[:2]
+    with pytest.raises(ValueError, match="intercept item counts differ"):
+        recovery_metrics(edited, star, q)
+    with pytest.raises(ValueError, match="true structure has no nonzero entries"):
+        recovery_metrics(hat, star, QMatrix(entries=np.zeros((3, 2), dtype=np.int64)))
 
 
 def test_recovery_report_validates_errors():

@@ -68,6 +68,8 @@ def test_category_probs_sum_to_one():
 
 
 def test_category_prob_binary_item():
+    with pytest.raises(ValueError, match="category 2 out of range for 2 categories"):
+        category_prob(np.array([0.0]), np.array([0.0]), np.array([0.3]), 2)
     p1 = category_prob(np.array([0.0]), np.array([0.0]), np.array([0.3]), 1)
     assert p1 == pytest.approx(inverse_logit(0.3), rel=1e-14)
     p0 = category_prob(np.array([0.0]), np.array([0.0]), np.array([0.3]), 0)
@@ -172,6 +174,14 @@ def test_hyperparameters_validation():
     # factorization rejects it
     with pytest.raises(ValueError, match="positive definite"):
         Hyperparameters(sigma_theta=-np.eye(2), lam=1.0)
+    # the 6 x 6 Hilbert matrix is symmetric positive definite, but too
+    # ill-conditioned for its computed inverse to pass the 1e-10 check
+    hilbert = 1.0 / (np.arange(1, 7)[:, None] + np.arange(6)[None, :])
+    for sigma, message in [(np.zeros((2, 3)), "sigma_theta must be square"),
+                           (np.array([[1.0, 0.5], [0.0, 1.0]]), "must be symmetric"),
+                           (hilbert, "inverse inconsistent beyond 1e-10")]:
+        with pytest.raises(ValueError, match=message):
+            Hyperparameters(sigma_theta=sigma, lam=1.0)
 
 
 def test_hyperparameters_reject_empty_sigma_theta():
@@ -204,6 +214,19 @@ def test_model_state_validation():
     with pytest.raises(ValueError):
         ModelState(theta=np.zeros((2, 2)), loadings=np.zeros((1, 2)),
                    intercepts=[np.array([0.0, 0.5])])
+    good = dict(theta=np.zeros((2, 2)), loadings=np.zeros((1, 2)),
+                intercepts=[np.array([0.5, 0.0])])
+    for change, message in [
+            (dict(theta=np.zeros(2)), "theta must be 2-D, got ndim=1"),
+            (dict(loadings=np.zeros(2)), "loadings must be 2-D, got ndim=1"),
+            (dict(intercepts=[np.array([0.0])] * 2), "2 intercept vectors for 1 items"),
+            (dict(theta=np.array([[0.0, np.nan], [0.0, 0.0]])),
+             "theta and loadings must be finite"),
+            (dict(loadings=np.array([[np.inf, 0.0]])), "theta and loadings must be finite"),
+            (dict(intercepts=[np.array([])]), r"intercepts\[0\] must be a nonempty 1-D"),
+            (dict(intercepts=[np.array([0.5, np.nan])]), r"intercepts\[0\] must be finite")]:
+        with pytest.raises(ValueError, match=message):
+            ModelState(**{**good, **change})
 
 
 def test_model_state_copy_is_deep():

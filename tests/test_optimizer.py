@@ -77,6 +77,17 @@ def test_fit_config_validation():
         FitConfig(threads=0)
     with pytest.raises(ValueError):
         FitConfig(n_starts=0)
+    with pytest.raises(ValueError, match="max_outer_iters must be at least 1, got 0"):
+        FitConfig(max_outer_iters=0)
+    with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+        FitConfig(seed=-1)
+    # float counts used to pass here and fail inside fit with a TypeError
+    # (or, for threads, run); a numpy integer is an integer
+    for field, value in [("max_outer_iters", 3.0), ("n_starts", 2.0), ("seed", 1.5),
+                         ("threads", 2.5)]:
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value}"):
+            FitConfig(**{field: value})
+    assert FitConfig(threads=np.int64(2), seed=np.uint64(7)).threads == 2
     # nan <= 0 is False, so a sign check alone let nan run every fit to
     # max_outer_iters, and inf stopped every fit after one iteration
     for value in (np.nan, np.inf):
@@ -155,6 +166,24 @@ def test_fit_rejects_shape_mismatch():
     bad = Hyperparameters(sigma_theta=np.eye(3), lam=1.0)
     with pytest.raises(ValueError):
         fit(data, bad, FitConfig(seed=0), init=init)
+    fewer_items = ModelState(theta=init.theta, loadings=init.loadings[1:],
+                             intercepts=init.intercepts[1:])
+    with pytest.raises(ValueError, match="state has 7 items, data has 8"):
+        fit(data, hyper, FitConfig(seed=0), init=fewer_items)
+    data4, hyper4 = sim_small(seed=9, c=4)
+    init4 = random_init(data4, hyper4, seed=0)
+    short = ModelState(theta=init4.theta, loadings=init4.loadings,
+                       intercepts=[np.array([0.5, -0.5]), *init4.intercepts[1:]])
+    with pytest.raises(ValueError, match="item 0: 2 intercepts for 4 categories"):
+        fit(data4, hyper4, FitConfig(seed=0), init=short)
+    # finite but huge: every cell's predictor overflows, so the objective is
+    # not finite (the overflow warns first, hence the errstate)
+    huge = ModelState(theta=np.full_like(init.theta, 1e200),
+                      loadings=np.full_like(init.loadings, 1e200),
+                      intercepts=init.intercepts)
+    with np.errstate(all="ignore"), pytest.raises(
+            ValueError, match="objective is not finite at the starting state"):
+        fit(data, hyper, FitConfig(seed=0), init=huge)
 
 
 def test_random_init_reproducible():

@@ -20,6 +20,8 @@ def test_default_intercept_ranges_four_categories():
 
 def test_default_intercept_ranges_two_categories():
     assert default_intercept_ranges(2) == [(-1.5, 1.5)]
+    with pytest.raises(ValueError, match="need at least 2 categories, got 1"):
+        default_intercept_ranges(1)
 
 
 def test_default_intercept_ranges_disjoint_and_decreasing():
@@ -101,6 +103,17 @@ def test_sim_design_validation():
     with pytest.raises(ValueError):
         SimDesign(n_respondents=10, n_items=5, n_factors=2, rho=0.1,
                   n_categories=1)
+    sizes = dict(n_respondents=10, n_items=5, n_factors=2)
+    for field, least in [("n_respondents", 2), ("n_items", 1), ("n_factors", 1)]:
+        with pytest.raises(ValueError, match=f"{field} must be at least {least}, got "):
+            SimDesign(**{**sizes, field: least - 1}, rho=0.1)
+    # a float count used to pass here and fail in gen_true_params with a
+    # TypeError; a numpy integer is an integer
+    for field, value in [("n_respondents", 100.0), ("n_items", 5.0), ("n_factors", 2.0),
+                         ("n_categories", 4.0), ("seed", 1.5)]:
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value}"):
+            SimDesign(**{**sizes, field: value}, rho=0.1)
+    assert SimDesign(**{**sizes, "n_items": np.int64(5)}, rho=0.1).n_items == 5
 
 
 @pytest.mark.parametrize("props", [(np.nan, 0.5, 0.5), (np.inf, 0.5, 0.5),
