@@ -279,20 +279,17 @@ def cmd_cvfit(settings: dict) -> None:
     hyper = Hyperparameters(sigma_theta=sigma, lam=0.0)
     split_seed, fit_seed = derive_seeds(settings["seed"], 2)
     cfg = replace(_fit_config(settings), seed=fit_seed)
-    train_rows, test_rows = split_row_indices(
-        data.n_respondents, settings["train_fraction"], split_seed)
+    rows = split_row_indices(data.n_respondents, settings["train_fraction"], split_seed)
     path, echo = _output(settings)
-    result, _, table = tune_and_fit(
-        data, hyper, cfg, train_fraction=settings["train_fraction"],
-        seed=split_seed, n_folds=settings["folds"])
+    result, _, table = tune_and_fit(data, hyper, cfg, n_folds=settings["folds"], rows=rows)
     fold_cols = [f"err_fold{m}" for m in range(table[0].fold_errors.size)]
     _write_table(
         path("cv_table.csv"), echo,
         ["stage", "lambda", *fold_cols, "total_error", "selected"],
         [[e.stage, e.lam, *e.fold_errors, e.total_error, int(e.selected)]
          for e in table])
-    write_matrix(path("train_rows.csv"), train_rows[None, :], echo)
-    write_matrix(path("test_rows.csv"), test_rows[None, :], echo)
+    write_matrix(path("train_rows.csv"), rows[0][None, :], echo)
+    write_matrix(path("test_rows.csv"), rows[1][None, :], echo)
     _write_fit(settings, path, echo, result)
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _pool
-from .data import ResponseData, split_rows
+from .data import ResponseData, split_row_indices, take_rows
 # category_prob is unused here; perfbench's tracer counts holdout cells by this name
 from .model import Hyperparameters, category_prob  # noqa: F401
 from .optimizer import FitConfig, fit, fit_multistart, log_likelihood_value
@@ -182,16 +182,19 @@ def select_lambda(train: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
 
 def tune_and_fit(data: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
                  train_fraction: float = TRAIN_FRACTION, seed: int = 0,
-                 n_folds: int = N_FOLDS):
+                 n_folds: int = N_FOLDS, rows=None):
     """Split rows, select lambda on one half, fit the other half with it.
 
     Returns (FitResult on the test half, lambda_hat, CV table), where
     lambda_hat is the FitResult's hyper.lam.  The final fit honors
-    cfg.n_starts.  The row split is reproducible from the seed
-    via data.split_row_indices.  One process pool serves both CV stages
-    and the final starts.
+    cfg.n_starts.  rows is the split (train rows, test rows); by default
+    data.split_row_indices draws it from train_fraction and seed, which
+    are unused when rows is given.  One process pool serves both CV
+    stages and the final starts.
     """
-    train, test = split_rows(data, train_fraction, seed)
+    if rows is None:
+        rows = split_row_indices(data.n_respondents, train_fraction, seed)
+    train, test = (take_rows(data, r) for r in rows)
     with _pool.task_pool(max(n_folds, cfg.n_starts), cfg.threads) as pool:
         lam_hat, table = select_lambda(train, hyper, cfg, n_folds=n_folds, pool=pool)
         result = fit_multistart(test, replace(hyper, lam=lam_hat), cfg, pool=pool)

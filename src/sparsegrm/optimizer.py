@@ -17,18 +17,25 @@ kept in one item-major (J x N) pair per fit, of which each block reads and
 writes its own part.  No head re-evaluates a cell.
 
 Respondent and item updates inside a phase are independent, so they run
-over contiguous blocks of rows, which ``threads`` workers of one thread pool
-per fit take in turn.  A block holds at most about BLOCK_CELLS cells, so no
-array of the loop is larger than a block: each block gathers its own cells'
-intercepts from the J x (Dmax + 4) bracket table built once per iteration.
-The block arithmetic is written so the result is bit-identical for any
-thread count and any block bound.
+over contiguous blocks of rows.  A block holds at most about BLOCK_CELLS
+cells, so no array of the loop is larger than a block: each block gathers
+its own cells' intercepts from the J x (Dmax + 4) bracket table built once
+per iteration.  Each fit keeps one set of arrays (rows, steps, item
+log-likelihoods, cells, bracket table, a' and theta'), and each block reads
+its rows and writes its results back in place.  With min(threads, usable
+CPUs) >= 2, the fit forks that many worker processes (sparsegrm._pool),
+the arrays live in shared mappings, and each phase hands every worker one
+contiguous share of its blocks; between phases the parent refreshes the
+bracket table, a' and theta' and sums the objective.  Otherwise the blocks
+run in this process, in order.  The block arithmetic is written so the
+result is bit-identical for any thread count, worker count and block bound.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
+# ThreadPoolExecutor is unused here; perfbench's tracer patches this name
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
@@ -58,11 +65,12 @@ class FitConfig:
         Stop when the absolute objective change falls below this.  The
         default 5 is coarse; use 1e-2 for publication-grade fits.
     threads : int
-        Number of worker threads that update a phase's blocks; a phase
-        has at least this many blocks, and more where BLOCK_CELLS cells
-        per block require them.  Results do not depend on it.
-        It also divides the usable CPUs among the process workers that
-        run CV folds and multistart starts (sparsegrm._pool).
+        Workers per fit: min(threads, usable CPUs) forked worker processes
+        update a phase's blocks (in this process below two); a phase has
+        at least this many blocks, and more where BLOCK_CELLS cells per
+        block require them.  Results do not depend on it.  It also
+        divides the usable CPUs among the process workers that run CV
+        folds and multistart starts (sparsegrm._pool).
     seed : int
         Seed for random initialization.
     n_starts : int
@@ -177,12 +185,6 @@ def _blocks(rows: int, width: int, threads: int):
     return [slice(b[0], b[-1] + 1) for b in np.array_split(np.arange(rows), n)]
 
 
-def _phase(worker, blocks, pool):
-    """worker's outputs over the contiguous blocks, each concatenated in block order."""
-    parts = _pool.run_tasks(pool, worker, [(b,) for b in blocks])
-    return [np.concatenate(out) for out in zip(*parts)]
-
-
 def random_init(data: ResponseData, hyper: Hyperparameters,
                 seed: int) -> ModelState:
     """Draw a starting state as simulate.gen_true_params draws the truth.
@@ -199,6 +201,94 @@ def random_init(data: ResponseData, hyper: Hyperparameters,
     return ModelState(theta=theta, loadings=mags * signs, intercepts=intercepts)
 
 
+class _FitArrays:
+    """The arrays of one fit, which every block reads and writes in place.
+
+    Allocated before the fit's workers fork: with workers, the arrays that
+    change during the fit live in anonymous shared mappings
+    (_pool.shared_array); the workspace, the respondent-major index idx and
+    hyper are read only, so each worker's inherited copy serves.
+    """
+
+    def __init__(self, ws, hyper, init, d_pad, th_t, cu_t, cl_t, shared):
+        share = _pool.shared_array if shared else (lambda a: a)
+        self.ws, self.hyper = ws, hyper
+        self.idx = np.ascontiguousarray(ws.idx_t.T)  # read by the theta phase only
+        # a fit never writes its start: theta and loadings are copies
+        self.theta = share(np.array(init.theta, dtype=np.float64))
+        self.loadings = share(np.array(init.loadings, dtype=np.float64))
+        self.d_pad, self.th_t, self.cu_t, self.cl_t = (share(a) for a in (d_pad, th_t, cu_t, cl_t))
+        # the bracket table and a' of the current intercepts and loadings
+        self.table = share(eng.bracket_table(d_pad, ws.valid))
+        self.a_t = share(np.ascontiguousarray(self.loadings.T))
+        # each respondent's and item's last accepted steps start their next
+        # searches; rows are independent, so blocking cannot change a bit
+        n, j = len(self.theta), len(self.loadings)
+        self.theta_step, self.a_step, self.d_step = (
+            share(np.full(rows, eng.GAMMA0)) for rows in (n, j, j))
+        self.ll_items = share(np.zeros(j))
+
+
+# the fit arrays of a block worker process, bound once by _bind when the
+# fit's pool forks it; a fit without workers hands its arrays to the tasks
+_ARRAYS: _FitArrays | None = None
+
+
+def _bind(arrays: _FitArrays) -> None:
+    global _ARRAYS
+    _ARRAYS = arrays
+
+
+def _theta_blocks(f: _FitArrays, blocks) -> None:
+    """Update the respondent rows of each block of blocks, in place.
+
+    A block works on a C-contiguous copy of its columns of the cells (a row
+    sum over a transposed view adds in another order) and writes them back.
+    """
+    for rows in blocks:
+        cu, cl = (np.ascontiguousarray(c[:, rows].T) for c in (f.cu_t, f.cl_t))
+        f.theta[rows], f.theta_step[rows] = eng.theta_block(
+            f.theta[rows], f.a_t, *eng.take_brackets(f.table, f.idx[rows]), cu, cl,
+            f.hyper.sigma_theta_inv, f.theta_step[rows])
+        f.cu_t[:, rows], f.cl_t[:, rows] = cu.T, cl.T
+
+
+def _item_blocks(f: _FitArrays, blocks) -> None:
+    """Update the loading, then the intercept rows of each block of blocks, in
+    place; the line searches write the block's rows of the cells directly."""
+    ws = f.ws
+    for items in blocks:
+        cu, cl = f.cu_t[items], f.cl_t[items]
+        a_new, f.a_step[items] = eng.a_block(
+            f.loadings[items], f.th_t, *eng.take_brackets(f.table, ws.idx_t[items]), cu, cl,
+            f.hyper.lam, f.a_step[items])
+        f.loadings[items] = a_new
+        f.d_pad[items], f.d_step[items], f.ll_items[items] = eng.d_block(
+            a_new, f.th_t, f.d_pad[items], ws.valid[items], ws.yt[items], cu, cl,
+            f.hyper.sigma_d_sq, f.d_step[items])
+
+
+def _bound(task, blocks) -> None:
+    """task on a worker process's own fit arrays."""
+    task(_ARRAYS, blocks)
+
+
+def _phase(pool, task, f: _FitArrays, shares) -> None:
+    """task(f, share) for every share of a phase's blocks: one pool task per
+    share, or in this process when there is no pool or only one share."""
+    if pool is None or len(shares) < 2:
+        for blocks in shares:
+            task(f, blocks)
+    else:
+        _pool.run_tasks(pool, _bound, [(task, blocks) for blocks in shares])
+
+
+def _shares(blocks, n: int):
+    """blocks cut into min(n, len(blocks)) contiguous runs of near-equal length."""
+    cuts = np.array_split(np.arange(len(blocks)), min(n, len(blocks)))
+    return [blocks[c[0]:c[-1] + 1] for c in cuts]
+
+
 def fit(data: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
         init: ModelState | None = None) -> FitResult:
     """Run the alternating updates until the objective change is small.
@@ -212,65 +302,42 @@ def fit(data: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
     if init is None:
         init = random_init(data, hyper, cfg.seed)
     ws, d_pad, th_t = _prepare(data, init, hyper)
-    # the first iteration replaces both, and no block writes its inputs
-    theta, loadings = init.theta, init.loadings
-    idx = np.ascontiguousarray(ws.idx_t.T)  # read by the theta phase only
 
     # cu_t, cl_t: the item-major cells at the current iterate
-    obj, cu_t, cl_t = eng.full_objective(loadings, d_pad, ws.valid, th_t, ws.idx_t, hyper)
+    obj, cu_t, cl_t = eng.full_objective(init.loadings, d_pad, ws.valid, th_t, ws.idx_t, hyper)
     trace = [obj]
     if not np.isfinite(trace[0]):
         raise ValueError("objective is not finite at the starting state")
 
-    # each respondent's and item's last accepted steps start their next
-    # searches; rows are independent, so blocking cannot change a bit
-    theta_step = np.full(theta.shape[0], eng.GAMMA0)
-    a_step = np.full(loadings.shape[0], eng.GAMMA0)
-    d_step = np.full(loadings.shape[0], eng.GAMMA0)
-    row_blocks = _blocks(*idx.shape, cfg.threads)
-    item_blocks = _blocks(*ws.idx_t.shape, cfg.threads)
+    workers = _pool.pool_workers(cfg.threads, 1)
+    f = _FitArrays(ws, hyper, init, d_pad, th_t, cu_t, cl_t, shared=workers > 0)
+    del d_pad, th_t, cu_t, cl_t  # the shared copies replace them
+    row_shares, item_shares = (
+        _shares(_blocks(*shape, cfg.threads), max(workers, 1))
+        for shape in (f.idx.shape, ws.idx_t.shape))
 
-    # the workers read the loop's current arrays when a phase calls them, and
-    # each gathers its own block's intercepts from the bracket table.  A
-    # respondent block works on a C-contiguous copy of its columns of the
-    # cells (a row sum over a transposed view adds in another order) and
-    # writes them back; an item block's rows are contiguous already
-    def theta_worker(rows):
-        cu, cl = (np.ascontiguousarray(c[:, rows].T) for c in (cu_t, cl_t))
-        out = eng.theta_block(theta[rows], a_t, *eng.take_brackets(table, idx[rows]),
-                              cu, cl, hyper.sigma_theta_inv, theta_step[rows])
-        cu_t[:, rows], cl_t[:, rows] = cu.T, cl.T
-        return out
-
-    def item_worker(items):
-        cu, cl = cu_t[items], cl_t[items]
-        a_new, a_s = eng.a_block(loadings[items], th_t,
-                                 *eng.take_brackets(table, ws.idx_t[items]), cu, cl,
-                                 hyper.lam, a_step[items])
-        return (a_new, a_s, *eng.d_block(a_new, th_t, d_pad[items], ws.valid[items],
-                                         ws.yt[items], cu, cl, hyper.sigma_d_sq,
-                                         d_step[items]))
-
-    with (ThreadPoolExecutor(max_workers=cfg.threads) if cfg.threads > 1
+    with (_pool.task_pool(workers, 1, _bind, (f,)) if workers
           else nullcontext()) as pool:
         for _ in range(cfg.max_outer_iters):
-            table = eng.bracket_table(d_pad, ws.valid)
-            a_t = np.ascontiguousarray(loadings.T)
-            theta, theta_step = _phase(theta_worker, row_blocks, pool)
-            th_t = np.ascontiguousarray(theta.T)
-            loadings, a_step, d_pad, d_step, ll_items = _phase(item_worker,
-                                                               item_blocks, pool)
-            obj = eng.objective(ll_items, loadings, d_pad, ws.valid, th_t, hyper)
+            f.table[...] = eng.bracket_table(f.d_pad, ws.valid)
+            f.a_t[...] = f.loadings.T
+            _phase(pool, _theta_blocks, f, row_shares)
+            f.th_t[...] = f.theta.T
+            _phase(pool, _item_blocks, f, item_shares)
+            obj = eng.objective(f.ll_items, f.loadings, f.d_pad, ws.valid, f.th_t, hyper)
             if not np.isfinite(obj):
                 raise ValueError("objective became non-finite during fitting")
             trace.append(obj)
             if abs(trace[-1] - trace[-2]) < cfg.obj_tol:
                 break
 
+    # a result in a shared mapping would be written by any later fork that
+    # writes it, so it leaves the fit as a private copy
+    own = np.array if workers else (lambda a: a)
     state = ModelState(
-        theta=theta,
-        loadings=loadings,
-        intercepts=eng.unpad_intercepts(d_pad, ws.valid),
+        theta=own(f.theta),
+        loadings=own(f.loadings),
+        intercepts=eng.unpad_intercepts(f.d_pad, ws.valid),
     )
     return FitResult(
         state=state,

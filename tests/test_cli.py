@@ -11,7 +11,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from sparsegrm import _pool
+from sparsegrm import _pool, cli
 from sparsegrm import cv
 from sparsegrm.cli import main
 from sparsegrm.data import (load_responses, read_intercepts, read_matrix,
@@ -196,6 +196,24 @@ def test_cvfit_split_files_partition_rows(cvfit_dir):
     assert sorted(np.concatenate([train, test]).tolist()) == list(range(40))
     # the final fit covers the test half only
     assert read_matrix(str(cvfit_dir / "theta_est.csv")).shape == (20, 3)
+
+
+def test_cvfit_draws_the_row_split_once(tmp_path, sim_dir, monkeypatch):
+    # the split the CLI writes is the one tune_and_fit fits on: one draw
+    draws = []
+    real = cli.split_row_indices
+
+    def counted(*args):
+        draws.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "split_row_indices", counted)
+    monkeypatch.setattr(cv, "split_row_indices", counted)
+    assert run_cli("cv-fit", "--responses", sim_dir / "responses.csv", "--k", "3",
+                   "--max-iters", "2", "--seed", "11", "--out", tmp_path / "cv") == 0
+    assert len(draws) == 1
+    test = read_matrix(str(tmp_path / "cv" / "test_rows.csv")).ravel()
+    assert test.size == read_matrix(str(tmp_path / "cv" / "theta_est.csv")).shape[0]
 
 
 def test_cvfit_summary_reports_selected_lambda(cvfit_dir):

@@ -1,4 +1,5 @@
 import multiprocessing
+import os
 from unittest import mock
 
 import numpy as np
@@ -292,6 +293,18 @@ def test_tune_and_fit_end_to_end():
     assert np.all(np.diff(result.objective_trace) >= -1e-8)
 
 
+def test_tune_and_fit_on_given_rows_equals_the_seeded_split():
+    data = sim_data(seed=7, n=40)
+    hyper = Hyperparameters(sigma_theta=np.eye(2), lam=0.0)
+    cfg = FitConfig(seed=0, max_outer_iters=3, obj_tol=1e-2)
+    drawn = tune_and_fit(data, hyper, cfg, train_fraction=0.6, seed=11)
+    rows = split_row_indices(data.n_respondents, 0.6, 11)
+    given = tune_and_fit(data, hyper, cfg, rows=rows)
+    assert given[1] == drawn[1]
+    assert _table_bytes(given[2]) == _table_bytes(drawn[2])
+    assert _result_bytes(given[0]) == _result_bytes(drawn[0])
+
+
 def test_fold_chains_start_cold_then_from_the_previous_candidate(monkeypatch):
     # the spy records its calls in this process, so the folds run here
     monkeypatch.setattr(_pool, "usable_cpus", lambda: 1)
@@ -408,6 +421,44 @@ def test_tune_and_fit_is_bit_identical_on_one_and_two_workers(monkeypatch):
             result, lam_hat, table = tune_and_fit(data, hyper, cfg, seed=4)
         # one pool serves both CV stages and the final starts
         assert executor.call_count == cpus - 1
+        runs.append((lam_hat, _table_bytes(table), _result_bytes(result)))
+    assert runs[0] == runs[1]
+
+
+@needs_fork
+def test_tune_and_fit_runs_block_pools_inside_cv_workers_bit_identically(monkeypatch):
+    # at threads=2 on 4 CPUs, two CV workers each run fits on block pools of
+    # their own; on 1 CPU everything runs in this process
+    data = sim_data(seed=10, n=60)
+    hyper = Hyperparameters(sigma_theta=np.eye(2), lam=0.0)
+    cfg = FitConfig(seed=0, max_outer_iters=6, obj_tol=1e-2, n_starts=3, threads=2)
+    parent = os.getpid()
+    real = _pool.ProcessPoolExecutor
+    runs = []
+    for cpus in (1, 4):
+        _use_cpus(monkeypatch, cpus)
+        # pools made here, and pools made in worker processes, counted in a
+        # shared mapping made before any worker forks
+        made = multiprocessing.Value("l", 0)
+        here = []
+
+        def counted(*args, **kwargs):
+            if os.getpid() == parent:
+                here.append(args)
+            else:
+                with made.get_lock():
+                    made.value += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(_pool, "ProcessPoolExecutor", counted)
+        result, lam_hat, table = tune_and_fit(data, hyper, cfg, seed=4)
+        if cpus == 1:
+            assert here == [] and made.value == 0
+        else:
+            # the CV pool here; one block pool per fold fit (2 stages x 5
+            # folds x 5 candidates) and per start, all in the CV workers
+            assert here == [(2,)]
+            assert made.value == 2 * 5 * 5 + 3
         runs.append((lam_hat, _table_bytes(table), _result_bytes(result)))
     assert runs[0] == runs[1]
 

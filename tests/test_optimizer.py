@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import sys
 import warnings
 from dataclasses import replace
@@ -8,7 +10,7 @@ import pytest
 from scipy.special import expit
 
 from sparsegrm import _engine as eng
-from sparsegrm import optimizer
+from sparsegrm import _pool, optimizer
 from sparsegrm.data import ResponseData
 from sparsegrm.gradients import grad_a_loglik, grad_d, grad_delta, grad_theta
 from sparsegrm.model import Hyperparameters, ModelState, inverse_logit, objective
@@ -17,6 +19,11 @@ from sparsegrm.optimizer import (FitConfig, _row_args, fit, fit_multistart,
                                  random_init, soft_threshold, update_a,
                                  update_d, update_theta)
 from sparsegrm.simulate import SimDesign, gen_true_params, sample_responses
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the fit's process pool needs the fork start method")
 
 
 def sim_small(seed=0, n=40, j=8, k=2, c=3, missing=0.0):
@@ -282,7 +289,9 @@ def test_fit_hands_each_block_the_cells_at_its_rows(monkeypatch, threads):
     # a fresh evaluation at the block's rows gives, bit for bit
     data, hyper, _ = sim_ragged(3, (0.6, 0.2, 0.2))
     monkeypatch.setattr(optimizer, "BLOCK_CELLS", 500)
-    checked = []
+    # the blocks may run in the fit's worker processes, so they count their
+    # checks in a shared mapping made before the workers fork
+    checked = multiprocessing.Value("l", 0)
 
     def check(name, fresh, at):
         block = getattr(eng, name)
@@ -290,7 +299,8 @@ def test_fit_hands_each_block_the_cells_at_its_rows(monkeypatch, threads):
         def run(*args):
             for got, want in zip(args[at:at + 2], fresh(*args)):
                 np.testing.assert_array_equal(got, want)
-            checked.append(name)
+            with checked.get_lock():
+                checked.value += 1
             return block(*args)
 
         monkeypatch.setattr(eng, name, run)
@@ -310,13 +320,15 @@ def test_fit_hands_each_block_the_cells_at_its_rows(monkeypatch, threads):
     rows = len(optimizer._blocks(data.n_respondents, data.n_items, threads))
     items = len(optimizer._blocks(data.n_items, data.n_respondents, threads))
     assert rows > 2 and items > 2
-    assert len(checked) == result.n_iters * (rows + 2 * items)
+    assert checked.value == result.n_iters * (rows + 2 * items)
 
 
 def test_threads_share_the_cells_without_losing_a_write(monkeypatch):
     # respondent blocks write their columns of the shared cells and item
-    # blocks their rows; with more threads than cores, blocks of a few cells
-    # and a short switch interval, a lost or misplaced write would move bits
+    # blocks their rows, and every block its rows, steps and log-likelihoods,
+    # from the fit's worker processes where it has them; with more threads
+    # than cores, blocks of a few cells and a short switch interval, a lost
+    # or misplaced write would move bits
     data, hyper, _ = sim_ragged(2, (0.5, 0.5, 0.0))
     cfg = FitConfig(seed=5, max_outer_iters=4, obj_tol=1e-9)
     serial = fit(data, hyper, cfg)
@@ -557,15 +569,61 @@ def test_loading_row_near_a_kkt_point_does_not_exhaust_the_grid():
     assert np.mean(evals) <= 6
 
 
-def test_fit_opens_one_thread_pool():
+@needs_fork
+def test_fit_opens_one_process_pool(monkeypatch):
+    # one pool per fit at threads=2 on two or more usable CPUs; none at
+    # threads=1 or on one usable CPU
     data, hyper = sim_small(seed=19)
-    with mock.patch.object(optimizer, "ThreadPoolExecutor",
-                           wraps=optimizer.ThreadPoolExecutor) as pool:
+    cfg = FitConfig(seed=0, max_outer_iters=4, obj_tol=1e-9)
+    with mock.patch.object(_pool, "ProcessPoolExecutor",
+                           wraps=_pool.ProcessPoolExecutor) as pool:
+        for cpus in (2, 3):
+            monkeypatch.setattr(_pool, "usable_cpus", lambda: cpus)
+            fit(data, hyper, replace(cfg, threads=2))
+            assert pool.call_count == cpus - 1
+            assert pool.call_args[0] == (2,)
+        fit(data, hyper, cfg)
+        assert pool.call_count == 2
+        monkeypatch.setattr(_pool, "usable_cpus", lambda: 1)
+        fit(data, hyper, replace(cfg, threads=2))
+        assert pool.call_count == 2
+
+
+def test_fit_on_one_usable_cpu_forks_nothing_and_equals_one_thread(monkeypatch):
+    data, hyper, _ = sim_ragged(2, (0.5, 0.5, 0.0))
+    cfg = FitConfig(seed=6, max_outer_iters=5, obj_tol=1e-9)
+    serial = fit(data, hyper, cfg)
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: 1)
+    with mock.patch.object(_pool, "ProcessPoolExecutor") as pool:
+        inprocess = fit(data, hyper, replace(cfg, threads=2))
+    pool.assert_not_called()
+    np.testing.assert_array_equal(inprocess.objective_trace, serial.objective_trace)
+    np.testing.assert_array_equal(inprocess.state.theta, serial.state.theta)
+    np.testing.assert_array_equal(inprocess.state.loadings, serial.state.loadings)
+    for d_in, d_serial in zip(inprocess.state.intercepts, serial.state.intercepts):
+        np.testing.assert_array_equal(d_in, d_serial)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_non_finite_objective_during_fitting_is_raised_by_the_parent(monkeypatch,
+                                                                     threads):
+    # the parent sums each iteration's objective, so a NaN there stops the
+    # fit at iteration 1, whether or not the blocks ran on worker processes
+    data, hyper = sim_small(seed=20)
+    calls = []
+    real = eng.objective
+
+    def nan_after_start(*args):
+        calls.append(os.getpid())
+        value = real(*args)
+        return value if len(calls) == 1 else np.nan
+
+    monkeypatch.setattr(eng, "objective", nan_after_start)
+    with pytest.raises(ValueError, match="^objective became non-finite during fitting$"):
         fit(data, hyper, FitConfig(seed=0, max_outer_iters=4, obj_tol=1e-9,
-                                   threads=2))
-        assert pool.call_count == 1
-        fit(data, hyper, FitConfig(seed=0, max_outer_iters=4, obj_tol=1e-9))
-        assert pool.call_count == 1
+                                   threads=threads))
+    # the starting pass, then iteration 1, both in this process
+    assert calls == [os.getpid()] * 2
 
 
 def test_kernel_sigmoid_is_exact_at_infinite_intercepts_and_propagates_nan():
