@@ -44,8 +44,9 @@ _OPTIONS = {
                            "factor covariance CSV (identity when omitted)"),
     "lam": _Option("--lambda", float, None, "sparsity weight"),
     "threads": _Option("--threads", int, FitConfig.threads,
-                       "update blocks per phase; also divides the CPUs among "
-                       "the process workers that run CV folds and starts",
+                       "worker processes per fit (at most the usable CPUs); "
+                       "also divides the CPUs among the process workers that "
+                       "run CV folds and starts",
                        least=1),
     "seed": _Option("--seed", int, 0, "master seed", least=0),
     "out": _Option("--out", str, None, "output directory"),

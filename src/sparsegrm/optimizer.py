@@ -311,7 +311,7 @@ def fit(data: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
 
     workers = _pool.pool_workers(cfg.threads, 1)
     f = _FitArrays(ws, hyper, init, d_pad, th_t, cu_t, cl_t, shared=workers > 0)
-    del d_pad, th_t, cu_t, cl_t  # the shared copies replace them
+    del d_pad, th_t, cu_t, cl_t  # f holds them, or their shared copies
     row_shares, item_shares = (
         _shares(_blocks(*shape, cfg.threads), max(workers, 1))
         for shape in (f.idx.shape, ws.idx_t.shape))

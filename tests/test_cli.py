@@ -212,8 +212,6 @@ def test_cvfit_draws_the_row_split_once(tmp_path, sim_dir, monkeypatch):
     assert run_cli("cv-fit", "--responses", sim_dir / "responses.csv", "--k", "3",
                    "--max-iters", "2", "--seed", "11", "--out", tmp_path / "cv") == 0
     assert len(draws) == 1
-    test = read_matrix(str(tmp_path / "cv" / "test_rows.csv")).ravel()
-    assert test.size == read_matrix(str(tmp_path / "cv" / "theta_est.csv")).shape[0]
 
 
 def test_cvfit_summary_reports_selected_lambda(cvfit_dir):

@@ -1,6 +1,5 @@
 import multiprocessing
 import os
-import sys
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -326,22 +325,20 @@ def test_fit_hands_each_block_the_cells_at_its_rows(monkeypatch, threads):
 def test_threads_share_the_cells_without_losing_a_write(monkeypatch):
     # respondent blocks write their columns of the shared cells and item
     # blocks their rows, and every block its rows, steps and log-likelihoods,
-    # from the fit's worker processes where it has them; with more threads
-    # than cores, blocks of a few cells and a short switch interval, a lost
-    # or misplaced write would move bits
+    # from the fit's worker processes; with six workers, whatever the CPU
+    # count, and blocks of a few cells, a lost or misplaced write would move
+    # bits
     data, hyper, _ = sim_ragged(2, (0.5, 0.5, 0.0))
     cfg = FitConfig(seed=5, max_outer_iters=4, obj_tol=1e-9)
     serial = fit(data, hyper, cfg)
     monkeypatch.setattr(optimizer, "BLOCK_CELLS", 64)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        shared = fit(data, hyper, replace(cfg, threads=6))
-    finally:
-        sys.setswitchinterval(interval)
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: 6)
+    shared = fit(data, hyper, replace(cfg, threads=6))
     np.testing.assert_array_equal(shared.objective_trace, serial.objective_trace)
     np.testing.assert_array_equal(shared.state.theta, serial.state.theta)
     np.testing.assert_array_equal(shared.state.loadings, serial.state.loadings)
+    for d_shared, d_serial in zip(shared.state.intercepts, serial.state.intercepts):
+        np.testing.assert_array_equal(d_shared, d_serial)
 
 
 def test_outer_iterations_evaluate_cells_only_in_line_searches(monkeypatch):
