@@ -9,12 +9,12 @@ starts.  Tasks are submitted in a fixed order and their results are read
 back in that order, so every result is bit-identical to a serial run.
 
 A pool has min(usable CPUs // threads, tasks) workers, because each fit
-may run ``threads`` worker processes of its own.  A fit (optimizer.fit)
-opens its pool for ``threads`` tasks of one CPU each, so with
-min(threads, usable CPUs) workers, and hands them its arrays, which live in
-anonymous shared mappings (shared_array), through the pool's initializer.
-Below two workers, or where the ``fork`` start method is missing, the tasks
-run in this process, in order.  Workers are forked: ``spawn`` and
+may run ``threads`` worker processes of its own.  A fit (optimizer.fit) of
+more than optimizer.FORK_CELLS cells opens its pool for ``threads`` tasks
+of one CPU each, so with min(threads, usable CPUs) workers, and hands them
+its arrays, which live in anonymous shared mappings (shared_array), through
+the pool's initializer.  Below two workers, or where the ``fork`` start
+method is missing, the tasks run in this process, in order.  Workers are forked: ``spawn`` and
 ``forkserver`` would re-import numpy and the package in each worker first,
 and would pickle an initializer's arguments instead of inheriting them.
 """

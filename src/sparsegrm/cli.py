@@ -30,7 +30,7 @@ from .data import (QMatrix, derive_seeds, load_responses, read_intercepts,
 from .metrics import (LOADING_ZERO_THRESHOLD, RecoveryReport,
                       SelectionReport, score)
 from .model import Hyperparameters, ModelState
-from .optimizer import FitConfig, fit_multistart
+from .optimizer import FORK_CELLS, FitConfig, fit_multistart
 from .simulate import (SimDesign, gen_sigma, gen_true_params, run_replication,
                        sample_responses)
 
@@ -44,9 +44,10 @@ _OPTIONS = {
                            "factor covariance CSV (identity when omitted)"),
     "lam": _Option("--lambda", float, None, "sparsity weight"),
     "threads": _Option("--threads", int, FitConfig.threads,
-                       "worker processes per fit (at most the usable CPUs); "
-                       "also divides the CPUs among the process workers that "
-                       "run CV folds and starts",
+                       "worker processes per fit (at most the usable CPUs; "
+                       f"none for a fit of at most {FORK_CELLS} cells); also "
+                       "divides the CPUs among the process workers that run "
+                       "CV folds and starts",
                        least=1),
     "seed": _Option("--seed", int, 0, "master seed", least=0),
     "out": _Option("--out", str, None, "output directory"),

@@ -23,11 +23,11 @@ its own cells' intercepts from the J x (Dmax + 4) bracket table built once
 per iteration.  Each fit keeps one set of arrays (rows, steps, item
 log-likelihoods, cells, bracket table, a' and theta'), and each block reads
 its rows and writes its results back in place.  With min(threads, usable
-CPUs) >= 2, the fit forks that many worker processes (sparsegrm._pool),
-the arrays live in shared mappings, and each phase hands every worker one
-contiguous share of its blocks; between phases the parent refreshes the
-bracket table, a' and theta' and sums the objective.  Otherwise the blocks
-run in this process, in order.  The block arithmetic is written so the
+CPUs) >= 2 and more than FORK_CELLS cells, the fit forks that many worker
+processes (sparsegrm._pool), the arrays live in shared mappings, and each
+phase hands every worker one contiguous share of its blocks; between phases
+the parent refreshes the bracket table, a' and theta' and sums the
+objective.  Otherwise the blocks run in this process, in order.  The block arithmetic is written so the
 result is bit-identical for any thread count, worker count and block bound.
 """
 
@@ -51,6 +51,10 @@ from .model import (LOADING_RANGE, Hyperparameters, ModelState,
 # less, so the allocator reuses them instead of returning them to the system
 # and faulting them in again; smaller blocks lose to per-call overhead
 BLOCK_CELLS = 2 ** 15
+# a fit of at most this many cells (N x J) runs its blocks in this process
+# whatever threads says: below about one block's cells, forking and feeding
+# worker processes costs more than a second core gains
+FORK_CELLS = BLOCK_CELLS
 
 
 @dataclass
@@ -66,7 +70,8 @@ class FitConfig:
         default 5 is coarse; use 1e-2 for publication-grade fits.
     threads : int
         Workers per fit: min(threads, usable CPUs) forked worker processes
-        update a phase's blocks (in this process below two); a phase has
+        update a phase's blocks (in this process below two, or for a fit of
+        at most FORK_CELLS cells); a phase has
         at least this many blocks, and more where BLOCK_CELLS cells per
         block require them.  Results do not depend on it.  It also
         divides the usable CPUs among the process workers that run CV
@@ -136,7 +141,9 @@ def _prepare(data: ResponseData, state: ModelState,
              hyper: Hyperparameters | None = None):
     """(workspace, padded intercepts, theta') of state, after the shape check.
 
-    Raises unless state fits data (and hyper's factor count, when given).
+    theta' is a C-ordered copy, never a view of state.theta (a view where
+    K is 1 or theta is F-ordered), so fit may write it in place.  Raises
+    unless state fits data (and hyper's factor count, when given).
     """
     if state.n_respondents != data.n_respondents:
         raise ValueError(
@@ -159,7 +166,7 @@ def _prepare(data: ResponseData, state: ModelState,
                 f"{int(data.categories[j])} categories"
             )
     return (_Workspace(data), eng.pad_intercepts(state.intercepts),
-            np.ascontiguousarray(state.theta.T))
+            np.array(state.theta.T, order="C"))
 
 
 def objective_value(data: ResponseData, state: ModelState,
@@ -214,10 +221,11 @@ class _FitArrays:
         share = _pool.shared_array if shared else (lambda a: a)
         self.ws, self.hyper = ws, hyper
         self.idx = np.ascontiguousarray(ws.idx_t.T)  # read by the theta phase only
-        # a fit never writes its start: theta and loadings are copies
-        self.theta = share(np.array(init.theta, dtype=np.float64))
-        self.loadings = share(np.array(init.loadings, dtype=np.float64))
-        self.d_pad, self.th_t, self.cu_t, self.cl_t = (share(a) for a in (d_pad, th_t, cu_t, cl_t))
+        # a fit never writes its start: theta and loadings are C-ordered copies
+        self.theta = share(np.array(init.theta, dtype=np.float64, order="C"))
+        self.loadings = share(np.array(init.loadings, dtype=np.float64, order="C"))
+        self.d_pad, self.th_t, self.cu_t, self.cl_t = (
+            share(a) for a in (d_pad, th_t, cu_t, cl_t))
         # the bracket table and a' of the current intercepts and loadings
         self.table = share(eng.bracket_table(d_pad, ws.valid))
         self.a_t = share(np.ascontiguousarray(self.loadings.T))
@@ -309,7 +317,7 @@ def fit(data: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
     if not np.isfinite(trace[0]):
         raise ValueError("objective is not finite at the starting state")
 
-    workers = _pool.pool_workers(cfg.threads, 1)
+    workers = _pool.pool_workers(cfg.threads, 1) if ws.idx_t.size > FORK_CELLS else 0
     f = _FitArrays(ws, hyper, init, d_pad, th_t, cu_t, cl_t, shared=workers > 0)
     del d_pad, th_t, cu_t, cl_t  # f holds them, or their shared copies
     row_shares, item_shares = (

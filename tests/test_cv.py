@@ -428,7 +428,8 @@ def test_tune_and_fit_is_bit_identical_on_one_and_two_workers(monkeypatch):
 @needs_fork
 def test_tune_and_fit_runs_block_pools_inside_cv_workers_bit_identically(monkeypatch):
     # at threads=2 on 4 CPUs, two CV workers each run fits on block pools of
-    # their own; on 1 CPU everything runs in this process
+    # their own (fits of any size fork); on 1 CPU everything runs here
+    monkeypatch.setattr(optimizer, "FORK_CELLS", 0)
     data = sim_data(seed=10, n=60)
     hyper = Hyperparameters(sigma_theta=np.eye(2), lam=0.0)
     cfg = FitConfig(seed=0, max_outer_iters=6, obj_tol=1e-2, n_starts=3, threads=2)

@@ -25,6 +25,12 @@ needs_fork = pytest.mark.skipif(
     reason="the fit's process pool needs the fork start method")
 
 
+@pytest.fixture
+def fork_any_fit(monkeypatch):
+    """Fits of any cell count fork their workers, as fits above FORK_CELLS do."""
+    monkeypatch.setattr(optimizer, "FORK_CELLS", 0)
+
+
 def sim_small(seed=0, n=40, j=8, k=2, c=3, missing=0.0):
     props = (0.5, 0.5, 0.0) if k == 2 else (0.6, 0.2, 0.2)
     design = SimDesign(n_respondents=n, n_items=j, n_factors=k,
@@ -128,6 +134,7 @@ def test_objective_value_equals_trace_exactly():
     assert objective_value(data, result.state, hyper) == result.objective_trace[-1]
 
 
+@pytest.mark.usefixtures("fork_any_fit")
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_every_trace_entry_equals_objective_value(threads):
     # entries after the first are summed from the intercept step's accepted
@@ -224,6 +231,7 @@ def test_fit_reproducible_for_fixed_seed():
     assert np.array_equal(a.objective_trace, b.objective_trace)
 
 
+@pytest.mark.usefixtures("fork_any_fit")
 def test_fit_thread_count_does_not_change_result():
     data, hyper = sim_small(seed=13)
     results = [fit(data, hyper, FitConfig(seed=0, obj_tol=1e-1, threads=t))
@@ -238,6 +246,7 @@ def test_fit_thread_count_does_not_change_result():
             assert np.array_equal(d_a, d_b)
 
 
+@pytest.mark.usefixtures("fork_any_fit")
 @pytest.mark.parametrize("threads", [1, 3])
 def test_cell_bounded_blocks_are_bit_identical(monkeypatch, threads):
     # every reduction runs along a row, so cutting the phases into many
@@ -282,6 +291,7 @@ def test_cells_are_bit_equal_across_orientations(monkeypatch, k, props):
         assert n_blocks == [38, 4, 1]
 
 
+@pytest.mark.usefixtures("fork_any_fit")
 @pytest.mark.parametrize("threads", [1, 2])
 def test_fit_hands_each_block_the_cells_at_its_rows(monkeypatch, threads):
     # a head reads the cells it is given; during a fit they must be the ones
@@ -322,6 +332,7 @@ def test_fit_hands_each_block_the_cells_at_its_rows(monkeypatch, threads):
     assert checked.value == result.n_iters * (rows + 2 * items)
 
 
+@pytest.mark.usefixtures("fork_any_fit")
 def test_threads_share_the_cells_without_losing_a_write(monkeypatch):
     # respondent blocks write their columns of the shared cells and item
     # blocks their rows, and every block its rows, steps and log-likelihoods,
@@ -566,6 +577,7 @@ def test_loading_row_near_a_kkt_point_does_not_exhaust_the_grid():
     assert np.mean(evals) <= 6
 
 
+@pytest.mark.usefixtures("fork_any_fit")
 @needs_fork
 def test_fit_opens_one_process_pool(monkeypatch):
     # one pool per fit at threads=2 on two or more usable CPUs; none at
@@ -586,6 +598,29 @@ def test_fit_opens_one_process_pool(monkeypatch):
         assert pool.call_count == 2
 
 
+@needs_fork
+def test_fit_of_at_most_fork_cells_runs_in_process(monkeypatch):
+    # a fit forks its workers only above FORK_CELLS cells (N x J); at or
+    # below it, a fit at threads=2 on two CPUs runs here, with the same bits
+    data, hyper = sim_small(seed=19)
+    assert data.n_respondents * data.n_items == 320 < optimizer.FORK_CELLS
+    cfg = FitConfig(seed=0, max_outer_iters=4, obj_tol=1e-9)
+    serial = fit(data, hyper, cfg)
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: 2)
+    with mock.patch.object(_pool, "ProcessPoolExecutor",
+                           wraps=_pool.ProcessPoolExecutor) as pool:
+        for bound, pools in ((optimizer.FORK_CELLS, 0), (320, 0), (319, 1)):
+            monkeypatch.setattr(optimizer, "FORK_CELLS", bound)
+            result = fit(data, hyper, replace(cfg, threads=2))
+            assert pool.call_count == pools
+            np.testing.assert_array_equal(result.objective_trace, serial.objective_trace)
+            np.testing.assert_array_equal(result.state.theta, serial.state.theta)
+            np.testing.assert_array_equal(result.state.loadings, serial.state.loadings)
+            for d_result, d_serial in zip(result.state.intercepts, serial.state.intercepts):
+                np.testing.assert_array_equal(d_result, d_serial)
+
+
+@pytest.mark.usefixtures("fork_any_fit")
 def test_fit_on_one_usable_cpu_forks_nothing_and_equals_one_thread(monkeypatch):
     data, hyper, _ = sim_ragged(2, (0.5, 0.5, 0.0))
     cfg = FitConfig(seed=6, max_outer_iters=5, obj_tol=1e-9)
@@ -601,6 +636,34 @@ def test_fit_on_one_usable_cpu_forks_nothing_and_equals_one_thread(monkeypatch):
         np.testing.assert_array_equal(d_in, d_serial)
 
 
+@pytest.mark.usefixtures("fork_any_fit")
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("k,order", [(1, "C"), (2, "F")])
+def test_fit_never_writes_its_start(monkeypatch, threads, k, order):
+    # at K=1, or from an F-ordered theta, theta' is contiguous as it stands;
+    # the fit writes its own copy, so a second fit from the same start, and
+    # a fit from the C-ordered start, give the same bits
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: 2)
+    data, hyper, _ = sim_ragged(k, (1.0, 0.0, 0.0) if k == 1 else (0.5, 0.5, 0.0))
+    start = random_init(data, hyper, seed=7)
+    init = ModelState(theta=np.asarray(start.theta, order=order),
+                      loadings=np.asarray(start.loadings, order=order),
+                      intercepts=start.intercepts)
+    theta, loadings = init.theta.copy(), init.loadings.copy()
+    cfg = FitConfig(max_outer_iters=4, obj_tol=1e-9, threads=threads)
+    first, second = (fit(data, hyper, cfg, init=init) for _ in range(2))
+    np.testing.assert_array_equal(init.theta, theta)
+    np.testing.assert_array_equal(init.loadings, loadings)
+    want = fit(data, hyper, replace(cfg, threads=1), init=start)
+    for got in (first, second):
+        np.testing.assert_array_equal(got.objective_trace, want.objective_trace)
+        np.testing.assert_array_equal(got.state.theta, want.state.theta)
+        np.testing.assert_array_equal(got.state.loadings, want.state.loadings)
+        for d_got, d_want in zip(got.state.intercepts, want.state.intercepts):
+            np.testing.assert_array_equal(d_got, d_want)
+
+
+@pytest.mark.usefixtures("fork_any_fit")
 @pytest.mark.parametrize("threads", [1, 2])
 def test_non_finite_objective_during_fitting_is_raised_by_the_parent(monkeypatch,
                                                                      threads):
@@ -690,6 +753,7 @@ def test_kernel_sigmoid_clamps_keep_every_bit():
     assert np.all(eng.adjacent_cums(z, np.zeros(5), dl)[1][1:] > 0.0)
 
 
+@pytest.mark.usefixtures("fork_any_fit")
 @pytest.mark.parametrize("threads", [1, 2])
 def test_fit_is_bit_identical_to_the_plain_kernel_sigmoid(monkeypatch, threads):
     # ragged items and unobserved cells give many brackets at +-inf, which
@@ -707,6 +771,7 @@ def test_fit_is_bit_identical_to_the_plain_kernel_sigmoid(monkeypatch, threads):
         np.testing.assert_array_equal(d_clamped, d_plain)
 
 
+@pytest.mark.usefixtures("fork_any_fit")
 @pytest.mark.parametrize("threads", [1, 2])
 def test_fit_with_overflowing_cells_warns_on_no_thread(threads):
     # factor scores scaled by 400 put cells at z + d far below -710, where
