@@ -14,9 +14,10 @@ more than optimizer.FORK_CELLS cells opens its pool for ``threads`` tasks
 of one CPU each, so with min(threads, usable CPUs) workers, and hands them
 its arrays, which live in anonymous shared mappings (shared_array), through
 the pool's initializer.  Below two workers, or where the ``fork`` start
-method is missing, the tasks run in this process, in order.  Workers are forked: ``spawn`` and
-``forkserver`` would re-import numpy and the package in each worker first,
-and would pickle an initializer's arguments instead of inheriting them.
+method is missing, the tasks run in this process, in order.  Workers are
+forked: ``spawn`` and ``forkserver`` would re-import numpy and the package
+in each worker first, and would pickle an initializer's arguments instead
+of inheriting them.
 """
 
 from __future__ import annotations

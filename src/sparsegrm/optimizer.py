@@ -27,8 +27,9 @@ CPUs) >= 2 and more than FORK_CELLS cells, the fit forks that many worker
 processes (sparsegrm._pool), the arrays live in shared mappings, and each
 phase hands every worker one contiguous share of its blocks; between phases
 the parent refreshes the bracket table, a' and theta' and sums the
-objective.  Otherwise the blocks run in this process, in order.  The block arithmetic is written so the
-result is bit-identical for any thread count, worker count and block bound.
+objective.  Otherwise the blocks run in this process, in order.  The block
+arithmetic is written so the result is bit-identical for any thread count,
+worker count and block bound.
 """
 
 from __future__ import annotations
@@ -71,11 +72,11 @@ class FitConfig:
     threads : int
         Workers per fit: min(threads, usable CPUs) forked worker processes
         update a phase's blocks (in this process below two, or for a fit of
-        at most FORK_CELLS cells); a phase has
-        at least this many blocks, and more where BLOCK_CELLS cells per
-        block require them.  Results do not depend on it.  It also
-        divides the usable CPUs among the process workers that run CV
-        folds and multistart starts (sparsegrm._pool).
+        at most FORK_CELLS cells); a phase has at least this many blocks,
+        and more where BLOCK_CELLS cells per block require them.  Results
+        do not depend on it.  It also divides the usable CPUs among the
+        process workers that run CV folds and multistart starts
+        (sparsegrm._pool).
     seed : int
         Seed for random initialization.
     n_starts : int
