@@ -1,5 +1,5 @@
 """Bounded process pools: one for the independent fits of a public call,
-and one for the update blocks of each fit.
+and one for the update blocks of a fit in the main process.
 
 The CV fold chains of a stage and the starts of a multistart fit share no
 state, so they run as tasks on worker processes.  Each public call
@@ -8,16 +8,18 @@ pool; ``tune_and_fit`` shares its pool between both CV stages and the final
 starts.  Tasks are submitted in a fixed order and their results are read
 back in that order, so every result is bit-identical to a serial run.
 
-A pool has min(usable CPUs // threads, tasks) workers, because each fit
-may run ``threads`` worker processes of its own.  A fit (optimizer.fit) of
-more than optimizer.FORK_CELLS cells opens its pool for ``threads`` tasks
-of one CPU each, so with min(threads, usable CPUs) workers, and hands them
-its arrays, which live in anonymous shared mappings (shared_array), through
-the pool's initializer.  Below two workers, or where the ``fork`` start
-method is missing, the tasks run in this process, in order.  Workers are
-forked: ``spawn`` and ``forkserver`` would re-import numpy and the package
-in each worker first, and would pickle an initializer's arguments instead
-of inheriting them.
+One rule spends the CPUs: a pool for n tasks has min(usable CPUs, n)
+workers, and a process that is itself a pool worker never forks.  So the
+independent fits get the CPUs first, and a fit run as a pool task runs its
+blocks in that worker.  A fit (optimizer.fit) of more than
+optimizer.FORK_CELLS cells in the main process opens a pool for ``threads``
+tasks, so with min(threads, usable CPUs) workers, and hands them its
+arrays, which live in anonymous shared mappings (shared_array), through the
+pool's initializer.  Below two workers, or where the ``fork`` start method
+is missing, the tasks run in this process, in order.  Workers are forked:
+``spawn`` and ``forkserver`` would re-import numpy and the package in each
+worker first, and would pickle an initializer's arguments instead of
+inheriting them.
 """
 
 from __future__ import annotations
@@ -39,18 +41,14 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def worker_count(n_tasks: int, threads: int, cpus: int) -> int:
-    """Workers for n_tasks tasks of `threads` CPUs each on `cpus` CPUs.
-
-    The pool runs only with two or more; fewer means the tasks run serially.
-    """
-    return min(cpus // threads, n_tasks)
-
-
-def pool_workers(n_tasks: int, threads: int) -> int:
-    """Workers task_pool(n_tasks, threads) forks; 0 when its tasks run in this process."""
-    n = worker_count(n_tasks, threads, usable_cpus())
-    return n if n >= 2 and "fork" in multiprocessing.get_all_start_methods() else 0
+def pool_workers(n_tasks: int) -> int:
+    """Workers task_pool(n_tasks) forks: min(usable CPUs, n_tasks), or 0 when
+    its tasks run in this process (below two, without ``fork``, or in a
+    process that is itself a pool worker)."""
+    n = min(usable_cpus(), n_tasks)
+    forks = (multiprocessing.parent_process() is None
+             and "fork" in multiprocessing.get_all_start_methods())
+    return n if n >= 2 and forks else 0
 
 
 def shared_array(a: np.ndarray) -> np.ndarray:
@@ -62,13 +60,13 @@ def shared_array(a: np.ndarray) -> np.ndarray:
 
 
 @contextmanager
-def task_pool(n_tasks: int, threads: int, initializer=None, initargs=()):
+def task_pool(n_tasks: int, initializer=None, initargs=()):
     """A forked process pool for up to n_tasks tasks at a time, or None.
 
     Each worker calls initializer(*initargs) first; the arguments reach it
     through the fork, not by pickling.
     """
-    n = pool_workers(n_tasks, threads)
+    n = pool_workers(n_tasks)
     if not n:
         yield None
         return
@@ -80,9 +78,9 @@ def task_pool(n_tasks: int, threads: int, initializer=None, initargs=()):
         pool.shutdown(cancel_futures=True)
 
 
-def shared_pool(pool, n_tasks: int, threads: int):
+def shared_pool(pool, n_tasks: int):
     """The caller's pool when it passed one, else a new task_pool."""
-    return nullcontext(pool) if pool is not None else task_pool(n_tasks, threads)
+    return nullcontext(pool) if pool is not None else task_pool(n_tasks)
 
 
 def run_tasks(pool, fn, arg_lists) -> list:

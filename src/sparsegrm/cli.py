@@ -45,9 +45,7 @@ _OPTIONS = {
     "lam": _Option("--lambda", float, None, "sparsity weight"),
     "threads": _Option("--threads", int, FitConfig.threads,
                        "worker processes per fit (at most the usable CPUs; "
-                       f"none for a fit of at most {FORK_CELLS} cells); also "
-                       "divides the CPUs among the process workers that run "
-                       "CV folds and starts",
+                       f"none for a fit of at most {FORK_CELLS} cells)",
                        least=1),
     "seed": _Option("--seed", int, 0, "master seed", least=0),
     "out": _Option("--out", str, None, "output directory"),

@@ -172,7 +172,7 @@ def select_lambda(train: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
     """
     folds = make_folds(train.mask, n_folds, cfg.seed)
     fold_sets = [_fold_sets(train, folds, m) for m in range(n_folds)]
-    with _pool.shared_pool(pool, n_folds, cfg.threads) as pool:
+    with _pool.shared_pool(pool, n_folds) as pool:
         lam1, stage1 = _scan_stage(1, fold_sets, LambdaGrid(np.asarray(STAGE1_GRID)),
                                    hyper, cfg, pool)
         lam_hat, stage2 = _scan_stage(2, fold_sets, second_stage_grid(lam1),
@@ -195,7 +195,7 @@ def tune_and_fit(data: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
     if rows is None:
         rows = split_row_indices(data.n_respondents, train_fraction, seed)
     train, test = (take_rows(data, r) for r in rows)
-    with _pool.task_pool(max(n_folds, cfg.n_starts), cfg.threads) as pool:
+    with _pool.task_pool(max(n_folds, cfg.n_starts)) as pool:
         lam_hat, table = select_lambda(train, hyper, cfg, n_folds=n_folds, pool=pool)
         result = fit_multistart(test, replace(hyper, lam=lam_hat), cfg, pool=pool)
     return result, lam_hat, table

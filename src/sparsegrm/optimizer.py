@@ -22,14 +22,15 @@ cells, so no array of the loop is larger than a block: each block gathers
 its own cells' intercepts from the J x (Dmax + 4) bracket table built once
 per iteration.  Each fit keeps one set of arrays (rows, steps, item
 log-likelihoods, cells, bracket table, a' and theta'), and each block reads
-its rows and writes its results back in place.  With min(threads, usable
-CPUs) >= 2 and more than FORK_CELLS cells, the fit forks that many worker
-processes (sparsegrm._pool), the arrays live in shared mappings, and each
-phase hands every worker one contiguous share of its blocks; between phases
-the parent refreshes the bracket table, a' and theta' and sums the
-objective.  Otherwise the blocks run in this process, in order.  The block
-arithmetic is written so the result is bit-identical for any thread count,
-worker count and block bound.
+its rows and writes its results back in place.  A fit of more than
+FORK_CELLS cells in the main process forks min(threads, usable CPUs) worker
+processes when that is two or more (sparsegrm._pool; a fit run as a pool
+task forks none), the arrays live in shared mappings, the block count is
+rounded up to a multiple of the workers, and each phase hands every worker
+one contiguous share of its blocks; between phases the parent refreshes the
+bracket table, a' and theta' and sums the objective.  Otherwise the blocks
+run in this process, in order.  The block arithmetic is written so the
+result is bit-identical for any thread count, worker count and block bound.
 """
 
 from __future__ import annotations
@@ -70,13 +71,11 @@ class FitConfig:
         Stop when the absolute objective change falls below this.  The
         default 5 is coarse; use 1e-2 for publication-grade fits.
     threads : int
-        Workers per fit: min(threads, usable CPUs) forked worker processes
-        update a phase's blocks (in this process below two, or for a fit of
-        at most FORK_CELLS cells); a phase has at least this many blocks,
-        and more where BLOCK_CELLS cells per block require them.  Results
-        do not depend on it.  It also divides the usable CPUs among the
-        process workers that run CV folds and multistart starts
-        (sparsegrm._pool).
+        Block workers of a fit in the main process: min(threads, usable
+        CPUs) forked worker processes update a phase's blocks (in this
+        process below two, or for a fit of at most FORK_CELLS cells).  A fit
+        run as a CV fold or multistart task on a pool worker forks none
+        (sparsegrm._pool).  Results do not depend on it.
     seed : int
         Seed for random initialization.
     n_starts : int
@@ -186,10 +185,11 @@ def log_likelihood_value(data: ResponseData, state: ModelState) -> float:
     return float(np.sum(eng.item_loglik(state.loadings, d_pad, ws.valid, th_t, ws.idx_t)[0]))
 
 
-def _blocks(rows: int, width: int, threads: int):
-    """max(threads, ceil(rows * width / BLOCK_CELLS)) contiguous row slices,
-    at most one per row, whose sizes differ by at most one row."""
-    n = min(rows, max(threads, -(-rows * width // BLOCK_CELLS)))
+def _blocks(rows: int, width: int, workers: int):
+    """ceil(rows * width / BLOCK_CELLS) contiguous row slices, rounded up to a
+    multiple of workers and at most one per row, whose sizes differ by at
+    most one row."""
+    n = min(rows, workers * -(-rows * width // (BLOCK_CELLS * workers)))
     return [slice(b[0], b[-1] + 1) for b in np.array_split(np.arange(rows), n)]
 
 
@@ -318,14 +318,14 @@ def fit(data: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
     if not np.isfinite(trace[0]):
         raise ValueError("objective is not finite at the starting state")
 
-    workers = _pool.pool_workers(cfg.threads, 1) if ws.idx_t.size > FORK_CELLS else 0
+    workers = _pool.pool_workers(cfg.threads) if ws.idx_t.size > FORK_CELLS else 0
     f = _FitArrays(ws, hyper, init, d_pad, th_t, cu_t, cl_t, shared=workers > 0)
     del d_pad, th_t, cu_t, cl_t  # f holds them, or their shared copies
-    row_shares, item_shares = (
-        _shares(_blocks(*shape, cfg.threads), max(workers, 1))
-        for shape in (f.idx.shape, ws.idx_t.shape))
+    n = max(workers, 1)
+    row_shares, item_shares = (_shares(_blocks(*shape, n), n)
+                               for shape in (f.idx.shape, ws.idx_t.shape))
 
-    with (_pool.task_pool(workers, 1, _bind, (f,)) if workers
+    with (_pool.task_pool(workers, _bind, (f,)) if workers
           else nullcontext()) as pool:
         for _ in range(cfg.max_outer_iters):
             f.table[...] = eng.bracket_table(f.d_pad, ws.valid)
@@ -371,7 +371,7 @@ def fit_multistart(data: ResponseData, hyper: Hyperparameters,
     by default, on a pool of their own; see sparsegrm._pool.  Ties go to the
     earliest start, so the result is bit-identical to a serial run.
     """
-    with _pool.shared_pool(pool, cfg.n_starts, cfg.threads) as pool:
+    with _pool.shared_pool(pool, cfg.n_starts) as pool:
         results = _pool.run_tasks(pool, _start,
                                   [(data, hyper, cfg, s) for s in range(cfg.n_starts)])
     return max(results, key=lambda result: result.objective_trace[-1])

@@ -5,8 +5,10 @@ Each test drives ``main`` in-process with a small simulated corpus
 item counts) and checks the written artifacts.
 """
 
+import multiprocessing
 import re
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -212,6 +214,27 @@ def test_cvfit_draws_the_row_split_once(tmp_path, sim_dir, monkeypatch):
     assert run_cli("cv-fit", "--responses", sim_dir / "responses.csv", "--k", "3",
                    "--max-iters", "2", "--seed", "11", "--out", tmp_path / "cv") == 0
     assert len(draws) == 1
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the process pool needs the fork start method")
+def test_cvfit_threads_two_runs_the_folds_on_every_cpu_with_the_same_bytes(
+        tmp_path, sim_dir, monkeypatch):
+    # threads sizes only a main-process fit's block workers, so on 2 CPUs
+    # the folds and starts run on a 2-worker pool at --threads 2 as at 1
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: 2)
+    for threads in (1, 2):
+        with mock.patch.object(_pool, "ProcessPoolExecutor",
+                               wraps=_pool.ProcessPoolExecutor) as executor:
+            assert run_cli("cv-fit", "--responses", sim_dir / "responses.csv",
+                           "--k", "3", "--c", "3", "--seed", "11", "--threads", threads,
+                           "--out", tmp_path / str(threads)) == 0
+        assert [c.args for c in executor.call_args_list] == [(2,)]
+    # byte-identical apart from the config echo's threads and out lines
+    echo = re.compile(rb"# (threads|out) = .*\n")
+    for name in ("cv_table.csv", "loadings_est.csv", "intercepts_est.csv", "theta_est.csv"):
+        one, two = (echo.sub(b"", (tmp_path / t / name).read_bytes()) for t in "12")
+        assert one == two
 
 
 def test_cvfit_summary_reports_selected_lambda(cvfit_dir):

@@ -350,20 +350,20 @@ def _use_cpus(monkeypatch, n):
     monkeypatch.setattr(_pool, "usable_cpus", lambda: n)
 
 
-def test_worker_count_is_bounded_by_tasks_and_by_cpus_per_thread_count():
-    assert _pool.worker_count(5, 1, 2) == 2
-    assert _pool.worker_count(5, 1, 16) == 5  # bound by tasks
-    assert _pool.worker_count(5, 2, 8) == 4  # bound by CPUs // threads
-    assert _pool.worker_count(5, 3, 8) == 2
+@needs_fork
+def test_pool_workers_are_bounded_by_tasks_and_by_cpus(monkeypatch):
+    # min(usable CPUs, tasks): threads, the block workers of a fit in the
+    # main process, hold no CPU back from the pool of independent fits
+    for cpus, workers in ((2, 2), (5, 5), (8, 5), (16, 5)):
+        _use_cpus(monkeypatch, cpus)
+        assert _pool.pool_workers(5) == workers
 
 
-@pytest.mark.parametrize("n_tasks,threads,cpus",
-                         [(5, 1, 1), (5, 2, 2), (5, 3, 5), (1, 1, 8), (0, 1, 8)])
-def test_task_pool_runs_serially_below_two_workers(monkeypatch, n_tasks, threads,
-                                                   cpus):
+@pytest.mark.parametrize("n_tasks,cpus", [(5, 1), (1, 8), (0, 8)])
+def test_task_pool_runs_serially_below_two_workers(monkeypatch, n_tasks, cpus):
     _use_cpus(monkeypatch, cpus)
     with mock.patch.object(_pool, "ProcessPoolExecutor") as executor:
-        with _pool.task_pool(n_tasks, threads) as pool:
+        with _pool.task_pool(n_tasks) as pool:
             assert pool is None
     executor.assert_not_called()
 
@@ -372,12 +372,21 @@ def test_task_pool_runs_serially_below_two_workers(monkeypatch, n_tasks, threads
 def test_task_pool_forks_the_bounded_worker_count(monkeypatch):
     _use_cpus(monkeypatch, 8)
     with mock.patch.object(_pool, "ProcessPoolExecutor") as executor:
-        with _pool.task_pool(5, 2) as pool:
+        with _pool.task_pool(5) as pool:
             assert pool is executor.return_value
     (workers,), kwargs = executor.call_args
-    assert workers == 4
+    assert workers == 5
     assert kwargs["mp_context"].get_start_method() == "fork"
     pool.shutdown.assert_called_once()
+
+
+@needs_fork
+def test_a_pool_worker_forks_no_pool_of_its_own(monkeypatch):
+    # the workers inherit the 4 usable CPUs, but run their tasks in process
+    _use_cpus(monkeypatch, 4)
+    with _pool.task_pool(2) as pool:
+        assert _pool.run_tasks(pool, _pool.pool_workers, [(4,), (4,)]) == [0, 0]
+    assert _pool.pool_workers(4) == 4
 
 
 def _table_bytes(table):
@@ -426,9 +435,10 @@ def test_tune_and_fit_is_bit_identical_on_one_and_two_workers(monkeypatch):
 
 
 @needs_fork
-def test_tune_and_fit_runs_block_pools_inside_cv_workers_bit_identically(monkeypatch):
-    # at threads=2 on 4 CPUs, two CV workers each run fits on block pools of
-    # their own (fits of any size fork); on 1 CPU everything runs here
+def test_tune_and_fit_runs_no_block_pools_inside_cv_workers_bit_identically(monkeypatch):
+    # at threads=2 on 4 CPUs the CV pool here gets all 4 CPUs, and the fold
+    # fits and starts on its workers run their blocks in process (fits of
+    # any size would fork); on 1 CPU everything runs here
     monkeypatch.setattr(optimizer, "FORK_CELLS", 0)
     data = sim_data(seed=10, n=60)
     hyper = Hyperparameters(sigma_theta=np.eye(2), lam=0.0)
@@ -453,13 +463,10 @@ def test_tune_and_fit_runs_block_pools_inside_cv_workers_bit_identically(monkeyp
 
         monkeypatch.setattr(_pool, "ProcessPoolExecutor", counted)
         result, lam_hat, table = tune_and_fit(data, hyper, cfg, seed=4)
-        if cpus == 1:
-            assert here == [] and made.value == 0
-        else:
-            # the CV pool here; one block pool per fold fit (2 stages x 5
-            # folds x 5 candidates) and per start, all in the CV workers
-            assert here == [(2,)]
-            assert made.value == 2 * 5 * 5 + 3
+        # on 4 CPUs one 4-worker pool here serves both CV stages and the
+        # three starts; no fold fit or start forks a block pool
+        assert here == ([] if cpus == 1 else [(4,)])
+        assert made.value == 0
         runs.append((lam_hat, _table_bytes(table), _result_bytes(result)))
     assert runs[0] == runs[1]
 

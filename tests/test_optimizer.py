@@ -250,14 +250,18 @@ def test_fit_thread_count_does_not_change_result():
 @pytest.mark.parametrize("threads", [1, 3])
 def test_cell_bounded_blocks_are_bit_identical(monkeypatch, threads):
     # every reduction runs along a row, so cutting the phases into many
-    # blocks, the item phase into one item each, moves no bit
+    # blocks, the item phase into one item each, moves no bit; on 3 workers
+    # the respondent blocks round up to a multiple of 3
     data, hyper, _ = sim_ragged(2, (0.5, 0.5, 0.0))
     cfg = FitConfig(seed=4, max_outer_iters=25, obj_tol=1e-3)
     assert len(optimizer._blocks(data.n_respondents, data.n_items, 1)) == 1
     whole = fit(data, hyper, cfg)
     monkeypatch.setattr(optimizer, "BLOCK_CELLS", 64)
-    assert len(optimizer._blocks(data.n_respondents, data.n_items, threads)) == 38
-    assert len(optimizer._blocks(data.n_items, data.n_respondents, threads)) == 20
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: 3)
+    workers = max(_pool.pool_workers(threads), 1)
+    rows, items = {1: (38, 20), 3: (39, 20)}[workers]
+    assert len(optimizer._blocks(data.n_respondents, data.n_items, workers)) == rows
+    assert len(optimizer._blocks(data.n_items, data.n_respondents, workers)) == items
     bounded = fit(data, hyper, replace(cfg, threads=threads))
     assert whole.n_iters > 5
     np.testing.assert_array_equal(bounded.objective_trace, whole.objective_trace)
@@ -326,9 +330,12 @@ def test_fit_hands_each_block_the_cells_at_its_rows(monkeypatch, threads):
     check("d_block", intercepts, 5)
     result = fit(data, hyper, FitConfig(seed=1, max_outer_iters=4, obj_tol=1e-9,
                                         threads=threads))
-    rows = len(optimizer._blocks(data.n_respondents, data.n_items, threads))
-    items = len(optimizer._blocks(data.n_items, data.n_respondents, threads))
+    # the fit's blocks: a multiple of its workers (none at threads=1)
+    workers = max(_pool.pool_workers(threads), 1)
+    rows = len(optimizer._blocks(data.n_respondents, data.n_items, workers))
+    items = len(optimizer._blocks(data.n_items, data.n_respondents, workers))
     assert rows > 2 and items > 2
+    assert rows % workers == items % workers == 0
     assert checked.value == result.n_iters * (rows + 2 * items)
 
 
@@ -618,6 +625,27 @@ def test_fit_of_at_most_fork_cells_runs_in_process(monkeypatch):
             np.testing.assert_array_equal(result.state.loadings, serial.state.loadings)
             for d_result, d_serial in zip(result.state.intercepts, serial.state.intercepts):
                 np.testing.assert_array_equal(d_result, d_serial)
+
+
+def test_blocks_count_cells_and_round_up_to_a_multiple_of_the_workers():
+    # the inventory shape (N=4000, J=70): 9 blocks of at most BLOCK_CELLS
+    # cells per phase in process, and 10 on 2 workers, 5 for each
+    for shape in ((4000, 70), (70, 4000)):
+        assert len(optimizer._blocks(*shape, 1)) == 9
+        shares = optimizer._shares(optimizer._blocks(*shape, 2), 2)
+        assert [len(share) for share in shares] == [5, 5]
+    assert len(optimizer._blocks(3, 40000, 2)) == 3  # at most one block per row
+
+
+def test_in_process_fit_blocks_by_cells_whatever_threads_says(monkeypatch):
+    # a fit of at most FORK_CELLS cells at threads=2 on 2 CPUs runs in this
+    # process, one block per phase
+    data, hyper = sim_small(seed=19)
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: 2)
+    cfg = FitConfig(seed=0, max_outer_iters=4, obj_tol=1e-9, threads=2)
+    with mock.patch.object(eng, "theta_block", wraps=eng.theta_block) as theta_block:
+        result = fit(data, hyper, cfg)
+    assert theta_block.call_count == result.n_iters == 4
 
 
 @pytest.mark.usefixtures("fork_any_fit")
