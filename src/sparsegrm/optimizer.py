@@ -38,7 +38,6 @@ from __future__ import annotations
 import time
 # ThreadPoolExecutor is unused here; perfbench's tracer patches this name
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -325,8 +324,7 @@ def fit(data: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
     row_shares, item_shares = (_shares(_blocks(*shape, n), n)
                                for shape in (f.idx.shape, ws.idx_t.shape))
 
-    with (_pool.task_pool(workers, _bind, (f,)) if workers
-          else nullcontext()) as pool:
+    with _pool.task_pool(workers, _bind, (f,)) as pool:
         for _ in range(cfg.max_outer_iters):
             f.table[...] = eng.bracket_table(f.d_pad, ws.valid)
             f.a_t[...] = f.loadings.T
