@@ -9,17 +9,17 @@ starts.  Tasks are submitted in a fixed order and their results are read
 back in that order, so every result is bit-identical to a serial run.
 
 One rule spends the CPUs: a pool for n tasks has min(usable CPUs, n)
-workers, and a process that is itself a pool worker never forks.  So the
-independent fits get the CPUs first, and a fit run as a pool task runs its
-blocks in that worker.  A fit (optimizer.fit) of more than
-optimizer.FORK_CELLS cells in the main process opens a pool for ``threads``
-tasks, so with min(threads, usable CPUs) workers, and hands them its
-arrays, which live in anonymous shared mappings (shared_array), through the
-pool's initializer.  Below two workers, or where the ``fork`` start method
-is missing, the tasks run in this process, in order.  Workers are forked:
-``spawn`` and ``forkserver`` would re-import numpy and the package in each
-worker first, and would pickle an initializer's arguments instead of
-inheriting them.
+workers, and a process that multiprocessing started, such as a pool worker,
+never forks.  So the independent fits get the CPUs first, and a fit run as a
+pool task runs its blocks in that worker.  A fit (optimizer.fit) of more
+than optimizer.FORK_CELLS cells in the main process opens a pool for
+``threads`` tasks, so with min(threads, usable CPUs) workers, and hands
+them its arrays, which live in anonymous shared mappings (shared_array),
+through the pool's initializer.  Below two workers, or where the ``fork``
+start method is missing, the tasks run in this process, in order.  Workers
+are forked: ``spawn`` and ``forkserver`` would re-import numpy and the
+package in each worker first, and would pickle an initializer's arguments
+instead of inheriting them.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def usable_cpus() -> int:
 def pool_workers(n_tasks: int) -> int:
     """Workers task_pool(n_tasks) forks: min(usable CPUs, n_tasks), or 0 when
     its tasks run in this process (below two, without ``fork``, or in a
-    process that is itself a pool worker)."""
+    process that multiprocessing started, such as a pool worker)."""
     n = min(usable_cpus(), n_tasks)
     forks = (multiprocessing.parent_process() is None
              and "fork" in multiprocessing.get_all_start_methods())

@@ -608,7 +608,8 @@ def test_fit_opens_one_process_pool(monkeypatch):
 @needs_fork
 def test_fit_of_at_most_fork_cells_runs_in_process(monkeypatch):
     # a fit forks its workers only above FORK_CELLS cells (N x J); at or
-    # below it, a fit at threads=2 on two CPUs runs here, with the same bits
+    # below it, a fit at threads=2 on two CPUs runs here, one block per
+    # phase as its cells ask whatever threads says, with the same bits
     data, hyper = sim_small(seed=19)
     assert data.n_respondents * data.n_items == 320 < optimizer.FORK_CELLS
     cfg = FitConfig(seed=0, max_outer_iters=4, obj_tol=1e-9)
@@ -618,8 +619,11 @@ def test_fit_of_at_most_fork_cells_runs_in_process(monkeypatch):
                            wraps=_pool.ProcessPoolExecutor) as pool:
         for bound, pools in ((optimizer.FORK_CELLS, 0), (320, 0), (319, 1)):
             monkeypatch.setattr(optimizer, "FORK_CELLS", bound)
-            result = fit(data, hyper, replace(cfg, threads=2))
+            with mock.patch.object(eng, "theta_block", wraps=eng.theta_block) as blocks:
+                result = fit(data, hyper, replace(cfg, threads=2))
             assert pool.call_count == pools
+            # forked, the blocks run in the workers, where the spy sees none
+            assert blocks.call_count == (0 if pools else result.n_iters)
             np.testing.assert_array_equal(result.objective_trace, serial.objective_trace)
             np.testing.assert_array_equal(result.state.theta, serial.state.theta)
             np.testing.assert_array_equal(result.state.loadings, serial.state.loadings)
@@ -635,17 +639,6 @@ def test_blocks_count_cells_and_round_up_to_a_multiple_of_the_workers():
         shares = optimizer._shares(optimizer._blocks(*shape, 2), 2)
         assert [len(share) for share in shares] == [5, 5]
     assert len(optimizer._blocks(3, 40000, 2)) == 3  # at most one block per row
-
-
-def test_in_process_fit_blocks_by_cells_whatever_threads_says(monkeypatch):
-    # a fit of at most FORK_CELLS cells at threads=2 on 2 CPUs runs in this
-    # process, one block per phase
-    data, hyper = sim_small(seed=19)
-    monkeypatch.setattr(_pool, "usable_cpus", lambda: 2)
-    cfg = FitConfig(seed=0, max_outer_iters=4, obj_tol=1e-9, threads=2)
-    with mock.patch.object(eng, "theta_block", wraps=eng.theta_block) as theta_block:
-        result = fit(data, hyper, cfg)
-    assert theta_block.call_count == result.n_iters == 4
 
 
 @pytest.mark.usefixtures("fork_any_fit")
