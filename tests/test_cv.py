@@ -351,21 +351,40 @@ def _use_cpus(monkeypatch, n):
 
 
 @needs_fork
-def test_pool_workers_are_bounded_by_tasks_and_by_cpus(monkeypatch):
-    # min(usable CPUs, tasks): threads, the block workers of a fit in the
-    # main process, hold no CPU back from the pool of independent fits
+def test_worker_count_is_bounded_by_tasks_and_by_cpus_per_thread_count(monkeypatch):
     for cpus, workers in ((2, 2), (5, 5), (8, 5), (16, 5)):
         _use_cpus(monkeypatch, cpus)
+        # a pool of 5 independent fits: min(usable CPUs, tasks); threads, the
+        # block workers of a fit in the main process, hold no CPU back
         assert _pool.pool_workers(5) == workers
+        # the block workers of such a fit: min(threads, usable CPUs)
+        for threads in (2, 3, 8):
+            assert _pool.pool_workers(threads) == min(threads, cpus)
 
 
-@pytest.mark.parametrize("n_tasks,cpus", [(5, 1), (1, 8), (0, 8)])
-def test_task_pool_runs_serially_below_two_workers(monkeypatch, n_tasks, cpus):
+def _block_workers(threads):
+    """The block workers a fit at `threads` forks in this process."""
+    return _pool.pool_workers(threads)
+
+
+@pytest.mark.parametrize("n_tasks,threads,cpus",
+                         [(5, 1, 1), pytest.param(5, 2, 2, marks=needs_fork),
+                          pytest.param(5, 3, 5, marks=needs_fork), (1, 1, 8),
+                          (0, 1, 8)])
+def test_task_pool_runs_serially_below_two_workers(monkeypatch, n_tasks, threads,
+                                                   cpus):
+    # n_tasks fits at `threads` on `cpus` CPUs: their pool forks min(cpus,
+    # n_tasks) workers, none below two, and each fit runs its blocks in the
+    # process it runs in (below two block workers, or in a pool worker)
     _use_cpus(monkeypatch, cpus)
-    with mock.patch.object(_pool, "ProcessPoolExecutor") as executor:
+    serial = min(cpus, n_tasks) < 2
+    with mock.patch.object(_pool, "ProcessPoolExecutor",
+                           wraps=_pool.ProcessPoolExecutor) as executor:
         with _pool.task_pool(n_tasks) as pool:
-            assert pool is None
-    executor.assert_not_called()
+            assert (pool is None) == serial
+            blocks = _pool.run_tasks(pool, _block_workers, [(threads,)] * n_tasks)
+    assert executor.call_count == (0 if serial else 1)
+    assert blocks == [0] * n_tasks
 
 
 @needs_fork
@@ -378,15 +397,6 @@ def test_task_pool_forks_the_bounded_worker_count(monkeypatch):
     assert workers == 5
     assert kwargs["mp_context"].get_start_method() == "fork"
     pool.shutdown.assert_called_once()
-
-
-@needs_fork
-def test_a_pool_worker_forks_no_pool_of_its_own(monkeypatch):
-    # the workers inherit the 4 usable CPUs, but run their tasks in process
-    _use_cpus(monkeypatch, 4)
-    with _pool.task_pool(2) as pool:
-        assert _pool.run_tasks(pool, _pool.pool_workers, [(4,), (4,)]) == [0, 0]
-    assert _pool.pool_workers(4) == 4
 
 
 def _table_bytes(table):
