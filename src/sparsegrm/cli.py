@@ -6,8 +6,9 @@ flags it cannot run without.  Values resolve with the precedence
 command-line flag > config-file entry > built-in default; a default the
 library states (FitConfig, SimDesign, the cv constants) is read from it.
 Config files hold ``key = value`` lines ('#' starts a comment); keys are
-the flag names with dashes replaced by underscores.  Every output file
-starts with commented config-echo lines.
+the flag names with dashes replaced by underscores (``lambda`` for
+--lambda).  Every output file starts with commented config-echo lines.
+A simulated condition is checked by SimDesign, before --out is created.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ _OPTIONS = {
     "responses": _Option("--responses", str, None, "response matrix CSV"),
     "sigma_theta": _Option("--sigma-theta", str, None,
                            "factor covariance CSV (identity when omitted)"),
-    "lam": _Option("--lambda", float, None, "sparsity weight"),
+    "lambda": _Option("--lambda", float, None, "sparsity weight"),
     "threads": _Option("--threads", int, FitConfig.threads,
                        "worker processes per fit (at most the usable CPUs; "
                        f"none for a fit of at most {FORK_CELLS} cells)",
@@ -136,27 +137,11 @@ def _resolve(args: argparse.Namespace) -> dict:
             raise ValueError(f"{command}: {opt.flag} must be at least "
                              f"{opt.least}, got {value}")
         settings[key] = value
-    # the flags whose valid values are not a least value
+    # checked here, as replicate draws its split only after --out exists
     fraction = settings.get("train_fraction")
     if fraction is not None and not 0.0 < fraction < 1.0:
         raise ValueError(f"{command}: --train-fraction must lie in (0, 1), "
                          f"got {fraction}")
-    if command in ("simulate", "replicate"):
-        k, rho, j = settings["k"], settings["rho"], settings["j"]
-        lo = -1.0 / (k - 1) if k > 1 else -1.0  # gen_sigma's bound
-        if not lo < rho < 1.0:
-            raise ValueError(f"{command}: --rho must lie in ({lo:g}, 1) for "
-                             f"--k {k}, got {rho}")
-        props = SimDesign.q_proportions
-        split = "/".join(f"{100 * p:g}" for p in props)
-        counts = [round(p * j) for p in props]  # gen_q's item counts
-        if sum(counts) != j:
-            raise ValueError(f"{command}: --j must split {split} into whole "
-                             f"item counts, got {j}")
-        widest = max(r for r, n in enumerate(counts, 1) if n)
-        if k < widest:
-            raise ValueError(f"{command}: --k must be at least {widest} for the "
-                             f"{split} split of --j {j}, got {k}")
     return settings
 
 
@@ -171,7 +156,7 @@ def _output(settings: dict):
 
 def _lam_key(settings: dict) -> str:
     """The fit's weight is the given --lambda, or else the CV-selected one."""
-    return "lambda" if settings.get("lam") is not None else "lambda_hat"
+    return "lambda" if settings.get("lambda") is not None else "lambda_hat"
 
 
 def _write_pairs(path: str, echo: list, pairs) -> None:
@@ -267,7 +252,7 @@ def cmd_simulate(settings: dict) -> None:
 
 def cmd_fit(settings: dict) -> None:
     data, sigma = _load_fit_inputs(settings)
-    hyper = Hyperparameters(sigma_theta=sigma, lam=settings["lam"])
+    hyper = Hyperparameters(sigma_theta=sigma, lam=settings["lambda"])
     cfg = _fit_config(settings)
     path, echo = _output(settings)
     result = fit_multistart(data, hyper, cfg)
@@ -344,7 +329,7 @@ def cmd_replicate(settings: dict) -> None:
         t0 = time.perf_counter()
         selection, recovery, result = run_replication(
             design, cfg, settings["train_fraction"], settings["folds"],
-            settings.get("lam"))
+            settings.get("lambda"))
         print(f"replicate: rep {r + 1}/{settings['reps']} seed {rep_seeds[r]} "
               f"{_lam_key(settings)} {result.hyper.lam:.6g} n_iters {result.n_iters} "
               f"seconds {time.perf_counter() - t0:.2f}", file=sys.stderr, flush=True)
@@ -369,9 +354,9 @@ _Command = namedtuple("_Command", "handler options required")
 _COMMANDS = {
     "simulate": _Command(cmd_simulate, ["n", "j", "k", "c", "rho", "seed", "out"],
                          ["n", "j", "k", "rho", "out"]),
-    "fit": _Command(cmd_fit, ["responses", "sigma_theta", "lam", "k", "c", "threads",
+    "fit": _Command(cmd_fit, ["responses", "sigma_theta", "lambda", "k", "c", "threads",
                               "seed", "n_starts", "max_iters", "obj_tol", "out"],
-                    ["responses", "lam", "out"]),
+                    ["responses", "lambda", "out"]),
     "cv-fit": _Command(cmd_cvfit, ["responses", "sigma_theta", "k", "c", "threads",
                                    "seed", "n_starts", "max_iters", "obj_tol",
                                    "train_fraction", "folds", "out"],
@@ -381,7 +366,7 @@ _COMMANDS = {
     "align": _Command(cmd_align,
                       ["loadings", "ref_loadings", "theta", "intercepts", "out"],
                       ["loadings", "ref_loadings", "out"]),
-    "replicate": _Command(cmd_replicate, ["n", "j", "k", "c", "rho", "reps", "lam",
+    "replicate": _Command(cmd_replicate, ["n", "j", "k", "c", "rho", "reps", "lambda",
                                           "threads", "seed", "n_starts", "max_iters",
                                           "obj_tol", "train_fraction", "folds", "out"],
                           ["n", "j", "k", "rho", "out"]),

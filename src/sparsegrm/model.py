@@ -80,6 +80,13 @@ class ModelState:
             if d.size > 1 and not np.all(np.diff(d) < 0):
                 raise ValueError(f"intercepts[{j}] must be strictly decreasing: {d}")
 
+    def check_categories(self, categories) -> None:
+        """Raise unless item j has categories[j] - 1 intercepts, for every j."""
+        for j, c in enumerate(categories):
+            if self.intercepts[j].size != c - 1:
+                raise ValueError(f"item {j}: {self.intercepts[j].size} "
+                                 f"intercepts for {int(c)} categories")
+
     @property
     def n_respondents(self) -> int:
         return self.theta.shape[0]

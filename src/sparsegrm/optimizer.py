@@ -157,13 +157,7 @@ def _prepare(data: ResponseData, state: ModelState,
         raise ValueError(
             f"state has K={state.n_factors}, hyper has K={hyper.n_factors}"
         )
-    for j in range(data.n_items):
-        want = int(data.categories[j]) - 1
-        if state.intercepts[j].size != want:
-            raise ValueError(
-                f"item {j}: {state.intercepts[j].size} intercepts for "
-                f"{int(data.categories[j])} categories"
-            )
+    state.check_categories(data.categories)
     return (_Workspace(data), eng.pad_intercepts(state.intercepts),
             np.array(state.theta.T, order="C"))
 

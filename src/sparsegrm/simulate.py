@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cv import N_FOLDS, TRAIN_FRACTION, tune_and_fit
-from .data import QMatrix, ResponseData, check_counts, derive_seeds
+from .data import MAX_CATEGORIES, QMatrix, ResponseData, check_counts, derive_seeds
 from .metrics import score
 from .model import (LOADING_RANGE, Hyperparameters, ModelState,
                     draw_intercepts, draw_theta, inverse_logit)
@@ -26,7 +26,10 @@ class SimDesign:
     """Sizes and structure for one simulated condition.
 
     q_proportions gives the fractions of items loading on exactly 1, 2,
-    and 3 factors; they must round to integer item counts.  Loadings and
+    and 3 factors.  A design is checked when it is built: rho must lie in
+    gen_sigma's range, q_proportions must split n_items into whole item
+    counts with n_factors at least the widest non-empty group (gen_q), and
+    n_categories must be at most data.MAX_CATEGORIES.  Loadings and
     intercepts follow the fixed distributions of sparsegrm.model.
     """
 
@@ -45,6 +48,11 @@ class SimDesign:
                 f"q_proportions must be finite and nonnegative: {self.q_proportions}")
         if abs(sum(self.q_proportions) - 1.0) > 1e-12:
             raise ValueError(f"q_proportions must sum to 1: {self.q_proportions}")
+        if self.n_categories > MAX_CATEGORIES:
+            raise ValueError(f"n_categories must be at most {MAX_CATEGORIES}, "
+                             f"got {self.n_categories}")
+        gen_sigma(self.n_factors, self.rho)
+        gen_q(self)
 
 
 def gen_sigma(n_factors: int, rho: float) -> np.ndarray:
@@ -61,7 +69,8 @@ def gen_q(design: SimDesign) -> QMatrix:
     """Binary structure matrix with the designed loading counts per item.
 
     Items loading on r factors take the next r factor columns in cyclic
-    order, so columns stay balanced and every factor is loaded.
+    order, so columns stay balanced and every factor is loaded.  Raises
+    unless the counts are whole and K covers the widest non-empty group.
     """
     counts = [round(p * design.n_items) for p in design.q_proportions]
     if sum(counts) != design.n_items:
@@ -106,17 +115,13 @@ def sample_responses(truth: ModelState, categories, seed: int) -> ResponseData:
     """Sample one response per cell from the model; fully observed."""
     n, j = truth.n_respondents, truth.n_items
     categories = np.broadcast_to(np.asarray(categories, dtype=np.int64), (j,))
+    truth.check_categories(categories)
     rng = np.random.default_rng(seed)
     u = rng.random((n, j))
     responses = np.zeros((n, j), dtype=np.int64)
     for jj in range(j):
-        d_j = truth.intercepts[jj]
-        if d_j.size != categories[jj] - 1:
-            raise ValueError(
-                f"item {jj}: {d_j.size} intercepts for {categories[jj]} categories"
-            )
         z = truth.theta @ truth.loadings[jj]
-        cum = inverse_logit(z[:, None] + d_j[None, :])
+        cum = inverse_logit(z[:, None] + truth.intercepts[jj][None, :])
         responses[:, jj] = (u[:, jj][:, None] < cum).sum(axis=1)
     return ResponseData(
         responses=responses,

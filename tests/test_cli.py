@@ -384,6 +384,21 @@ def test_config_file_supplies_defaults_and_cli_wins(tmp_path):
     assert echoed["seed"] == "9"
 
 
+def test_config_lambda_key_sets_the_fit_weight(tmp_path, sim_dir, fit_dir):
+    # config keys are the flag names: lambda, as --lambda and summary.txt say
+    config = tmp_path / "settings.cfg"
+    config.write_text(f"responses = {sim_dir / 'responses.csv'}\nlambda = 1.0\n"
+                      "k = 3\nc = 3\nseed = 3\n")
+    out = tmp_path / "fit"
+    assert run_cli("fit", "--config", config, "--out", out) == 0
+    assert "# lambda = 1.0\n" in open(out / "summary.txt").readlines()
+    assert read_summary(out / "summary.txt")["lambda"] == "1"
+    for name in ("theta_est.csv", "loadings_est.csv", "intercepts_est.csv"):
+        ours, flags = ([line for line in open(d / name) if not line.startswith("#")]
+                       for d in (out, fit_dir))
+        assert ours == flags
+
+
 def test_config_unknown_key_is_rejected(tmp_path, capsys):
     config = tmp_path / "settings.cfg"
     # a config that sets warm_start must fail, not silently run warm fold chains
@@ -507,11 +522,15 @@ def test_simulation_commands_reject_sizes_below_their_least_value(
     ("fit", ["--responses", "absent.csv", "--lambda", "1", "--k", "3"],
      "[Errno 2] No such file or directory: 'absent.csv'"),
     ("simulate", [*SIM_ARGS, "--rho", "2"],
-     "simulate: --rho must lie in (-0.5, 1) for --k 3, got 2.0"),
+     "rho must lie in (-0.5, 1) for K=3, got 2.0"),
+    ("replicate", [*SIM_ARGS, "--rho", "2"],
+     "rho must lie in (-0.5, 1) for K=3, got 2.0"),
     ("replicate", [*SIM_ARGS, "--j", "7"],
-     "replicate: --j must split 60/20/20 into whole item counts, got 7"),
+     "q_proportions (0.6, 0.2, 0.2) do not yield integer item counts for J=7"),
     ("replicate", [*SIM_ARGS, "--k", "2"],
-     "replicate: --k must be at least 3 for the 60/20/20 split of --j 5, got 2"),
+     "items loading on 3 factors need K >= 3, got K=2"),
+    ("replicate", [*SIM_ARGS, "--c", "1001"],
+     "n_categories must be at most 1000, got 1001"),
     ("cv-fit", ["--k", "3", "--train-fraction", "1.5"],
      "cv-fit: --train-fraction must lie in (0, 1), got 1.5"),
     ("evaluate", ["--est", "absent", "--truth", "absent"],
@@ -520,8 +539,8 @@ def test_simulation_commands_reject_sizes_below_their_least_value(
      "threshold must be finite and nonnegative, got nan"),
     ("align", ["--loadings", "absent.csv", "--ref-loadings", "absent.csv"],
      "[Errno 2] No such file or directory: 'absent.csv'"),
-], ids=["fit-responses", "simulate-rho", "replicate-j", "replicate-k",
-        "cv-fit-train-fraction", "evaluate-est", "evaluate-threshold",
+], ids=["fit-responses", "simulate-rho", "replicate-rho", "replicate-j", "replicate-k",
+        "replicate-c", "cv-fit-train-fraction", "evaluate-est", "evaluate-threshold",
         "align-loadings"])
 def test_rejected_runs_leave_no_output_directory(tmp_path, sim_dir, fit_dir, capsys,
                                                  command, args, message):

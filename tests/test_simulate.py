@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -85,15 +86,14 @@ def test_gen_q_cyclic_assignment_deterministic():
 
 
 def test_gen_q_rejects_non_integer_counts():
-    design = SimDesign(n_respondents=10, n_items=7, n_factors=3, rho=0.1)
+    # SimDesign runs gen_q's check when it is built
     with pytest.raises(ValueError):
-        gen_q(design)
+        gen_q(SimDesign(n_respondents=10, n_items=7, n_factors=3, rho=0.1))
 
 
 def test_gen_q_rejects_too_few_factors():
-    design = SimDesign(n_respondents=10, n_items=10, n_factors=2, rho=0.1)
     with pytest.raises(ValueError):
-        gen_q(design)
+        gen_q(SimDesign(n_respondents=10, n_items=10, n_factors=2, rho=0.1))
 
 
 def test_sim_design_validation():
@@ -113,7 +113,30 @@ def test_sim_design_validation():
                          ("n_categories", 4.0), ("seed", 1.5)]:
         with pytest.raises(ValueError, match=f"{field} must be an integer, got {value}"):
             SimDesign(**{**sizes, field: value}, rho=0.1)
-    assert SimDesign(**{**sizes, "n_items": np.int64(5)}, rho=0.1).n_items == 5
+    assert SimDesign(**{**sizes, "n_items": np.int64(5), "n_factors": 3},
+                     rho=0.1).n_items == 5
+    # the simulated condition itself: rho, J, K and the category cap
+    one = dict(n_respondents=10, n_items=5, n_factors=1, q_proportions=(1, 0, 0))
+    three = dict(n_respondents=10, n_items=5, n_factors=3)
+    # rho lies in gen_sigma's open range (-1/(K-1), 1), or (-1, 1) at K=1
+    for sizes, lo, k in [(one, -1.0, 1), (three, -0.5, 3)]:
+        for rho in (lo, 1.0):
+            with pytest.raises(ValueError,
+                               match=re.escape(f"rho must lie in ({lo}, 1) for K={k}, "
+                                               f"got {rho}")):
+                SimDesign(**sizes, rho=rho)
+        for rho in (lo + 1e-9, 1.0 - 1e-9):
+            assert SimDesign(**sizes, rho=rho).rho == rho
+    with pytest.raises(ValueError, match=re.escape(
+            "q_proportions (0.6, 0.2, 0.2) do not yield integer item counts for J=7")):
+        SimDesign(**{**three, "n_items": 7}, rho=0.1)
+    with pytest.raises(ValueError,
+                       match="items loading on 3 factors need K >= 3, got K=2"):
+        SimDesign(**{**three, "n_factors": 2}, rho=0.1)
+    assert SimDesign(**one, rho=0.1).n_factors == 1
+    assert SimDesign(**three, rho=0.1, n_categories=1000).n_categories == 1000
+    with pytest.raises(ValueError, match="n_categories must be at most 1000, got 1001"):
+        SimDesign(**three, rho=0.1, n_categories=1001)
 
 
 @pytest.mark.parametrize("props", [(np.nan, 0.5, 0.5), (np.inf, 0.5, 0.5),
@@ -214,8 +237,10 @@ def test_sample_responses_frequencies_match_model():
 def test_sample_responses_rejects_wrong_intercept_length():
     truth = ModelState(theta=np.zeros((5, 1)), loadings=np.ones((2, 1)),
                        intercepts=[np.array([0.5]), np.array([0.5])])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="item 0: 1 intercepts for 4 categories"):
         sample_responses(truth, 4, seed=0)
+    with pytest.raises(ValueError, match="item 1: 1 intercepts for 3 categories"):
+        sample_responses(truth, [2, 3], seed=0)
 
 
 def test_run_replication_fixed_lambda_smoke():
