@@ -119,14 +119,14 @@ def test_sim_design_validation():
     one = dict(n_respondents=10, n_items=5, n_factors=1, q_proportions=(1, 0, 0))
     three = dict(n_respondents=10, n_items=5, n_factors=3)
     # rho lies in gen_sigma's open range (-1/(K-1), 1), or (-1, 1) at K=1
-    for sizes, lo, k in [(one, -1.0, 1), (three, -0.5, 3)]:
+    for design, lo, k in [(one, -1.0, 1), (three, -0.5, 3)]:
         for rho in (lo, 1.0):
             with pytest.raises(ValueError,
                                match=re.escape(f"rho must lie in ({lo}, 1) for K={k}, "
                                                f"got {rho}")):
-                SimDesign(**sizes, rho=rho)
+                SimDesign(**design, rho=rho)
         for rho in (lo + 1e-9, 1.0 - 1e-9):
-            assert SimDesign(**sizes, rho=rho).rho == rho
+            assert SimDesign(**design, rho=rho).rho == rho
     with pytest.raises(ValueError, match=re.escape(
             "q_proportions (0.6, 0.2, 0.2) do not yield integer item counts for J=7")):
         SimDesign(**{**three, "n_items": 7}, rho=0.1)
