@@ -25,6 +25,6 @@ from .optimizer import (FitConfig, FitResult, fit, fit_multistart,
                         log_likelihood_value, objective_value, random_init,
                         soft_threshold, update_a, update_d, update_theta)
 from .simulate import (SimDesign, gen_q, gen_sigma, gen_true_params,
-                       run_replication, sample_responses)
+                       run_replication, run_study, sample_responses)
 
 __version__ = "0.1.0"

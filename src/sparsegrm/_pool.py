@@ -1,12 +1,13 @@
 """Bounded process pools: one for the independent fits of a public call,
 and one for the update blocks of a fit in the main process.
 
-The CV fold chains of a stage and the starts of a multistart fit share no
-state, so they run as tasks on worker processes.  Each public call
-(``select_lambda``, ``fit_multistart``, ``tune_and_fit``) opens at most one
-pool; ``tune_and_fit`` shares its pool between both CV stages and the final
-starts.  Tasks are submitted in a fixed order and their results are read
-back in that order, so every result is bit-identical to a serial run.
+The replications of a study, the CV fold chains of a stage and the starts of a
+multistart fit share no state, so they run as tasks on worker processes.  Each
+public call (``run_study``, ``select_lambda``, ``fit_multistart``,
+``tune_and_fit``) opens at most one pool; ``tune_and_fit`` shares its pool
+between both CV stages and the final starts.  Tasks are submitted in a fixed
+order and their results are read back in that order, so every result is
+bit-identical to a serial run.
 
 One rule spends the CPUs: a pool for n tasks has min(usable CPUs, n)
 workers, and a process that multiprocessing started, such as a pool worker,
@@ -83,13 +84,16 @@ def shared_pool(pool, n_tasks: int):
     return nullcontext(pool) if pool is not None else task_pool(n_tasks)
 
 
-def run_tasks(pool, fn, arg_lists) -> list:
-    """[fn(*args) for args in arg_lists], on the pool when there is one.
-
-    On a process pool, fn must be a module-level function, so a worker can
-    find it by name.  A task's exception is raised here, with its own type.
-    """
+def iter_tasks(pool, fn, arg_lists):
+    """Yield fn(*args) for args in arg_lists in order: on the pool when there is
+    one, all submitted at once, else each run when its result is asked for.  On
+    a process pool, fn must be a module-level function, so a worker can find it
+    by name.  A task's exception is raised here, with its own type."""
     if pool is None or len(arg_lists) < 2:
-        return [fn(*args) for args in arg_lists]
-    futures = [pool.submit(fn, *args) for args in arg_lists]
-    return [f.result() for f in futures]
+        return (fn(*args) for args in arg_lists)
+    return (f.result() for f in [pool.submit(fn, *args) for args in arg_lists])
+
+
+def run_tasks(pool, fn, arg_lists) -> list:
+    """[fn(*args) for args in arg_lists], on the pool when there is one."""
+    return list(iter_tasks(pool, fn, arg_lists))

@@ -16,8 +16,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from collections import namedtuple
+from contextlib import suppress
 from dataclasses import astuple, fields, replace
 from functools import partial
 
@@ -32,7 +32,7 @@ from .metrics import (LOADING_ZERO_THRESHOLD, RecoveryReport,
                       SelectionReport, score)
 from .model import Hyperparameters, ModelState
 from .optimizer import FORK_CELLS, FitConfig, fit_multistart
-from .simulate import (SimDesign, gen_sigma, gen_true_params, run_replication,
+from .simulate import (SimDesign, gen_sigma, gen_true_params, run_study,
                        sample_responses)
 
 
@@ -325,14 +325,12 @@ def cmd_replicate(settings: dict) -> None:
     designs = [_sim_design(settings, seed) for seed in rep_seeds]
     path, echo = _output(settings)
     rows = []
-    for r, design in enumerate(designs):
-        t0 = time.perf_counter()
-        selection, recovery, result = run_replication(
-            design, cfg, settings["train_fraction"], settings["folds"],
-            settings.get("lambda"))
+    study = run_study(designs, cfg, settings["train_fraction"], settings["folds"],
+                      settings.get("lambda"))
+    for r, (selection, recovery, result, seconds) in enumerate(study):
         print(f"replicate: rep {r + 1}/{settings['reps']} seed {rep_seeds[r]} "
               f"{_lam_key(settings)} {result.hyper.lam:.6g} n_iters {result.n_iters} "
-              f"seconds {time.perf_counter() - t0:.2f}", file=sys.stderr, flush=True)
+              f"seconds {seconds:.2f}", file=sys.stderr, flush=True)
         rows.append([
             r, rep_seeds[r], *astuple(selection), *astuple(recovery),
             result.objective_trace[-1], result.n_iters,
@@ -376,10 +374,15 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    made = False  # whether this run creates --out
     try:
         settings = _resolve(args)
+        made = not os.path.lexists(settings["out"])
         _COMMANDS[args.command].handler(settings)
     except (ValueError, OSError) as exc:
+        if made:  # a failed run removes the --out it made while that is empty
+            with suppress(OSError):
+                os.rmdir(settings["out"])
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

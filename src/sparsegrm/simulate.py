@@ -1,4 +1,4 @@
-"""Synthetic data generation and the end-to-end replication pipeline.
+"""Synthetic data generation, the end-to-end replication pipeline, and studies.
 
 True parameters follow the sparse design: an exchangeable factor
 correlation matrix, a binary structure matrix that puts 60/20/20 percent
@@ -9,10 +9,12 @@ the model exactly, through model.inverse_logit, the logistic the fits use.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _pool
 from .cv import N_FOLDS, TRAIN_FRACTION, tune_and_fit
 from .data import MAX_CATEGORIES, QMatrix, ResponseData, check_counts, derive_seeds
 from .metrics import score
@@ -157,3 +159,20 @@ def run_replication(design: SimDesign, cfg: FitConfig,
         result = fit_multistart(data, hyper, cfg_fit)
     selection, recovery = score(result.state, truth, q_star)
     return selection, recovery, result
+
+
+def _timed_replication(*args):
+    t0 = time.perf_counter()
+    return (*run_replication(*args), time.perf_counter() - t0)
+
+
+def run_study(designs, cfg, train_fraction=TRAIN_FRACTION, n_folds=N_FOLDS, lam=None):
+    """Yield (SelectionReport, RecoveryReport, FitResult, seconds) per design, in order.
+
+    The replications are the tasks of one pool, whose workers run their CV folds
+    and starts serially; below two workers, each runs here, as run_replication
+    alone would, when its row is asked for.  Rows equal run_replication's bit for
+    bit, each yielded once all earlier ones are; seconds is its own wall time."""
+    with _pool.task_pool(len(designs)) as pool:
+        yield from _pool.iter_tasks(pool, _timed_replication, [
+            (design, cfg, train_fraction, n_folds, lam) for design in designs])

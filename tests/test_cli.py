@@ -539,9 +539,19 @@ def test_simulation_commands_reject_sizes_below_their_least_value(
      "threshold must be finite and nonnegative, got nan"),
     ("align", ["--loadings", "absent.csv", "--ref-loadings", "absent.csv"],
      "[Errno 2] No such file or directory: 'absent.csv'"),
+    # rejected after --out is created, which the failed run then removes
+    ("replicate", [*SIM_ARGS, "--reps", "1", "--lambda", "-1"],
+     "lam must be finite and nonnegative, got -1.0"),
+    ("replicate", [*SIM_ARGS, "--reps", "1", "--lambda", "nan"],
+     "lam must be finite and nonnegative, got nan"),
+    ("cv-fit", ["--k", "3", "--folds", "1000"],
+     "only 100 observed cells for 1000 folds"),
+    ("replicate", [*SIM_ARGS, "--reps", "2", "--folds", "1000"],
+     "only 100 observed cells for 1000 folds"),
 ], ids=["fit-responses", "simulate-rho", "replicate-rho", "replicate-j", "replicate-k",
         "replicate-c", "cv-fit-train-fraction", "evaluate-est", "evaluate-threshold",
-        "align-loadings"])
+        "align-loadings", "replicate-lambda-negative", "replicate-lambda-nan",
+        "cv-fit-folds", "replicate-folds"])
 def test_rejected_runs_leave_no_output_directory(tmp_path, sim_dir, fit_dir, capsys,
                                                  command, args, message):
     if command == "cv-fit":
@@ -552,6 +562,16 @@ def test_rejected_runs_leave_no_output_directory(tmp_path, sim_dir, fit_dir, cap
     assert run_cli(command, *args, "--out", out) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not out.exists()
+
+
+def test_a_rejected_run_keeps_the_out_directory_it_did_not_create(tmp_path, capsys):
+    out = tmp_path / "made_by_the_user"
+    out.mkdir()
+    assert run_cli("replicate", *SIM_ARGS, "--reps", 1, "--lambda", -1,
+                   "--out", out) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: lam must be finite and nonnegative, got -1.0"]
+    assert out.is_dir() and not any(out.iterdir())
 
 
 def test_replicate_fails_before_its_first_replication_when_out_is_a_file(

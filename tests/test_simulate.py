@@ -1,17 +1,20 @@
+import multiprocessing
 import re
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
+from sparsegrm import _pool, simulate
 from sparsegrm.data import derive_seeds, split_rows
 from sparsegrm.metrics import score
 from sparsegrm.model import (Hyperparameters, ModelState, category_prob,
                              default_intercept_ranges, draw_intercepts)
 from sparsegrm.optimizer import FitConfig, objective_value, random_init
 from sparsegrm.simulate import (SimDesign, gen_q, gen_sigma, gen_true_params,
-                                run_replication, sample_responses)
+                                run_replication, run_study, sample_responses)
 
 
 def test_default_intercept_ranges_four_categories():
@@ -284,3 +287,86 @@ def test_run_replication_scores_its_fit_against_the_regenerated_truth(lam):
         data = sample_responses(truth, design.n_categories, seed=seeds[1])
         test = split_rows(data, 0.5, seeds[3])[1]
         assert objective_value(test, result.state, result.hyper) == result.objective_trace[-1]
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the process pool needs the fork start method")
+
+
+def _study_designs(n_designs=3):
+    return [SimDesign(n_respondents=40, n_items=6, n_factors=3, rho=0.1,
+                      n_categories=3, seed=seed, q_proportions=(0.5, 0.5, 0.0))
+            for seed in derive_seeds(31, n_designs)]
+
+
+def _row_bytes(row):
+    selection, recovery, result = row
+    state = result.state
+    return (selection, recovery,
+            [x.tobytes() for x in (state.theta, state.loadings, *state.intercepts,
+                                   result.objective_trace)],
+            result.hyper.lam, result.n_iters, result.converged)
+
+
+@pytest.mark.parametrize("lam", [None, 5.0])
+def test_run_study_equals_a_loop_of_run_replication_on_one_and_two_cpus(
+        monkeypatch, lam):
+    designs = _study_designs()
+    cfg = FitConfig(seed=0, max_outer_iters=6, obj_tol=1.0, n_starts=2)
+    loop = [_row_bytes(run_replication(d, cfg, n_folds=2, lam=lam)) for d in designs]
+    for cpus in (1, 2):
+        monkeypatch.setattr(_pool, "usable_cpus", lambda: cpus)
+        rows = list(run_study(designs, cfg, n_folds=2, lam=lam))
+        assert [_row_bytes(row[:3]) for row in rows] == loop
+        assert all(row[3] > 0.0 for row in rows)
+
+
+@needs_fork
+def test_run_study_opens_one_pool_for_its_replications(monkeypatch):
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: 2)
+    cfg = FitConfig(seed=0, max_outer_iters=3, obj_tol=1.0, n_starts=2)
+    with mock.patch.object(_pool, "ProcessPoolExecutor",
+                           wraps=_pool.ProcessPoolExecutor) as executor:
+        rows = list(run_study(_study_designs(), cfg, n_folds=2))
+    # one 2-worker pool here for the three replications, not one CV pool
+    # per replication
+    assert len(rows) == 3
+    assert [c.args for c in executor.call_args_list] == [(2,)]
+
+
+def _fake_replication(design, cfg, train_fraction, n_folds, lam):
+    if design.seed == _study_designs()[1].seed:
+        raise FloatingPointError(f"replication at seed {design.seed} diverged")
+    return design.seed, n_folds, lam
+
+
+@pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=needs_fork)])
+def test_run_study_yields_earlier_rows_before_a_replications_error(monkeypatch,
+                                                                   cpus):
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(simulate, "run_replication", _fake_replication)
+    designs = _study_designs()
+    study = run_study(designs, FitConfig(), n_folds=3, lam=2.0)
+    assert next(study)[:3] == (designs[0].seed, 3, 2.0)
+    with pytest.raises(FloatingPointError,
+                       match=f"replication at seed {designs[1].seed} diverged"):
+        next(study)
+
+
+def test_run_study_runs_a_replication_only_when_its_row_is_asked_for_on_one_cpu(
+        monkeypatch):
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: 1)
+    seen = []
+
+    def spy(design, *args):
+        seen.append(design.seed)
+        return design.seed, None, None
+
+    monkeypatch.setattr(simulate, "run_replication", spy)
+    designs = _study_designs()
+    study = run_study(designs, FitConfig())
+    assert next(study)[0] == designs[0].seed
+    assert seen == [designs[0].seed]
+    assert [row[0] for row in study] == [d.seed for d in designs[1:]]
+    assert seen == [d.seed for d in designs]
