@@ -5,7 +5,8 @@ of the factor columns (applied jointly to loadings and scores).  The best
 alignment against a reference minimizes the summed squared column
 distances; the objective separates per matched column, so choosing the
 optimal sign per column pair and then solving a linear assignment over
-the resulting costs is exactly optimal.
+the resulting costs is exactly optimal.  The assignment is solved here,
+with numpy alone, by the Hungarian method in O(K^3) (_assignment).
 """
 
 from __future__ import annotations
@@ -52,12 +53,51 @@ def alignment_cost(a_hat, a_ref, alignment: Alignment) -> float:
     return float((diff ** 2).sum())
 
 
+def _assignment(cost: np.ndarray) -> np.ndarray:
+    """Row of each column of a square cost matrix under an assignment of
+    least total cost.
+
+    The Hungarian method (Kuhn 1955; Munkres 1957) as shortest augmenting
+    paths with row and column potentials: each row joins the matching by
+    one Dijkstra search over the reduced costs, O(K^2), so the solve is
+    O(K^3).
+    """
+    k = cost.shape[0]
+    # 1-based rows and columns; column 0 is the root of each search
+    u, v = np.zeros(k + 1), np.zeros(k + 1)
+    row_of = np.zeros(k + 1, dtype=np.int64)  # 0: the column is free
+    for row in range(1, k + 1):
+        row_of[0], col = row, 0
+        dist, prev = np.full(k + 1, np.inf), np.zeros(k + 1, dtype=np.int64)
+        done = np.zeros(k + 1, dtype=bool)
+        while row_of[col]:
+            done[col] = True
+            reduced = cost[row_of[col] - 1] - u[row_of[col]] - v[1:]
+            closer = ~done[1:] & (reduced < dist[1:])
+            dist[1:][closer], prev[1:][closer] = reduced[closer], col
+            open_cols = np.flatnonzero(~done)
+            nxt = open_cols[np.argmin(dist[open_cols])]
+            step = dist[nxt]
+            u[row_of[done]] += step
+            v[done] -= step
+            dist[~done] -= step
+            col = nxt
+        while col:  # augment along the search's path back to the root
+            row_of[col] = row_of[prev[col]]
+            col = prev[col]
+    return row_of[1:] - 1
+
+
 def best_alignment(a_hat, a_ref) -> Alignment:
     """Signed permutation minimizing the summed squared column distances.
 
     Cost of matching source column s to target column t with the best
     sign is ||a_hat_s||^2 + ||a_ref_t||^2 - 2 |<a_hat_s, a_ref_t>|; the
-    assignment over these costs is globally optimal.
+    assignment over these costs (_assignment, O(K^3)) is globally optimal.
+    Each matched pair takes sign +1 unless its inner product is negative.
+    Where the least cost ties, as between equal columns of a_hat, any of
+    the tied alignments may come back: each gives the same aligned
+    loadings, but the aligned columns of the scores can differ.
     """
     a_hat = np.asarray(a_hat, dtype=np.float64)
     a_ref = np.asarray(a_ref, dtype=np.float64)
@@ -67,15 +107,10 @@ def best_alignment(a_hat, a_ref) -> Alignment:
     sq_hat = (a_hat ** 2).sum(axis=0)
     sq_ref = (a_ref ** 2).sum(axis=0)
     cost = sq_hat[:, None] + sq_ref[None, :] - 2.0 * np.abs(inner)
-    # imported here: scipy.optimize takes ~0.5 s to import, and fits never align
-    from scipy.optimize import linear_sum_assignment
-    src, tgt = linear_sum_assignment(cost)
-    k = a_hat.shape[1]
-    permutation = np.empty(k, dtype=np.int64)
-    signs = np.empty(k, dtype=np.float64)
-    for s, t in zip(src, tgt):
-        permutation[t] = s
-        signs[t] = 1.0 if inner[s, t] >= 0 else -1.0
+    if not np.all(np.isfinite(cost)):
+        raise ValueError("alignment costs are not finite")
+    permutation = _assignment(cost)
+    signs = np.where(inner[permutation, np.arange(len(permutation))] >= 0, 1.0, -1.0)
     return Alignment(permutation=permutation, signs=signs)
 
 

@@ -5,9 +5,10 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 import sparsegrm
-from sparsegrm.align import (Alignment, alignment_cost, apply_alignment,
+from sparsegrm.align import (Alignment, _assignment, alignment_cost, apply_alignment,
                              best_alignment, exhaustive_alignment)
 from sparsegrm.model import ModelState
 
@@ -24,6 +25,8 @@ def test_alignment_validation():
     for align in (best_alignment, exhaustive_alignment):
         with pytest.raises(ValueError, match=r"shape mismatch: \(4, 2\) vs \(4, 3\)"):
             align(np.zeros((4, 2)), np.zeros((4, 3)))
+    with pytest.raises(ValueError, match="alignment costs are not finite"):
+        best_alignment(np.array([[np.nan, 1.0]]), np.ones((1, 2)))
 
 
 def test_identity_alignment_on_identical_matrices():
@@ -49,12 +52,25 @@ def test_recovers_known_signed_permutation():
     np.testing.assert_allclose(aligned, a_ref, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
+def _alignment_draws(rng, k):
+    """20 pairs of normal draws, then for K >= 2 pairs whose least cost ties:
+    a_hat with two or more all-zero columns, or two or more equal ones."""
+    for _ in range(20):
+        yield rng.normal(size=(8, k)), rng.normal(size=(8, k))
+    for _ in range(10 if k >= 2 else 0):
+        a_hat, a_ref = rng.normal(size=(2, 8, k))
+        cols = rng.permutation(k)[:rng.integers(2, k + 1)]
+        zeroed, doubled = a_hat.copy(), a_hat.copy()
+        zeroed[:, cols] = 0.0
+        doubled[:, cols] = a_hat[:, cols[:1]]
+        yield zeroed, a_ref
+        yield doubled, a_ref
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_best_matches_exhaustive(k):
     rng = np.random.default_rng(k)
-    for _ in range(20):
-        a_hat = rng.normal(size=(8, k))
-        a_ref = rng.normal(size=(8, k))
+    for a_hat, a_ref in _alignment_draws(rng, k):
         fast = best_alignment(a_hat, a_ref)
         slow = exhaustive_alignment(a_hat, a_ref)
         cost_fast = alignment_cost(a_hat, a_ref, fast)
@@ -62,30 +78,74 @@ def test_best_matches_exhaustive(k):
         assert cost_fast == pytest.approx(cost_slow, rel=1e-10, abs=1e-10)
 
 
+@pytest.mark.parametrize("tied", [False, True], ids=["continuous", "rounded"])
+def test_assignment_agrees_with_scipy(tied):
+    rng = np.random.default_rng(11)
+    for k in range(1, 13):
+        for _ in range(20):
+            cost = rng.normal(size=(k, k))
+            if tied:  # small integers: many assignments share the least cost
+                cost = np.round(2.0 * cost)
+            rows = _assignment(cost)
+            ref_rows, ref_cols = linear_sum_assignment(cost)
+            ref = np.empty(k, dtype=np.int64)
+            ref[ref_cols] = ref_rows
+            total, ref_total = (cost[r, np.arange(k)].sum() for r in (rows, ref))
+            assert total == pytest.approx(ref_total, rel=1e-12)
+            if not tied:
+                assert np.array_equal(rows, ref)
+
+
+def _run_python(script, *args):
+    """Run script in a fresh interpreter that imports this sparsegrm."""
+    src = os.path.dirname(os.path.dirname(sparsegrm.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+
+
 _IMPORT_THEN_ALIGN = """
 import json, sys
 import numpy as np
 import sparsegrm, sparsegrm.cli
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+scipy_modules = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+loaded = scipy_modules()
 a_hat, a_ref = np.random.default_rng(4).normal(size=(2, 8, 4))
 fast = sparsegrm.best_alignment(a_hat, a_ref)
 slow = sparsegrm.exhaustive_alignment(a_hat, a_ref)
-print(json.dumps({"loaded": loaded, "same": bool(
+print(json.dumps({"loaded": loaded, "after": scipy_modules(), "same": bool(
     np.array_equal(fast.permutation, slow.permutation)
     and np.array_equal(fast.signs, slow.signs))}))
 """
 
 
 def test_importing_the_package_loads_no_scipy_until_an_alignment():
-    # scipy costs about half a second of start-up, which fits, CV and
-    # simulations never need; best_alignment imports it when it runs
-    src = os.path.dirname(os.path.dirname(sparsegrm.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_THEN_ALIGN], env=env,
-                          capture_output=True, text=True, check=True, timeout=120)
-    result = json.loads(proc.stdout)
-    assert result == {"loaded": [], "same": True}
+    # scipy costs about half a second of start-up and most of a study
+    # process's memory; neither the package nor an alignment loads it
+    result = json.loads(_run_python(_IMPORT_THEN_ALIGN).stdout)
+    assert result == {"loaded": [], "after": [], "same": True}
+
+
+_WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None  # every import of scipy now raises ImportError
+from sparsegrm.cli import main
+out = sys.argv[1]
+sim = ["--n", "40", "--j", "5", "--k", "3", "--c", "3", "--rho", "0.1", "--seed", "7"]
+runs = [["simulate", *sim, "--out", out + "/sim"],
+        ["fit", "--responses", out + "/sim/responses.csv", "--lambda", "1", "--k", "3",
+         "--c", "3", "--out", out + "/fit"],
+        ["evaluate", "--est", out + "/fit", "--truth", out + "/sim", "--out", out + "/eval"],
+        ["replicate", *sim, "--reps", "1", "--out", out + "/rep"]]
+print(json.dumps([main(argv) for argv in runs]))
+"""
+
+
+def test_evaluate_and_replicate_run_where_scipy_cannot_be_imported(tmp_path):
+    assert json.loads(_run_python(_WITHOUT_SCIPY, tmp_path).stdout) == [0, 0, 0, 0]
+    assert (tmp_path / "eval" / "metrics.txt").stat().st_size
+    assert (tmp_path / "rep" / "replications.csv").stat().st_size
 
 
 def test_cost_is_squared_frobenius_distance():
