@@ -383,9 +383,18 @@ def d_block(a_rows, th_t, d_rows, valid, yt, cu, cl, sigma_d_sq, step=None):
 # full objective
 
 
-def item_loglik(a, d_pad, valid, th_t, idx_t):
-    """cell_loglik of every cell of an item-major data set, at its flat indices idx_t."""
-    return cell_loglik(outer_sum(a, th_t), *take_brackets(bracket_table(d_pad, valid), idx_t))
+def item_loglik(a, d_pad, valid, th_t, idx_t, blocks, out=None):
+    """Each item's cell_loglik row sum over an item-major data set, at its
+    flat indices idx_t, evaluated block by block over the item slices
+    blocks; the cells (cu, cl) go to the pair of arrays out when given."""
+    table = bracket_table(d_pad, valid)
+    ll = np.empty(len(a))
+    for items in blocks:
+        ll[items], cu, cl = cell_loglik(outer_sum(a[items], th_t),
+                                        *take_brackets(table, idx_t[items]))
+        if out is not None:
+            out[0][items], out[1][items] = cu, cl
+    return ll
 
 
 def objective(ll_items, a, d_pad, valid, th_t, hyper):
@@ -415,13 +424,13 @@ def objective(ll_items, a, d_pad, valid, th_t, hyper):
     return float(ll + prior_theta + prior_a + prior_d)
 
 
-def full_objective(a, d_pad, valid, th_t, idx_t, hyper):
-    """Objective and item-major cells (cu, cl) of the whole data set.
+def full_objective(a, d_pad, valid, th_t, idx_t, hyper, blocks, out=None):
+    """Objective of the whole data set; its item-major cells (cu, cl) go to out.
 
-    One deterministic global pass (item_loglik).  Matches the per-cell
-    reference implementation up to floating-point addition order; fit calls
-    it at the start only, and takes later trace entries from d_block's row
-    values.
+    One deterministic pass (item_loglik) over the item slices blocks, whose
+    partition changes no bit.  Matches the per-cell reference implementation
+    up to floating-point addition order; fit calls it at the start only,
+    and takes later trace entries from d_block's row values.
     """
-    ll, cu, cl = item_loglik(a, d_pad, valid, th_t, idx_t)
-    return objective(ll, a, d_pad, valid, th_t, hyper), cu, cl
+    ll = item_loglik(a, d_pad, valid, th_t, idx_t, blocks, out)
+    return objective(ll, a, d_pad, valid, th_t, hyper)

@@ -10,11 +10,12 @@ accepted step.  Each trace entry after the first is summed from the item
 rows' log-likelihoods that the intercept step accepted, with no further
 pass over the cells.
 
-The first trace entry's pass is the only evaluation of every cell; after
-it, cells are evaluated only inside line searches.  Each phase's head
-reads the cells (cu, cl) that the previous phase's line searches accepted,
-kept in one item-major (J x N) pair per fit, of which each block reads and
-writes its own part.  No head re-evaluates a cell.
+The first trace entry's pass, over the item phase's blocks, is the only
+evaluation of every cell; after it, cells are evaluated only inside line
+searches.  Each phase's head reads the cells (cu, cl) that the previous
+phase's line searches accepted, kept in one item-major (J x N) pair per
+fit, of which each block reads and writes its own part.  No head
+re-evaluates a cell.
 
 Respondent and item updates inside a phase are independent, so they run
 over contiguous blocks of rows.  A block holds at most about BLOCK_CELLS
@@ -166,7 +167,8 @@ def objective_value(data: ResponseData, state: ModelState,
                     hyper: Hyperparameters) -> float:
     """Objective as computed inside fit (identical code path to the trace)."""
     ws, d_pad, th_t = _prepare(data, state, hyper)
-    return eng.full_objective(state.loadings, d_pad, ws.valid, th_t, ws.idx_t, hyper)[0]
+    return eng.full_objective(state.loadings, d_pad, ws.valid, th_t, ws.idx_t, hyper,
+                              _blocks(*ws.idx_t.shape, 1))
 
 
 def log_likelihood_value(data: ResponseData, state: ModelState) -> float:
@@ -175,7 +177,8 @@ def log_likelihood_value(data: ResponseData, state: ModelState) -> float:
     Equals model.log_likelihood up to floating-point addition order.
     """
     ws, d_pad, th_t = _prepare(data, state)
-    return float(np.sum(eng.item_loglik(state.loadings, d_pad, ws.valid, th_t, ws.idx_t)[0]))
+    return float(np.sum(eng.item_loglik(state.loadings, d_pad, ws.valid, th_t, ws.idx_t,
+                                        _blocks(*ws.idx_t.shape, 1))))
 
 
 def _blocks(rows: int, width: int, workers: int):
@@ -208,18 +211,20 @@ class _FitArrays:
     Allocated before the fit's workers fork: with workers, the arrays that
     change during the fit live in anonymous shared mappings
     (_pool.shared_array); the workspace, the respondent-major index idx and
-    hyper are read only, so each worker's inherited copy serves.
+    hyper are read only, so each worker's inherited copy serves.  The
+    item-major cells cu_t, cl_t are allocated here and filled by fit's
+    start pass.
     """
 
-    def __init__(self, ws, hyper, init, d_pad, th_t, cu_t, cl_t, shared):
+    def __init__(self, ws, hyper, init, d_pad, th_t, shared):
         share = _pool.shared_array if shared else (lambda a: a)
         self.ws, self.hyper = ws, hyper
         self.idx = np.ascontiguousarray(ws.idx_t.T)  # read by the theta phase only
         # a fit never writes its start: theta and loadings are C-ordered copies
         self.theta = share(np.array(init.theta, dtype=np.float64, order="C"))
         self.loadings = share(np.array(init.loadings, dtype=np.float64, order="C"))
-        self.d_pad, self.th_t, self.cu_t, self.cl_t = (
-            share(a) for a in (d_pad, th_t, cu_t, cl_t))
+        self.d_pad, self.th_t = share(d_pad), share(th_t)
+        self.cu_t, self.cl_t = (share(np.zeros(ws.idx_t.shape)) for _ in range(2))
         # the bracket table and a' of the current intercepts and loadings
         self.table = share(eng.bracket_table(d_pad, ws.valid))
         self.a_t = share(np.ascontiguousarray(self.loadings.T))
@@ -304,19 +309,18 @@ def fit(data: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
     if init is None:
         init = random_init(data, hyper, cfg.seed)
     ws, d_pad, th_t = _prepare(data, init, hyper)
+    workers = _pool.pool_workers(cfg.threads) if ws.idx_t.size > FORK_CELLS else 0
+    f = _FitArrays(ws, hyper, init, d_pad, th_t, shared=workers > 0)
+    del d_pad, th_t  # f holds them, or their shared copies
+    n = max(workers, 1)
+    row_blocks, item_blocks = (_blocks(*shape, n) for shape in (f.idx.shape, ws.idx_t.shape))
 
-    # cu_t, cl_t: the item-major cells at the current iterate
-    obj, cu_t, cl_t = eng.full_objective(init.loadings, d_pad, ws.valid, th_t, ws.idx_t, hyper)
-    trace = [obj]
+    # f.cu_t, f.cl_t: the item-major cells at the current iterate
+    trace = [eng.full_objective(f.loadings, f.d_pad, ws.valid, f.th_t, ws.idx_t, hyper,
+                                item_blocks, (f.cu_t, f.cl_t))]
     if not np.isfinite(trace[0]):
         raise ValueError("objective is not finite at the starting state")
-
-    workers = _pool.pool_workers(cfg.threads) if ws.idx_t.size > FORK_CELLS else 0
-    f = _FitArrays(ws, hyper, init, d_pad, th_t, cu_t, cl_t, shared=workers > 0)
-    del d_pad, th_t, cu_t, cl_t  # f holds them, or their shared copies
-    n = max(workers, 1)
-    row_shares, item_shares = (_shares(_blocks(*shape, n), n)
-                               for shape in (f.idx.shape, ws.idx_t.shape))
+    row_shares, item_shares = _shares(row_blocks, n), _shares(item_blocks, n)
 
     with _pool.task_pool(workers, _bind, (f,)) as pool:
         for _ in range(cfg.max_outer_iters):
