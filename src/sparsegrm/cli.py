@@ -145,6 +145,16 @@ def _resolve(args: argparse.Namespace) -> dict:
     return settings
 
 
+def _missing_dirs(path: str) -> list:
+    """path and each of its parents that does not exist, deepest first."""
+    missing = []
+    path = os.path.abspath(path)
+    while not os.path.lexists(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    return missing
+
+
 def _output(settings: dict):
     """Create --out; return its file-path joiner and the config echo."""
     os.makedirs(settings["out"], exist_ok=True)
@@ -374,15 +384,16 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    made = False  # whether this run creates --out
+    made = []  # the directories of --out that this run creates, deepest first
     try:
         settings = _resolve(args)
-        made = not os.path.lexists(settings["out"])
+        made = _missing_dirs(settings["out"])
         _COMMANDS[args.command].handler(settings)
     except (ValueError, OSError) as exc:
-        if made:  # a failed run removes the --out it made while that is empty
-            with suppress(OSError):
-                os.rmdir(settings["out"])
+        # a failed run removes the directories it made while they are empty
+        with suppress(OSError):
+            for path in made:
+                os.rmdir(path)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

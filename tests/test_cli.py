@@ -558,20 +558,23 @@ def test_rejected_runs_leave_no_output_directory(tmp_path, sim_dir, fit_dir, cap
         args = ["--responses", sim_dir / "responses.csv", *args]
     if args[0] == "--threshold":
         args = ["--est", fit_dir, "--truth", sim_dir, *args]
-    out = tmp_path / "out"
-    assert run_cli(command, *args, "--out", out) == 1
-    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
-    assert not out.exists()
+    # a nested --out: the run creates its parent too, and removes both
+    for out in (tmp_path / "out", tmp_path / "nest" / "inner"):
+        assert run_cli(command, *args, "--out", out) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not any(tmp_path.iterdir())
 
 
 def test_a_rejected_run_keeps_the_out_directory_it_did_not_create(tmp_path, capsys):
-    out = tmp_path / "made_by_the_user"
-    out.mkdir()
-    assert run_cli("replicate", *SIM_ARGS, "--reps", 1, "--lambda", -1,
-                   "--out", out) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        "error: lam must be finite and nonnegative, got -1.0"]
-    assert out.is_dir() and not any(out.iterdir())
+    user_dir = tmp_path / "made_by_the_user"
+    user_dir.mkdir()
+    # --out itself, then a --out that the run creates inside it
+    for out in (user_dir, user_dir / "inner"):
+        assert run_cli("replicate", *SIM_ARGS, "--reps", 1, "--lambda", -1,
+                       "--out", out) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: lam must be finite and nonnegative, got -1.0"]
+        assert user_dir.is_dir() and not any(user_dir.iterdir())
 
 
 def test_replicate_fails_before_its_first_replication_when_out_is_a_file(
