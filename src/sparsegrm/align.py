@@ -58,34 +58,47 @@ def _assignment(cost: np.ndarray) -> np.ndarray:
     least total cost.
 
     The Hungarian method (Kuhn 1955; Munkres 1957) as shortest augmenting
-    paths with row and column potentials: each row joins the matching by
-    one Dijkstra search over the reduced costs, O(K^2), so the solve is
-    O(K^3).
+    paths with row and column potentials, in Crouse's form (IEEE Trans.
+    Aerosp. Electron. Syst. 52(4), 2016): each row joins the matching by one
+    Dijkstra search over the reduced costs, O(K^2), so the solve is O(K^3).
+    Ties follow Crouse's scan order: among the open columns at the least
+    distance the search takes the last free one, else the first; the scan
+    starts at the last column, and a taken column's place goes to the scan's
+    last.  So a constant matrix gives the identity, and every assignment,
+    tied or not, is the one scipy's linear_sum_assignment returns.
     """
-    k = cost.shape[0]
-    # 1-based rows and columns; column 0 is the root of each search
-    u, v = np.zeros(k + 1), np.zeros(k + 1)
-    row_of = np.zeros(k + 1, dtype=np.int64)  # 0: the column is free
-    for row in range(1, k + 1):
-        row_of[0], col = row, 0
-        dist, prev = np.full(k + 1, np.inf), np.zeros(k + 1, dtype=np.int64)
-        done = np.zeros(k + 1, dtype=bool)
-        while row_of[col]:
-            done[col] = True
-            reduced = cost[row_of[col] - 1] - u[row_of[col]] - v[1:]
-            closer = ~done[1:] & (reduced < dist[1:])
-            dist[1:][closer], prev[1:][closer] = reduced[closer], col
-            open_cols = np.flatnonzero(~done)
-            nxt = open_cols[np.argmin(dist[open_cols])]
-            step = dist[nxt]
-            u[row_of[done]] += step
-            v[done] -= step
-            dist[~done] -= step
-            col = nxt
-        while col:  # augment along the search's path back to the root
-            row_of[col] = row_of[prev[col]]
-            col = prev[col]
-    return row_of[1:] - 1
+    k = len(cost)
+    u, v = np.zeros(k), np.zeros(k)
+    row_of, col_of, path = (np.full(k, -1) for _ in range(3))
+    for row in range(k):
+        dist, open_cols = np.full(k, np.inf), np.arange(k)[::-1]
+        rows, cols, i, low = [], [], row, 0.0
+        while True:  # Dijkstra from row until it reaches a free column
+            rows.append(i)
+            reduced = low + cost[i, open_cols] - u[i] - v[open_cols]
+            closer = reduced < dist[open_cols]
+            path[open_cols[closer]], dist[open_cols[closer]] = i, reduced[closer]
+            low = dist[open_cols].min()
+            ties = np.flatnonzero(dist[open_cols] == low)
+            free = ties[row_of[open_cols[ties]] < 0]
+            at = free[-1] if len(free) else ties[0]
+            j = open_cols[at]
+            cols.append(j)
+            open_cols[at] = open_cols[-1]
+            open_cols = open_cols[:-1]
+            if row_of[j] < 0:
+                break
+            i = row_of[j]
+        u[row] += low
+        u[rows[1:]] += low - dist[col_of[rows[1:]]]
+        v[cols] -= low - dist[cols]
+        while True:  # augment along the path back to row
+            i = path[j]
+            row_of[j] = i
+            col_of[i], j = j, col_of[i]
+            if i == row:
+                break
+    return row_of
 
 
 def best_alignment(a_hat, a_ref) -> Alignment:
@@ -95,9 +108,8 @@ def best_alignment(a_hat, a_ref) -> Alignment:
     sign is ||a_hat_s||^2 + ||a_ref_t||^2 - 2 |<a_hat_s, a_ref_t>|; the
     assignment over these costs (_assignment, O(K^3)) is globally optimal.
     Each matched pair takes sign +1 unless its inner product is negative.
-    Where the least cost ties, as between equal columns of a_hat, any of
-    the tied alignments may come back: each gives the same aligned
-    loadings, but the aligned columns of the scores can differ.
+    Where the least cost ties, as between equal or all-zero columns of
+    a_hat, _assignment's scan order picks one of the tied alignments.
     """
     a_hat = np.asarray(a_hat, dtype=np.float64)
     a_ref = np.asarray(a_ref, dtype=np.float64)
