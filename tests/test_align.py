@@ -53,11 +53,13 @@ def test_recovers_known_signed_permutation():
 
 
 def _alignment_draws(rng, k):
-    """20 pairs of normal draws, then for K >= 2 pairs whose least cost ties:
-    a_hat with two or more all-zero columns, or two or more equal ones."""
-    for _ in range(20):
+    """Pairs of normal draws, then for K >= 2 pairs whose least cost ties:
+    a_hat with two or more all-zero columns, or two or more equal ones.
+    Fewer at K=5, where each exhaustive search visits 3840 alignments."""
+    n = 20 if k < 5 else 4
+    for _ in range(n):
         yield rng.normal(size=(8, k)), rng.normal(size=(8, k))
-    for _ in range(10 if k >= 2 else 0):
+    for _ in range(n // 2 if k >= 2 else 0):
         a_hat, a_ref = rng.normal(size=(2, 8, k))
         cols = rng.permutation(k)[:rng.integers(2, k + 1)]
         zeroed, doubled = a_hat.copy(), a_hat.copy()
@@ -92,8 +94,8 @@ def test_assignment_agrees_with_scipy(tied):
             ref[ref_cols] = ref_rows
             total, ref_total = (cost[r, np.arange(k)].sum() for r in (rows, ref))
             assert total == pytest.approx(ref_total, rel=1e-12)
-            if not tied:
-                assert np.array_equal(rows, ref)
+            # the same scan order breaks ties the same way
+            assert np.array_equal(rows, ref)
 
 
 def _run_python(script, *args):
