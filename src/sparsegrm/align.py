@@ -64,8 +64,8 @@ def _assignment(cost: np.ndarray) -> np.ndarray:
     Ties follow Crouse's scan order: among the open columns at the least
     distance the search takes the last free one, else the first; the scan
     starts at the last column, and a taken column's place goes to the scan's
-    last.  So a constant matrix gives the identity, and every assignment,
-    tied or not, is the one scipy's linear_sum_assignment returns.
+    last.  So a constant matrix gives the identity, and a tie breaks as in
+    any solver that follows Crouse's order (the tests check one).
     """
     k = len(cost)
     u, v = np.zeros(k), np.zeros(k)
