@@ -22,15 +22,20 @@ cross between respondent and item rows bit for bit, as outer_sum adds the
 same products in the same k order in both.
 
 Intercept vectors of unequal length are stored in a zero-padded J x Dmax
-matrix; the J x Dmax boolean mask valid marks its real entries.  The kernel
-reads them from :func:`bracket_table`, which widens item j's row to
-[+inf, d_1, ..., d_{C_j-1}, -inf, ..., -inf, +inf, -inf]: category y lies
-between columns y and y + 1, which states P(Y >= 0) = 1 and P(Y >= C_j) = 0
-as intercepts, and the kernel's sigmoid (model.inverse_logit) is exactly 1.0
-at +inf and 0.0 at -inf.  numpy's exp leaves its fast vector loop for
-infinite and very large arguments, so :func:`adjacent_cums` clamps each
-sigmoid argument where the result is already exact, keeping every bit.  An
-unobserved cell has category Dmax + 2 (:func:`item_categories`), so its
+matrix; the J x Dmax boolean mask valid marks its real entries.  Item j's
+brackets are the row b = [+inf, d_1, ..., d_{C_j-1}, -inf, ..., -inf, +inf,
+-inf]: category y lies between columns y and y + 1, which states
+P(Y >= 0) = 1 and P(Y >= C_j) = 0 as intercepts.  The kernel reads them
+from :func:`bracket_table` in exp form, e^{-b} = [0, e^{-d_1}, ...,
+e^{-d_{C_j-1}}, +inf, ..., +inf, 0, +inf], and takes a cell's cumulative
+probability sigma(z + d) as 1 / (1 + e^{-z} e^{-d}) (:func:`adjacent_cums`):
+one exp per cell for both brackets, and none per intercept candidate, as
+d_block's z is fixed.  :func:`exp_neg` computes e^{-z} with z clipped to
++-Z_CLIP, so e^{-z} is finite and positive and a product with a 0 or +inf
+bracket is exactly 0 or +inf: cells are exactly 1.0 at a +inf bracket and
+0.0 at a -inf one, at any z.  Past the clip, a z gives the cells of
++-Z_CLIP, and a finite d whose e^{-d} overflows acts as a -inf bracket.
+An unobserved cell has category Dmax + 2 (:func:`item_categories`), so its
 cells are exactly (1.0, 0.0) and it adds 0.0 to every sum: no function takes
 the missingness mask.  A cell reads both columns at one flat index
 (:func:`cell_index`, :func:`take_brackets`).  optimizer._Workspace states
@@ -45,7 +50,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import PROB_FLOOR, inverse_logit
+from .model import PROB_FLOOR
 
 # Backtracking line search on the step grid GAMMA0 * SHRINK**i, i = 0..
 # MAX_BACKTRACKS: a step gamma is accepted when the row value gains at least
@@ -62,6 +67,11 @@ MAX_BACKTRACKS = 30
 SUFFICIENT_INCREASE = 1e-4
 GAMMA_FLOOR = GAMMA0 * SHRINK ** MAX_BACKTRACKS
 
+# exp_neg clips z to +-Z_CLIP: e^{-z} then stays finite and positive (e^700
+# is about 1e304), so a product with a 0 or +inf bracket is never inf * 0
+Z_CLIP = 700.0
+
+
 def pad_intercepts(intercepts):
     """Stack per-item intercept vectors into a zero-padded J x Dmax block."""
     d_pad = np.zeros((len(intercepts), max(d.size for d in intercepts)))
@@ -75,10 +85,19 @@ def unpad_intercepts(d_pad, valid):
 
 
 def bracket_table(d_rows, valid_rows):
-    """Bracket rows [+inf, d_1, ..., d_{C_j-1}, -inf, ..., -inf, +inf, -inf] of d_rows."""
-    edge = np.full((d_rows.shape[0], 1), np.inf)
-    real = np.where(valid_rows, d_rows, -np.inf)
-    return np.concatenate([edge, real, -edge, edge, -edge], 1)
+    """e^{-b} of the bracket rows b = [+inf, d_1, ..., d_{C_j-1}, -inf, ..., -inf,
+    +inf, -inf] of d_rows: [0, e^{-d_1}, ..., e^{-d_{C_j-1}}, +inf, ..., +inf, 0, +inf]."""
+    edge = np.full((d_rows.shape[0], 1), -np.inf)
+    neg = np.where(valid_rows, -d_rows, np.inf)
+    # e^{-d} of a finite d below about -709.78 overflows to +inf, a -inf bracket
+    with np.errstate(over="ignore"):
+        return np.exp(np.concatenate([edge, neg, -edge, edge, -edge], 1))
+
+
+def exp_neg(z):
+    """e^{-z} with z clipped to +-Z_CLIP: finite and positive unless z is NaN."""
+    x = np.clip(z, -Z_CLIP, Z_CLIP)
+    return np.exp(np.negative(x, out=x), out=x)
 
 
 def item_categories(responses, mask, dmax):
@@ -92,7 +111,7 @@ def cell_index(yt, dmax):
 
 
 def take_brackets(table, idx):
-    """Columns y and y + 1 (du, dl) of table at each cell's flat index idx."""
+    """Columns y and y + 1 (eu, el) of table at each cell's flat index idx."""
     return np.take(table, idx), np.take(table.ravel()[1:], idx)
 
 
@@ -143,29 +162,24 @@ def soft_threshold(z, t):
 # cell kernel, gradient heads and line search
 
 
-def adjacent_cums(z, du, dl):
+def adjacent_cums(ez, eu, el):
     """Upper/lower cumulative probabilities of each cell's own category.
 
-    Bit for bit inverse_logit(z + du) and inverse_logit(z + dl), with each
-    argument clamped where the sigmoid is already exact, so that no +-inf
-    (du is finite or +inf, dl finite or -inf) reaches exp.  The upper one is
-    capped at 40: from 37 on, 1 + exp(-x) rounds to 1.0.  The lower one is
-    raised to -700 and its cells below -700 set to 0.0 only when each of
-    them is -inf; a finite one there needs exp's own result.
+    cu = 1 / (1 + ez * eu) and cl = 1 / (1 + ez * el), sigma(z + d) of the
+    brackets d in the product form, from ez = exp_neg(z) and the brackets'
+    e^{-d} (take_brackets of a bracket_table).  ez is finite and positive, so
+    a bracket of 0 gives exactly 1.0 and one of +inf exactly 0.0; NaN
+    propagates.  A finite product may overflow to +inf, giving 0.0.
     """
-    xu = np.add(z, du)
-    cu = inverse_logit(np.minimum(xu, 40.0, out=xu), out=xu)
-    xl = np.add(z, dl)
-    low = xl < -700.0
-    if np.count_nonzero(low) != np.count_nonzero(xl == -np.inf):
-        return cu, inverse_logit(xl, out=xl)
-    cl = inverse_logit(np.maximum(xl, -700.0, out=xl), out=xl)
-    return cu, np.multiply(cl, ~low, out=cl)
+    with np.errstate(over="ignore"):
+        cu = np.add(np.multiply(ez, eu), 1.0)
+        cl = np.add(np.multiply(ez, el), 1.0)
+        return np.divide(1.0, cu, out=cu), np.divide(1.0, cl, out=cl)
 
 
-def cell_loglik(z, du, dl):
-    """Row log-likelihoods and cells (cu, cl) of predictors z and brackets du/dl."""
-    cu, cl = adjacent_cums(z, du, dl)
+def cell_loglik(ez, eu, el):
+    """Row log-likelihoods and cells (cu, cl) of e^{-z} ez and brackets eu/el."""
+    cu, cl = adjacent_cums(ez, eu, el)
     return row_loglik(cu, cl)[0], cu, cl
 
 
@@ -290,12 +304,12 @@ def line_search(x0, ll0, cu, cl, penalty, loglik, propose, mapping_sq, pending=N
 # respondent phase
 
 
-def _loglik_against(vt, du, dl):
+def _loglik_against(vt, eu, el):
     """line_search's loglik for rows x of the block rows idx against vt."""
-    return lambda idx, x: cell_loglik(outer_sum(x, vt), du[idx], dl[idx])
+    return lambda idx, x: cell_loglik(exp_neg(outer_sum(x, vt)), eu[idx], el[idx])
 
 
-def theta_block(th_rows, a_t, du, dl, cu, cl, sinv, step=None):
+def theta_block(th_rows, a_t, eu, el, cu, cl, sinv, step=None):
     """One line-searched gradient step per respondent row in the block.
 
     step holds each row's start step (default GAMMA0); returns the new rows
@@ -307,7 +321,7 @@ def theta_block(th_rows, a_t, du, dl, cu, cl, sinv, step=None):
     gn2 = row_norm_sq(g)
     return line_search(
         th_rows, ll, cu, cl, lambda th: 0.5 * quad_form_rows(th, sinv),
-        _loglik_against(a_t, du, dl),
+        _loglik_against(a_t, eu, el),
         lambda idx, gamma: th_rows[idx] + gamma[:, None] * g[idx],
         lambda idx, gamma, th: gn2[idx], step=step)[:2]
 
@@ -316,7 +330,7 @@ def theta_block(th_rows, a_t, du, dl, cu, cl, sinv, step=None):
 # item phase: loadings
 
 
-def a_block(a_rows, th_t, du, dl, cu, cl, lam, step=None):
+def a_block(a_rows, th_t, eu, el, cu, cl, lam, step=None):
     """One line-searched proximal gradient step per item row in the block.
 
     step holds each row's start step (default GAMMA0); returns the new rows
@@ -335,7 +349,7 @@ def a_block(a_rows, th_t, du, dl, cu, cl, lam, step=None):
         pending &= ~(np.all(a_rows == 0.0, axis=1) & np.all(np.abs(g) <= lam, axis=1))
     return line_search(
         a_rows, ll, cu, cl, lambda a: lam * np.abs(a).sum(axis=1),
-        _loglik_against(th_t, du, dl),
+        _loglik_against(th_t, eu, el),
         lambda idx, gamma: soft_threshold(a_rows[idx] + gamma[:, None] * g[idx],
                                           (lam * gamma)[:, None]),
         lambda idx, gamma, a: row_norm_sq((a - a_rows[idx]) / gamma[:, None]),
@@ -359,11 +373,12 @@ def d_block(a_rows, th_t, d_rows, valid, yt, cu, cl, sigma_d_sq, step=None):
     """
     ll, _, delta, g_delta = d_head(d_rows, valid, yt, cu, cl, sigma_d_sq)
     gn2 = row_norm_sq(g_delta)
-    z = outer_sum(a_rows, th_t)
+    # z is fixed here: a candidate's cells take products with its e^{-d}, no exp
+    ez = exp_neg(outer_sum(a_rows, th_t))
 
     def loglik(rows, d):
         table = bracket_table(d, valid[rows])
-        return cell_loglik(z[rows], *take_brackets(table, cell_index(yt[rows], d.shape[1])))
+        return cell_loglik(ez[rows], *take_brackets(table, cell_index(yt[rows], d.shape[1])))
 
     def propose(idx, gamma):
         d = to_d(delta[idx] + gamma[:, None] * g_delta[idx], valid[idx])
@@ -390,7 +405,7 @@ def item_loglik(a, d_pad, valid, th_t, idx_t, blocks, out=None):
     table = bracket_table(d_pad, valid)
     ll = np.empty(len(a))
     for items in blocks:
-        ll[items], cu, cl = cell_loglik(outer_sum(a[items], th_t),
+        ll[items], cu, cl = cell_loglik(exp_neg(outer_sum(a[items], th_t)),
                                         *take_brackets(table, idx_t[items]))
         if out is not None:
             out[0][items], out[1][items] = cu, cl

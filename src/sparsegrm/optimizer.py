@@ -20,7 +20,7 @@ re-evaluates a cell.
 Respondent and item updates inside a phase are independent, so they run
 over contiguous blocks of rows.  A block holds at most about BLOCK_CELLS
 cells, so no array of the loop is larger than a block: each block gathers
-its own cells' intercepts from the J x (Dmax + 4) bracket table built once
+its own cells' brackets from the J x (Dmax + 4) table of e^{-d} built once
 per iteration.  Each fit keeps one set of arrays (rows, steps, item
 log-likelihoods, cells, bracket table, a' and theta'), and each block reads
 its rows and writes its results back in place.  A fit of more than
@@ -389,12 +389,12 @@ def _row_args(data: ResponseData, state: ModelState,
         idx = ws.idx_t[:, rows].T
     else:
         x, vt, idx = state.loadings[rows], th_t, ws.idx_t[rows]
-    du, dl = eng.take_brackets(table, idx)
-    cells = eng.cell_loglik(eng.outer_sum(x, vt), du, dl)[1:]
+    eu, el = eng.take_brackets(table, idx)
+    cells = eng.cell_loglik(eng.exp_neg(eng.outer_sum(x, vt)), eu, el)[1:]
     if phase == "theta":
-        return (x, vt, du, dl, *cells, hyper.sigma_theta_inv)
+        return (x, vt, eu, el, *cells, hyper.sigma_theta_inv)
     if phase == "a":
-        return (x, vt, du, dl, *cells)
+        return (x, vt, eu, el, *cells)
     return (x, vt, d_pad[rows], ws.valid[rows], ws.yt[rows], *cells, hyper.sigma_d_sq)
 
 

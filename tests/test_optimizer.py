@@ -12,7 +12,7 @@ from sparsegrm import _engine as eng
 from sparsegrm import _pool, optimizer
 from sparsegrm.data import ResponseData
 from sparsegrm.gradients import grad_a_loglik, grad_d, grad_delta, grad_theta
-from sparsegrm.model import Hyperparameters, ModelState, inverse_logit, objective
+from sparsegrm.model import Hyperparameters, ModelState, objective
 from sparsegrm.optimizer import (FitConfig, _row_args, fit, fit_multistart,
                                  log_likelihood_value, objective_value,
                                  random_init, soft_threshold, update_a,
@@ -318,12 +318,12 @@ def test_fit_hands_each_block_the_cells_at_its_rows(monkeypatch, threads):
 
         monkeypatch.setattr(eng, name, run)
 
-    def against(x, vt, du, dl, *_):
-        return eng.cell_loglik(eng.outer_sum(x, vt), du, dl)[1:]
+    def against(x, vt, eu, el, *_):
+        return eng.cell_loglik(eng.exp_neg(eng.outer_sum(x, vt)), eu, el)[1:]
 
     def intercepts(a, th_t, d, valid, yt, *_):
         brackets = eng.take_brackets(eng.bracket_table(d, valid), eng.cell_index(yt, d.shape[1]))
-        return eng.cell_loglik(eng.outer_sum(a, th_t), *brackets)[1:]
+        return eng.cell_loglik(eng.exp_neg(eng.outer_sum(a, th_t)), *brackets)[1:]
 
     check("theta_block", against, 4)
     check("a_block", against, 4)
@@ -708,21 +708,33 @@ def test_non_finite_objective_during_fitting_is_raised_by_the_parent(monkeypatch
 
 
 def test_kernel_sigmoid_is_exact_at_infinite_intercepts_and_propagates_nan():
-    z = np.array([-1e300, -800.0, -3.0, 0.0, 2.5, 800.0, 1e300, np.nan])
-    cu, cl = eng.adjacent_cums(z, np.full(z.size, np.inf), np.full(z.size, -np.inf))
+    # in exp form the brackets +inf and -inf are 0.0 and +inf; e^{-z} is
+    # clipped finite and positive, so their products are exactly 0.0 and
+    # +inf at any z, and the cells exactly 1.0 and 0.0
+    table = eng.bracket_table(np.array([[0.0], [np.nan]]), np.array([[False], [True]]))
+    np.testing.assert_array_equal(table[0], [0.0, np.inf, np.inf, 0.0, np.inf])
+    assert np.isnan(table[1, 1])
+    z = np.array([-np.inf, -1e300, -800.0, -3.0, 0.0, 2.5, 800.0, 1e300, np.inf, np.nan])
+    ez = eng.exp_neg(z)
+    assert np.all((ez[:-1] > 0.0) & np.isfinite(ez[:-1])) and np.isnan(ez[-1])
+    cu, cl = eng.adjacent_cums(ez, np.full(z.size, table[0, 0]), np.full(z.size, table[0, 1]))
     np.testing.assert_array_equal(cu[:-1], 1.0)
     np.testing.assert_array_equal(cl[:-1], 0.0)
     assert np.isnan(cu[-1]) and np.isnan(cl[-1])
-    cu, cl = eng.adjacent_cums(np.zeros(2), np.array([np.nan, 0.0]),
-                               np.array([0.0, np.nan]))
+    # a NaN intercept's bracket is NaN, and so is its cell
+    cu, cl = eng.adjacent_cums(np.ones(2), np.array([table[1, 1], 1.0]),
+                               np.array([1.0, table[1, 1]]))
     assert np.isnan(cu[0]) and cu[1] == 0.5 and cl[0] == 0.5 and np.isnan(cl[1])
 
 
 def test_kernel_sigmoid_agrees_with_expit():
+    # at d = 0 (a bracket of exactly 1.0) the cells are the sigmoid of the
+    # clipped z; past +-Z_CLIP they are the cells of +-Z_CLIP
     z = np.linspace(-745.0, 745.0, 298_001)
-    d = np.zeros_like(z)
-    cu, cl = eng.adjacent_cums(z, d, d + 0.75)
-    for got, want in ((cu, expit(z)), (cl, expit(z + 0.75))):
+    one = np.ones_like(z)
+    cu, cl = eng.adjacent_cums(eng.exp_neg(z), one, one)
+    want = expit(np.clip(z, -eng.Z_CLIP, eng.Z_CLIP))
+    for got in (cu, cl):
         ulps = np.abs(got - want) / np.spacing(want)
         # numpy's exp is within about 1 ulp, and 1 / (1 + t) passes that on,
         # doubled at worst where the reciprocal lands in the lower binade;
@@ -731,65 +743,119 @@ def test_kernel_sigmoid_agrees_with_expit():
         assert ulps[np.abs(z + 36.9) > 1.0].max() <= 2.0
 
 
-def plain_adjacent_cums(z, du, dl):
-    """adjacent_cums without its clamps: the sigmoid of each sum as it is."""
-    return tuple(inverse_logit(x, out=x) for x in (z + du, z + dl))
+def test_kernel_sigmoid_is_within_4_ulp_of_an_extended_precision_oracle():
+    # sigma(z + d) as 1 / (1 + e^{-z} e^{-d}) never rounds z + d, so it stays
+    # within a few ulp of the exact sigmoid where z + d itself would not be
+    # exact; the oracle is the long double sigmoid of the exact sum
+    rng = np.random.default_rng(4)
+    z = np.concatenate([np.linspace(-700.0, 700.0, 280_001),
+                        rng.uniform(-700.0, 700.0, 200_000), rng.uniform(-60.0, 60.0, 200_000)])
+    ez = eng.exp_neg(z)
+    for d in (0.75, -3.2, 5.5, -0.001, 12.0):
+        ed = eng.bracket_table(np.array([[d]]), np.ones((1, 1), dtype=bool))[0, 1]
+        got = eng.adjacent_cums(ez, np.full(z.size, ed), np.zeros(z.size))[0]
+        x = z.astype(np.longdouble) + np.longdouble(d)
+        want = 1.0 / (1.0 + np.exp(-x))
+        ulps = np.abs(got - want) / np.spacing(want.astype(np.float64))
+        assert ulps.max() <= 4.0, d
+
+
+def test_kernel_past_the_clip_gives_the_cells_of_the_clip():
+    # a z beyond +-Z_CLIP gives exactly the cells of +-Z_CLIP; a finite d
+    # whose e^{-d} overflows gives the bracket of -inf, and one whose e^{-d}
+    # underflows the bracket of +inf
+    d = np.array([[5.5, 0.75, -0.001, -3.2, -660.0, -709.0]])
+    brackets = eng.bracket_table(d, np.ones(d.shape, dtype=bool))[0]
+    eu, el = brackets[:, None], brackets[1:2, None]
+    for edge, beyond in ((eng.Z_CLIP, [700.5, 709.9, 800.0, 1e300, np.inf]),
+                         (-eng.Z_CLIP, [-700.5, -709.9, -800.0, -1e300, -np.inf])):
+        want = eng.adjacent_cums(eng.exp_neg(np.array([edge])), eu, el)
+        got = eng.adjacent_cums(eng.exp_neg(np.array(beyond)), eu, el)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, np.broadcast_to(w, g.shape))
+    table = eng.bracket_table(np.array([[750.0, -710.0, -1e5]]), np.ones((1, 3), dtype=bool))
+    # the brackets of +inf and -inf, from an item with no real intercept
+    edges = eng.bracket_table(np.zeros((1, 1)), np.zeros((1, 1), dtype=bool))[0, :2]
+    np.testing.assert_array_equal(table[0, 1:4], edges[[0, 1, 1]])
+    ez = eng.exp_neg(np.array([-1e300, -700.0, -5.0, 0.0, 5.0, 700.0, 1e300]))
+    for e, edge in zip(table[0, 1:4], edges[[0, 1, 1]]):
+        np.testing.assert_array_equal(eng.adjacent_cums(ez, e, e),
+                                      eng.adjacent_cums(ez, edge, edge))
+
+
+def plain_exp_neg(z):
+    """exp_neg without its clip: e^{-z} as numpy's exp gives it."""
+    with np.errstate(over="ignore"):
+        return np.exp(-z)
+
+
+def plain_adjacent_cums(ez, eu, el):
+    """adjacent_cums in plain expressions, without its in-place steps."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 1.0 / (1.0 + ez * eu), 1.0 / (1.0 + ez * el)
 
 
 def test_kernel_sigmoid_clamps_keep_every_bit():
-    # adjacent_cums caps the upper argument at 40 and raises the lower one to
-    # -700 when its only cells below -700 are -inf; neither may move a bit,
-    # a sign or a NaN of inverse_logit's result on the unclamped sums
-    def check(z, du, dl):
-        z, du, dl = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (z, du, dl)))
-        got = eng.adjacent_cums(z.copy(), du.copy(), dl.copy())
-        for g, w in zip(got, plain_adjacent_cums(z, du, dl)):
+    # exp_neg clips z to +-Z_CLIP; that may move no bit, sign or NaN of the
+    # unclipped product kernel inside the clip, nor past it wherever the
+    # unclipped cells are already exact at 1.0; where the unclipped kernel
+    # meets inf * 0 at a bracket of 0 or +inf, the clip gives the exact cell
+    def kernels(z, eu, el):
+        z, eu, el = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (z, eu, el)))
+        return (eng.adjacent_cums(eng.exp_neg(z), eu.copy(), el.copy()),
+                plain_adjacent_cums(plain_exp_neg(z), eu, el))
+
+    def check(z, eu, el):
+        for g, w in zip(*kernels(z, eu, el)):
             assert np.array_equal(g, w, equal_nan=True)
             np.testing.assert_array_equal(np.isnan(g), np.isnan(w))
             np.testing.assert_array_equal(np.signbit(g), np.signbit(w))
 
-    z = np.linspace(-800.0, 800.0, 32_001)
-    finite = np.array([-2.5, 0.0, 0.75, 3.0])[:, None]
-    # lower brackets all -inf (clamped), all finite (some x_l below -700,
-    # so exp's own path), and both against finite and +inf upper brackets
-    for du in (finite, np.inf):
-        check(z, du, -np.inf)
-        check(z, du, finite - 1.0)
-    # -inf among finite x_l that all stay above -700: the clamped path
-    mixed = np.where(np.arange(z.size) % 3 == 0, -np.inf, -1.0)
-    check(np.linspace(-690.0, 800.0, z.size), finite, mixed)
-    # 1 + exp(-x) reaches 1.0 near 36.7; the cap must sit past it
-    check(np.linspace(36.0, 41.0, 50_001), 0.0, -np.inf)
-    # NaN, +-0 and +-inf against finite and infinite brackets; inf - inf is
-    # NaN in the sum itself, with or without the clamps
-    special = np.array([np.nan, 0.0, -0.0, np.inf, -np.inf])[:, None]
-    with np.errstate(invalid="ignore"):
-        check(special, np.array([0.0, -0.0, 1.5, np.inf]),
-              np.array([0.0, -0.0, -1.5, -np.inf]))
-    # one finite x_l in (-709.79, -700) beside -inf: the finite cells keep
-    # exp's nonzero result, so this array takes the unclamped path
-    z = np.array([0.0, -700.5, -705.0, -709.5, -709.78])
-    dl = np.array([-np.inf, 0.0, 0.0, 0.0, 0.0])
-    check(z, 0.0, dl)
-    assert np.all(eng.adjacent_cums(z, np.zeros(5), dl)[1][1:] > 0.0)
+    d = np.array([[3.0, 0.75, 0.0, -2.5, -660.0, 700.0]])
+    finite = eng.bracket_table(d, np.ones(d.shape, dtype=bool))[0, 1:7, None]
+    zero, inf = 0.0, np.inf  # the brackets of +inf and -inf
+    z = np.linspace(-eng.Z_CLIP, eng.Z_CLIP, 32_001)
+    # inside the clip: finite, +inf and -inf brackets in every pairing
+    for eu in (finite, zero):
+        check(z, eu, inf)
+        check(z, eu, finite[::-1])
+    check(z, zero, zero)
+    check(z, inf, inf)
+    # past +Z_CLIP the unclipped e^{-z} falls to 0.0 and every cell with a
+    # bracket up to e^{660} or of 0 is 1.0 either way
+    check(np.linspace(eng.Z_CLIP, 800.0, 20_001), finite[:5], finite[:5])
+    check(np.array([745.0, 800.0, 1e300, np.inf]), zero, finite[:5])
+    # NaN and +-0 against finite and infinite brackets
+    special = np.array([np.nan, 0.0, -0.0])[:, None]
+    check(special, np.array([finite[2, 0], finite[1, 0], zero, inf]),
+          np.array([finite[2, 0], finite[3, 0], inf, zero]))
+    # beyond exp's range the unclipped kernel meets inf * 0 and gives NaN,
+    # the clipped one the exact cells of the infinite brackets
+    beyond = np.array([-1e300, -800.0, -710.0, 746.0, 800.0, 1e300])
+    (cu, cl), (pu, pl) = kernels(beyond, np.where(beyond < 0, zero, inf), inf)
+    assert np.isnan(np.where(beyond < 0, pu, pl)).all()
+    np.testing.assert_array_equal(cu, np.where(beyond < 0, 1.0, 0.0))
+    np.testing.assert_array_equal(cl, 0.0)
 
 
 @pytest.mark.usefixtures("fork_any_fit")
 @pytest.mark.parametrize("threads", [1, 2])
 def test_fit_is_bit_identical_to_the_plain_kernel_sigmoid(monkeypatch, threads):
-    # ragged items and unobserved cells give many brackets at +-inf, which
-    # adjacent_cums clamps; the unclamped kernel must give the same fit
+    # ragged items and unobserved cells give many brackets of 0 and +inf; the
+    # in-place kernel with its clip must give the fit of the unclipped,
+    # plainly written product kernel
     data, hyper, _ = sim_ragged(3, (0.6, 0.2, 0.2))
     cfg = FitConfig(seed=5, max_outer_iters=8, obj_tol=1e-9, threads=threads)
-    clamped = fit(data, hyper, cfg)
+    clipped = fit(data, hyper, cfg)
+    monkeypatch.setattr(eng, "exp_neg", plain_exp_neg)
     monkeypatch.setattr(eng, "adjacent_cums", plain_adjacent_cums)
     plain = fit(data, hyper, cfg)
-    assert clamped.n_iters == 8
-    np.testing.assert_array_equal(clamped.objective_trace, plain.objective_trace)
-    np.testing.assert_array_equal(clamped.state.theta, plain.state.theta)
-    np.testing.assert_array_equal(clamped.state.loadings, plain.state.loadings)
-    for d_clamped, d_plain in zip(clamped.state.intercepts, plain.state.intercepts):
-        np.testing.assert_array_equal(d_clamped, d_plain)
+    assert clipped.n_iters == 8
+    np.testing.assert_array_equal(clipped.objective_trace, plain.objective_trace)
+    np.testing.assert_array_equal(clipped.state.theta, plain.state.theta)
+    np.testing.assert_array_equal(clipped.state.loadings, plain.state.loadings)
+    for d_clipped, d_plain in zip(clipped.state.intercepts, plain.state.intercepts):
+        np.testing.assert_array_equal(d_clipped, d_plain)
 
 
 @pytest.mark.usefixtures("fork_any_fit")
@@ -811,15 +877,16 @@ def test_fit_with_overflowing_cells_warns_on_no_thread(threads):
 
 
 def test_missing_cells_read_brackets_that_add_exactly_zero():
-    # an unobserved cell's category reads the bracket (+inf, -inf) on items
-    # with one intercept and with Dmax of them; its cells are exactly
-    # (1.0, 0.0) at any z, so it adds exactly 0.0 to the row log-likelihood,
-    # the loading or factor-score gradient and the intercept gradient
+    # an unobserved cell's category reads the bracket (+inf, -inf), 0.0 and
+    # +inf in exp form, on items with one intercept and with Dmax of them;
+    # its cells are exactly (1.0, 0.0) at any z, so it adds exactly 0.0 to
+    # the row log-likelihood, the loading or factor-score gradient and the
+    # intercept gradient
     d_pad = eng.pad_intercepts([np.array([0.4]), np.array([2.0, 0.5, -0.3, -1.8]),
                                 np.array([1.1, -0.6])])
     nt = np.array([1, 4, 2])
     valid = np.arange(4)[None, :] < nt[:, None]
-    zs = np.array([-700.0, -30.0, 0.0, 30.0, 700.0])
+    zs = np.array([-1e300, -700.0, -30.0, 0.0, 30.0, 700.0, 1e300])
     n = 4 * zs.size
     rng = np.random.default_rng(3)
     responses = rng.integers(0, nt + 1, size=(n, nt.size))
@@ -827,13 +894,15 @@ def test_missing_cells_read_brackets_that_add_exactly_zero():
     mask = (np.arange(n)[:, None] + np.arange(nt.size)[None, :]) % 2 == 0
     yt = eng.item_categories(responses, mask, d_pad.shape[1])
     missing = ~mask.T
-    du, dl = eng.take_brackets(eng.bracket_table(d_pad, valid), eng.cell_index(yt, 4))
-    np.testing.assert_array_equal(du[missing], np.inf)
-    np.testing.assert_array_equal(dl[missing], -np.inf)
-    assert np.all(np.isfinite(du[~missing]) | np.isfinite(dl[~missing]))
+    eu, el = eng.take_brackets(eng.bracket_table(d_pad, valid), eng.cell_index(yt, 4))
+    np.testing.assert_array_equal(eu[missing], 0.0)
+    np.testing.assert_array_equal(el[missing], np.inf)
+    # an observed cell reads at least one finite, nonzero bracket
+    finite = [(e > 0.0) & np.isfinite(e) for e in (eu[~missing], el[~missing])]
+    assert np.all(finite[0] | finite[1])
 
     z = np.tile(np.repeat(zs, 4), (nt.size, 1))
-    _, cu, cl = eng.cell_loglik(z, du, dl)
+    _, cu, cl = eng.cell_loglik(eng.exp_neg(z), eu, el)
     np.testing.assert_array_equal(cu[missing], 1.0)
     np.testing.assert_array_equal(cl[missing], 0.0)
 
