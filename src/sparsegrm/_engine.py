@@ -172,8 +172,9 @@ def adjacent_cums(ez, eu, el):
     propagates.  A finite product may overflow to +inf, giving 0.0.
     """
     with np.errstate(over="ignore"):
-        cu = np.add(np.multiply(ez, eu), 1.0)
-        cl = np.add(np.multiply(ez, el), 1.0)
+        cu, cl = np.multiply(ez, eu), np.multiply(ez, el)
+        np.add(cu, 1.0, out=cu)
+        np.add(cl, 1.0, out=cl)
         return np.divide(1.0, cu, out=cu), np.divide(1.0, cl, out=cl)
 
 
