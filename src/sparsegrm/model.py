@@ -6,8 +6,9 @@ logits.  For respondent i and item j with C_j ordered categories,
     P(Y_ij >= c) = logit^{-1}(theta_i' a_j + d_jc),   c = 1, ..., C_j - 1,
 
 with P(Y_ij >= 0) = 1 and P(Y_ij >= C_j) = 0, and category probabilities
-obtained by differencing.  logit^{-1} is inverse_logit, the package's one
-logistic: the kernel in _engine and the sampler in simulate call it too.
+obtained by differencing.  logit^{-1} is inverse_logit, the logistic of
+the per-cell reference here and of the sampler in simulate; the fit's kernel
+(_engine.adjacent_cums) takes it in the form 1 / (1 + e^{-z} e^{-d}).
 The objective adds a multivariate normal prior on each theta_i, an
 elementwise Laplace prior on each loading vector a_j, and a wide normal
 prior on each intercept vector d_j.

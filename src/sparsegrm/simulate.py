@@ -4,7 +4,8 @@ True parameters follow the sparse design: an exchangeable factor
 correlation matrix, a binary structure matrix that puts 60/20/20 percent
 of items on one, two, and three factors and masks the loadings, and the
 generating distributions of sparsegrm.model.  Responses are sampled from
-the model exactly, through model.inverse_logit, the logistic the fits use.
+the model exactly, through model.inverse_logit, the per-cell reference's
+logistic.
 """
 
 from __future__ import annotations

@@ -732,15 +732,14 @@ def test_kernel_sigmoid_agrees_with_expit():
     # clipped z; past +-Z_CLIP they are the cells of +-Z_CLIP
     z = np.linspace(-745.0, 745.0, 298_001)
     one = np.ones_like(z)
-    cu, cl = eng.adjacent_cums(eng.exp_neg(z), one, one)
+    got = eng.adjacent_cums(eng.exp_neg(z), one, one)[0]
     want = expit(np.clip(z, -eng.Z_CLIP, eng.Z_CLIP))
-    for got in (cu, cl):
-        ulps = np.abs(got - want) / np.spacing(want)
-        # numpy's exp is within about 1 ulp, and 1 / (1 + t) passes that on,
-        # doubled at worst where the reciprocal lands in the lower binade;
-        # where exp(-x) passes 2**53, 1 + exp(-x) rounds to an even integer
-        assert ulps.max() <= 4.0
-        assert ulps[np.abs(z + 36.9) > 1.0].max() <= 2.0
+    ulps = np.abs(got - want) / np.spacing(want)
+    # numpy's exp is within about 1 ulp, and 1 / (1 + t) passes that on,
+    # doubled at worst where the reciprocal lands in the lower binade;
+    # where exp(-x) passes 2**53, 1 + exp(-x) rounds to an even integer
+    assert ulps.max() <= 4.0
+    assert ulps[np.abs(z + 36.9) > 1.0].max() <= 2.0
 
 
 def test_kernel_sigmoid_is_within_4_ulp_of_an_extended_precision_oracle():
@@ -861,14 +860,18 @@ def test_fit_is_bit_identical_to_the_plain_kernel_sigmoid(monkeypatch, threads):
 @pytest.mark.usefixtures("fork_any_fit")
 @pytest.mark.parametrize("threads", [1, 2])
 def test_fit_with_overflowing_cells_warns_on_no_thread(threads):
-    # factor scores scaled by 400 put cells at z + d far below -710, where
-    # exp(-(z + d)) overflows; numpy's error state is per thread, so the
-    # kernel must set it in the worker that computes, not in the caller
+    # factor scores scaled by 400 put cells at z + d far below -710, and
+    # intercepts scaled by 20 reach below -10, so even from z clipped to
+    # -Z_CLIP the kernel's product e^-z e^-d overflows; numpy's error state
+    # is per thread, so the kernel must set it in the worker that computes,
+    # not in the caller
     data, hyper = sim_small(seed=20)
     init = random_init(data, hyper, seed=0)
     init.theta *= 400.0
+    init.intercepts = [20.0 * d for d in init.intercepts]
     z = init.theta @ init.loadings.T
     assert (z.min() + max(d.max() for d in init.intercepts)) < -710.0
+    assert -eng.Z_CLIP + min(d.min() for d in init.intercepts) < -710.0
     cfg = FitConfig(max_outer_iters=3, obj_tol=1e-9, threads=threads)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
