@@ -23,21 +23,17 @@ same products in the same k order in both.
 
 Intercept vectors of unequal length are stored in a zero-padded J x Dmax
 matrix; the J x Dmax boolean mask valid marks its real entries.  Item j's
-brackets are the row b = [+inf, d_1, ..., d_{C_j-1}, -inf, ..., -inf, +inf,
--inf]: category y lies between columns y and y + 1, which states
-P(Y >= 0) = 1 and P(Y >= C_j) = 0 as intercepts.  The kernel reads them
-from :func:`bracket_table` in exp form, e^{-b} = [0, e^{-d_1}, ...,
-e^{-d_{C_j-1}}, +inf, ..., +inf, 0, +inf], and takes a cell's cumulative
-probability sigma(z + d) as 1 / (1 + e^{-z} e^{-d}) (:func:`adjacent_cums`):
-one exp per cell for both brackets, and none per intercept candidate, as
-d_block's z is fixed.  :func:`exp_neg` computes e^{-z} with z clipped to
-+-Z_CLIP, so e^{-z} is finite and positive and a product with a 0 or +inf
-bracket is exactly 0 or +inf: cells are exactly 1.0 at a +inf bracket and
-0.0 at a -inf one, at any z.  Past the clip, a z gives the cells of
-+-Z_CLIP, and a finite d whose e^{-d} overflows acts as a -inf bracket.
-An unobserved cell has category Dmax + 2 (:func:`item_categories`), so its
-cells are exactly (1.0, 0.0) and it adds 0.0 to every sum: no function takes
-the missingness mask.  A cell reads both columns at one flat index
+brackets are [+inf, d_1, ..., d_{C_j-1}, -inf, ..., -inf, +inf, -inf]:
+category y lies between columns y and y + 1, which states P(Y >= 0) = 1
+and P(Y >= C_j) = 0 as intercepts.  :func:`bracket_table` holds them as
+e^{-d} (0 at +inf, +inf at -inf), and :func:`adjacent_cums` takes
+sigma(z + d) = 1 / (1 + e^{-z} e^{-d}): one exp per cell, none per
+intercept candidate.  :func:`exp_neg` clips z to +-Z_CLIP, so e^{-z} is
+finite and positive and the cells are exactly 1.0 and 0.0 at the infinite
+brackets; a z past the clip gives the cells of +-Z_CLIP, and a finite d
+whose e^{-d} overflows acts as -inf.  An unobserved cell has category
+Dmax + 2 (:func:`item_categories`), so its cells are exactly (1.0, 0.0) and
+it adds 0.0 to every sum: no function takes the missingness mask.  A cell reads both columns at one flat index
 (:func:`cell_index`, :func:`take_brackets`).  optimizer._Workspace states
 this layout once per data set (valid, categories, flat indices); only
 d_block's candidate tables compute flat indices again.  Padded entries are
