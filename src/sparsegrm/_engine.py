@@ -34,7 +34,7 @@ brackets; a z past the clip gives the cells of +-Z_CLIP, and a finite d
 whose e^{-d} overflows acts as -inf.  An unobserved cell has category
 Dmax + 2 (:func:`item_categories`), so its cells are exactly (1.0, 0.0) and
 it adds 0.0 to every sum: no function takes the missingness mask.  A cell reads both columns at one flat index
-(:func:`cell_index`, :func:`take_brackets`).  optimizer._Workspace states
+(:func:`cell_index`, :func:`take_brackets`).  optimizer._FitArrays states
 this layout once per data set (valid, categories, flat indices); only
 d_block's candidate tables compute flat indices again.  Padded entries are
 exactly 0.0: pad_intercepts zero-fills them and d_block's proposals keep
@@ -395,11 +395,13 @@ def d_block(a_rows, th_t, d_rows, valid, yt, cu, cl, sigma_d_sq, step=None):
 # full objective
 
 
-def item_loglik(a, d_pad, valid, th_t, idx_t, blocks, out=None):
+def item_loglik(a, d_pad, valid, theta, idx_t, blocks, out=None):
     """Each item's cell_loglik row sum over an item-major data set, at its
-    flat indices idx_t, evaluated block by block over the item slices
-    blocks; the cells (cu, cl) go to the pair of arrays out when given."""
+    flat indices idx_t against the theta rows (N x K), evaluated block by
+    block over the item slices blocks; the cells (cu, cl) go to the pair of
+    arrays out when given."""
     table = bracket_table(d_pad, valid)
+    th_t = np.ascontiguousarray(theta.T)
     ll = np.empty(len(a))
     for items in blocks:
         ll[items], cu, cl = cell_loglik(exp_neg(outer_sum(a[items], th_t)),
@@ -409,19 +411,20 @@ def item_loglik(a, d_pad, valid, th_t, idx_t, blocks, out=None):
     return ll
 
 
-def objective(ll_items, a, d_pad, valid, th_t, hyper):
-    """Objective from the items' row log-likelihoods and hyper's priors.
+def objective(ll_items, a, d_pad, valid, theta, hyper):
+    """Objective from the items' row log-likelihoods, the theta rows (N x K)
+    and hyper's priors.
 
     ll_items holds each item's log-likelihood as item_loglik or d_block
     computes it; fit's trace and full_objective both sum them here, so an
     iterate's trace entry and its full_objective agree bit for bit.
     """
-    k, n = th_t.shape
+    n, k = theta.shape
     lam, sigma_d_sq = hyper.lam, hyper.sigma_d_sq
 
     ll = float(np.sum(ll_items))
 
-    quad = quad_form_rows(np.ascontiguousarray(th_t.T), hyper.sigma_theta_inv)
+    quad = quad_form_rows(theta, hyper.sigma_theta_inv)
     prior_theta = n * (-0.5 * k * np.log(2.0 * np.pi)
                        - 0.5 * hyper.log_det_sigma_theta) - 0.5 * float(np.sum(quad))
 
@@ -436,13 +439,14 @@ def objective(ll_items, a, d_pad, valid, th_t, hyper):
     return float(ll + prior_theta + prior_a + prior_d)
 
 
-def full_objective(a, d_pad, valid, th_t, idx_t, hyper, blocks, out=None):
-    """Objective of the whole data set; its item-major cells (cu, cl) go to out.
+def full_objective(a, d_pad, valid, theta, idx_t, hyper, blocks, out=None):
+    """Objective of the whole data set at the theta rows (N x K); its
+    item-major cells (cu, cl) go to out.
 
     One deterministic pass (item_loglik) over the item slices blocks, whose
     partition changes no bit.  Matches the per-cell reference implementation
     up to floating-point addition order; fit calls it at the start only,
     and takes later trace entries from d_block's row values.
     """
-    ll = item_loglik(a, d_pad, valid, th_t, idx_t, blocks, out)
-    return objective(ll, a, d_pad, valid, th_t, hyper)
+    ll = item_loglik(a, d_pad, valid, theta, idx_t, blocks, out)
+    return objective(ll, a, d_pad, valid, theta, hyper)

@@ -44,6 +44,9 @@ class ResponseData:
         categories = np.atleast_1d(np.asarray(self.categories))
         if responses.ndim != 2:
             raise ValueError("responses must be a 2-D matrix")
+        if 0 in responses.shape:
+            raise ValueError(f"responses must have at least one row and one item, "
+                             f"got shape {responses.shape}")
         if self.mask.shape != responses.shape:
             raise ValueError(
                 f"mask shape {self.mask.shape} != responses shape {responses.shape}"
@@ -196,15 +199,10 @@ def load_responses(path: str, categories=None) -> ResponseData:
 
 def save_responses(path: str, data: ResponseData, comments=()) -> None:
     """Write a response matrix in the format accepted by :func:`load_responses`."""
+    cells = np.where(data.mask, data.responses.astype(str), MISSING_TOKEN)
     with open(path, "w") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        for i in range(data.n_respondents):
-            cells = [
-                str(int(data.responses[i, j])) if data.mask[i, j] else MISSING_TOKEN
-                for j in range(data.n_items)
-            ]
-            fh.write(",".join(cells) + "\n")
+        fh.writelines(f"# {line}\n" for line in comments)
+        fh.writelines(",".join(row) + "\n" for row in cells.tolist())
 
 
 def split_row_indices(n_rows: int, train_fraction: float, seed: int):
@@ -222,11 +220,9 @@ def split_row_indices(n_rows: int, train_fraction: float, seed: int):
 def take_rows(data: ResponseData, rows) -> ResponseData:
     """Extract a row subset as a new ResponseData."""
     rows = np.asarray(rows, dtype=np.int64)
-    return ResponseData(
-        responses=data.responses[rows].copy(),
-        mask=data.mask[rows].copy(),
-        categories=data.categories.copy(),
-    )
+    # fancy indexing copies the rows and mask, and ResponseData the categories
+    return ResponseData(responses=data.responses[rows], mask=data.mask[rows],
+                        categories=data.categories)
 
 
 def split_rows(data: ResponseData, train_fraction: float, seed: int):

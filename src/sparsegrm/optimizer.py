@@ -21,17 +21,18 @@ Respondent and item updates inside a phase are independent, so they run
 over contiguous blocks of rows.  A block holds at most about BLOCK_CELLS
 cells, so no array of the loop is larger than a block: each block gathers
 its own cells' brackets from the J x (Dmax + 4) table of e^{-d} built once
-per iteration.  Each fit keeps one set of arrays (rows, steps, item
-log-likelihoods, cells, bracket table, a' and theta'), and each block reads
-its rows and writes its results back in place.  A fit of more than
+per iteration.  Each fit keeps one set of arrays (_FitArrays: rows, steps,
+item log-likelihoods, cells and bracket table), and each block reads its
+rows and writes its results back in place; each phase's task builds a' or
+theta' once from the rows that phase does not write.  A fit of more than
 FORK_CELLS cells in the main process forks min(threads, usable CPUs) worker
 processes when that is two or more (sparsegrm._pool; a fit run as a pool
 task forks none), the arrays live in shared mappings, the block count is
 rounded up to a multiple of the workers, and each phase hands every worker
 one contiguous share of its blocks; between phases the parent refreshes the
-bracket table, a' and theta' and sums the objective.  Otherwise the blocks
-run in this process, in order.  The block arithmetic is written so the
-result is bit-identical for any thread count, worker count and block bound.
+bracket table and sums the objective.  Otherwise the blocks run in this
+process, in order.  The block arithmetic is written so the result is
+bit-identical for any thread count, worker count and block bound.
 """
 
 from __future__ import annotations
@@ -118,57 +119,12 @@ def soft_threshold(z, t):
     return eng.soft_threshold(np.asarray(z, dtype=np.float64), t)
 
 
-class _Workspace:
-    """The data set's layout, stated once for every engine call.
-
-    valid (J x Dmax) marks the real columns of the zero-padded intercepts:
-    item j has C_j - 1 of them.  yt holds the item-major categories, with
-    the engine's category for an unobserved cell where data.mask is False
-    (_engine.item_categories), so no phase reads the mask.  idx_t holds each
-    cell's item-major flat index j * (Dmax + 4) + y into the J x (Dmax + 4)
-    bracket table (_engine.cell_index).
-    """
-
-    def __init__(self, data: ResponseData):
-        nt = data.categories - 1
-        dmax = int(nt.max())
-        self.valid = np.arange(dmax)[None, :] < nt[:, None]
-        self.yt = eng.item_categories(data.responses, data.mask, dmax)
-        self.idx_t = eng.cell_index(self.yt, dmax)
-
-
-def _prepare(data: ResponseData, state: ModelState,
-             hyper: Hyperparameters | None = None):
-    """(workspace, padded intercepts, theta') of state, after the shape check.
-
-    theta' is a C-ordered copy, never a view of state.theta (a view where
-    K is 1 or theta is F-ordered), so fit may write it in place.  Raises
-    unless state fits data (and hyper's factor count, when given).
-    """
-    if state.n_respondents != data.n_respondents:
-        raise ValueError(
-            f"state has {state.n_respondents} respondents, data has "
-            f"{data.n_respondents}"
-        )
-    if state.n_items != data.n_items:
-        raise ValueError(
-            f"state has {state.n_items} items, data has {data.n_items}"
-        )
-    if hyper is not None and state.n_factors != hyper.n_factors:
-        raise ValueError(
-            f"state has K={state.n_factors}, hyper has K={hyper.n_factors}"
-        )
-    state.check_categories(data.categories)
-    return (_Workspace(data), eng.pad_intercepts(state.intercepts),
-            np.array(state.theta.T, order="C"))
-
-
 def objective_value(data: ResponseData, state: ModelState,
                     hyper: Hyperparameters) -> float:
     """Objective as computed inside fit (identical code path to the trace)."""
-    ws, d_pad, th_t = _prepare(data, state, hyper)
-    return eng.full_objective(state.loadings, d_pad, ws.valid, th_t, ws.idx_t, hyper,
-                              _blocks(*ws.idx_t.shape, 1))
+    f = _FitArrays(data, state, hyper)
+    return eng.full_objective(f.loadings, f.d_pad, f.valid, f.theta, f.idx_t, hyper,
+                              _blocks(*f.idx_t.shape, 1))
 
 
 def log_likelihood_value(data: ResponseData, state: ModelState) -> float:
@@ -176,9 +132,9 @@ def log_likelihood_value(data: ResponseData, state: ModelState) -> float:
 
     Equals model.log_likelihood up to floating-point addition order.
     """
-    ws, d_pad, th_t = _prepare(data, state)
-    return float(np.sum(eng.item_loglik(state.loadings, d_pad, ws.valid, th_t, ws.idx_t,
-                                        _blocks(*ws.idx_t.shape, 1))))
+    f = _FitArrays(data, state)
+    return float(np.sum(eng.item_loglik(f.loadings, f.d_pad, f.valid, f.theta, f.idx_t,
+                                        _blocks(*f.idx_t.shape, 1))))
 
 
 def _blocks(rows: int, width: int, workers: int):
@@ -206,31 +162,61 @@ def random_init(data: ResponseData, hyper: Hyperparameters,
 
 
 class _FitArrays:
-    """The arrays of one fit, which every block reads and writes in place.
+    """The engine-facing form of a data set and a state: the data set's
+    layout and the arrays of one fit, which every block reads and writes in
+    place.
 
-    Allocated before the fit's workers fork: with workers, the arrays that
-    change during the fit live in anonymous shared mappings
-    (_pool.shared_array); the workspace, the respondent-major index idx and
-    hyper are read only, so each worker's inherited copy serves.  The
-    item-major cells cu_t, cl_t are allocated here and filled by fit's
-    start pass.
+    valid (J x Dmax) marks the real columns of the zero-padded intercepts
+    d_pad: item j has C_j - 1 of them.  yt holds the item-major categories,
+    with the engine's category for an unobserved cell where data.mask is
+    False (_engine.item_categories), so no phase reads the mask.  idx_t
+    holds each cell's item-major flat index j * (Dmax + 4) + y into the
+    J x (Dmax + 4) bracket table (_engine.cell_index), and idx its
+    respondent-major transpose, which the theta phase reads.  theta and
+    loadings are C-ordered copies, so a fit never writes its start.  The
+    item-major cells cu_t, cl_t are allocated here and filled by a start
+    pass (fit's full_objective).
+
+    Raises unless state fits data (and hyper's factor count, when given).
+    Built before a fit's workers fork: with shared, the arrays that change
+    during the fit live in anonymous shared mappings (_pool.shared_array);
+    the layout and hyper are read only, so each worker's inherited copy
+    serves.
     """
 
-    def __init__(self, ws, hyper, init, d_pad, th_t, shared):
+    def __init__(self, data: ResponseData, state: ModelState,
+                 hyper: Hyperparameters | None = None, shared: bool = False):
+        if state.n_respondents != data.n_respondents:
+            raise ValueError(
+                f"state has {state.n_respondents} respondents, data has "
+                f"{data.n_respondents}"
+            )
+        if state.n_items != data.n_items:
+            raise ValueError(
+                f"state has {state.n_items} items, data has {data.n_items}"
+            )
+        if hyper is not None and state.n_factors != hyper.n_factors:
+            raise ValueError(
+                f"state has K={state.n_factors}, hyper has K={hyper.n_factors}"
+            )
+        state.check_categories(data.categories)
         share = _pool.shared_array if shared else (lambda a: a)
-        self.ws, self.hyper = ws, hyper
-        self.idx = np.ascontiguousarray(ws.idx_t.T)  # read by the theta phase only
-        # a fit never writes its start: theta and loadings are C-ordered copies
-        self.theta = share(np.array(init.theta, dtype=np.float64, order="C"))
-        self.loadings = share(np.array(init.loadings, dtype=np.float64, order="C"))
-        self.d_pad, self.th_t = share(d_pad), share(th_t)
-        self.cu_t, self.cl_t = (share(np.zeros(ws.idx_t.shape)) for _ in range(2))
-        # the bracket table and a' of the current intercepts and loadings
-        self.table = share(eng.bracket_table(d_pad, ws.valid))
-        self.a_t = share(np.ascontiguousarray(self.loadings.T))
+        nt = data.categories - 1
+        dmax = int(nt.max())
+        self.valid = np.arange(dmax)[None, :] < nt[:, None]
+        self.yt = eng.item_categories(data.responses, data.mask, dmax)
+        self.idx_t = eng.cell_index(self.yt, dmax)
+        self.idx = np.ascontiguousarray(self.idx_t.T)
+        self.hyper = hyper
+        self.theta = share(np.array(state.theta, dtype=np.float64, order="C"))
+        self.loadings = share(np.array(state.loadings, dtype=np.float64, order="C"))
+        self.d_pad = share(eng.pad_intercepts(state.intercepts))
+        self.cu_t, self.cl_t = (share(np.zeros(self.idx_t.shape)) for _ in range(2))
+        # the bracket table of the current intercepts
+        self.table = share(eng.bracket_table(self.d_pad, self.valid))
         # each respondent's and item's last accepted steps start their next
         # searches; rows are independent, so blocking cannot change a bit
-        n, j = len(self.theta), len(self.loadings)
+        n, j = self.idx.shape
         self.theta_step, self.a_step, self.d_step = (
             share(np.full(rows, eng.GAMMA0)) for rows in (n, j, j))
         self.ll_items = share(np.zeros(j))
@@ -246,33 +232,44 @@ def _bind(arrays: _FitArrays) -> None:
     _ARRAYS = arrays
 
 
-def _theta_blocks(f: _FitArrays, blocks) -> None:
-    """Update the respondent rows of each block of blocks, in place.
+def _theta_args(f: _FitArrays, rows, a_t) -> tuple:
+    """theta_block's arrays for the respondents rows against a' a_t: their
+    theta rows, a_t, their brackets and C-contiguous copies of their columns
+    of the cells (a row sum over a transposed view adds in another order)."""
+    return (f.theta[rows], a_t, *eng.take_brackets(f.table, f.idx[rows]),
+            *(np.ascontiguousarray(c[:, rows].T) for c in (f.cu_t, f.cl_t)))
 
-    A block works on a C-contiguous copy of its columns of the cells (a row
-    sum over a transposed view adds in another order) and writes them back.
-    """
+
+def _item_args(f: _FitArrays, items, th_t) -> tuple:
+    """a_block's arrays for the items against theta' th_t, then d_block's
+    after the loadings and theta'.  Both take the items' rows of f's cells
+    (views, for a fit's block slices), which their line searches write."""
+    cu, cl = f.cu_t[items], f.cl_t[items]
+    return ((f.loadings[items], th_t, *eng.take_brackets(f.table, f.idx_t[items]), cu, cl),
+            (f.d_pad[items], f.valid[items], f.yt[items], cu, cl))
+
+
+def _theta_blocks(f: _FitArrays, blocks) -> None:
+    """Update the respondent rows of each block of blocks, in place, and
+    write back their cells."""
+    a_t = np.ascontiguousarray(f.loadings.T)
     for rows in blocks:
-        cu, cl = (np.ascontiguousarray(c[:, rows].T) for c in (f.cu_t, f.cl_t))
+        *args, cu, cl = _theta_args(f, rows, a_t)
         f.theta[rows], f.theta_step[rows] = eng.theta_block(
-            f.theta[rows], f.a_t, *eng.take_brackets(f.table, f.idx[rows]), cu, cl,
-            f.hyper.sigma_theta_inv, f.theta_step[rows])
+            *args, cu, cl, f.hyper.sigma_theta_inv, f.theta_step[rows])
         f.cu_t[:, rows], f.cl_t[:, rows] = cu.T, cl.T
 
 
 def _item_blocks(f: _FitArrays, blocks) -> None:
     """Update the loading, then the intercept rows of each block of blocks, in
     place; the line searches write the block's rows of the cells directly."""
-    ws = f.ws
+    th_t = np.ascontiguousarray(f.theta.T)
     for items in blocks:
-        cu, cl = f.cu_t[items], f.cl_t[items]
-        a_new, f.a_step[items] = eng.a_block(
-            f.loadings[items], f.th_t, *eng.take_brackets(f.table, ws.idx_t[items]), cu, cl,
-            f.hyper.lam, f.a_step[items])
+        a_args, d_args = _item_args(f, items, th_t)
+        a_new, f.a_step[items] = eng.a_block(*a_args, f.hyper.lam, f.a_step[items])
         f.loadings[items] = a_new
         f.d_pad[items], f.d_step[items], f.ll_items[items] = eng.d_block(
-            a_new, f.th_t, f.d_pad[items], ws.valid[items], ws.yt[items], cu, cl,
-            f.hyper.sigma_d_sq, f.d_step[items])
+            a_new, th_t, *d_args, f.hyper.sigma_d_sq, f.d_step[items])
 
 
 def _bound(task, blocks) -> None:
@@ -308,15 +305,13 @@ def fit(data: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
     t0 = time.perf_counter()
     if init is None:
         init = random_init(data, hyper, cfg.seed)
-    ws, d_pad, th_t = _prepare(data, init, hyper)
-    workers = _pool.pool_workers(cfg.threads) if ws.idx_t.size > FORK_CELLS else 0
-    f = _FitArrays(ws, hyper, init, d_pad, th_t, shared=workers > 0)
-    del d_pad, th_t  # f holds them, or their shared copies
+    workers = _pool.pool_workers(cfg.threads) if data.responses.size > FORK_CELLS else 0
+    f = _FitArrays(data, init, hyper, shared=workers > 0)
     n = max(workers, 1)
-    row_blocks, item_blocks = (_blocks(*shape, n) for shape in (f.idx.shape, ws.idx_t.shape))
+    row_blocks, item_blocks = (_blocks(*shape, n) for shape in (f.idx.shape, f.idx_t.shape))
 
     # f.cu_t, f.cl_t: the item-major cells at the current iterate
-    trace = [eng.full_objective(f.loadings, f.d_pad, ws.valid, f.th_t, ws.idx_t, hyper,
+    trace = [eng.full_objective(f.loadings, f.d_pad, f.valid, f.theta, f.idx_t, hyper,
                                 item_blocks, (f.cu_t, f.cl_t))]
     if not np.isfinite(trace[0]):
         raise ValueError("objective is not finite at the starting state")
@@ -324,12 +319,10 @@ def fit(data: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
 
     with _pool.task_pool(workers, _bind, (f,)) as pool:
         for _ in range(cfg.max_outer_iters):
-            f.table[...] = eng.bracket_table(f.d_pad, ws.valid)
-            f.a_t[...] = f.loadings.T
+            f.table[...] = eng.bracket_table(f.d_pad, f.valid)
             _phase(pool, _theta_blocks, f, row_shares)
-            f.th_t[...] = f.theta.T
             _phase(pool, _item_blocks, f, item_shares)
-            obj = eng.objective(f.ll_items, f.loadings, f.d_pad, ws.valid, f.th_t, hyper)
+            obj = eng.objective(f.ll_items, f.loadings, f.d_pad, f.valid, f.theta, hyper)
             if not np.isfinite(obj):
                 raise ValueError("objective became non-finite during fitting")
             trace.append(obj)
@@ -342,7 +335,7 @@ def fit(data: ResponseData, hyper: Hyperparameters, cfg: FitConfig,
     state = ModelState(
         theta=own(f.theta),
         loadings=own(f.loadings),
-        intercepts=eng.unpad_intercepts(f.d_pad, ws.valid),
+        intercepts=eng.unpad_intercepts(f.d_pad, f.valid),
     )
     return FitResult(
         state=state,
@@ -379,23 +372,18 @@ def _row_args(data: ResponseData, state: ModelState,
 
     phase "theta" gives theta_block's arguments up to sinv; "a" gives
     a_block's before lam (hyper may be None); "d" gives d_block's up to
-    sigma_d_sq.  The cells (cu, cl) among them are evaluated once here, by
-    the kernel fit uses; the gradient heads read them.
+    sigma_d_sq.  The arrays among them are the ones a fit's block at these
+    rows gets (_theta_args, _item_args), after fit's start pass without the
+    priors (item_loglik) has filled the cells, which the gradient heads read.
     """
-    ws, d_pad, th_t = _prepare(data, state, hyper)
-    table = eng.bracket_table(d_pad, ws.valid)
+    f = _FitArrays(data, state, hyper)
+    eng.item_loglik(f.loadings, f.d_pad, f.valid, f.theta, f.idx_t,
+                    _blocks(*f.idx_t.shape, 1), (f.cu_t, f.cl_t))
     if phase == "theta":
-        x, vt = state.theta[rows], np.ascontiguousarray(state.loadings.T)
-        idx = ws.idx_t[:, rows].T
-    else:
-        x, vt, idx = state.loadings[rows], th_t, ws.idx_t[rows]
-    eu, el = eng.take_brackets(table, idx)
-    cells = eng.cell_loglik(eng.exp_neg(eng.outer_sum(x, vt)), eu, el)[1:]
-    if phase == "theta":
-        return (x, vt, eu, el, *cells, hyper.sigma_theta_inv)
-    if phase == "a":
-        return (x, vt, eu, el, *cells)
-    return (x, vt, d_pad[rows], ws.valid[rows], ws.yt[rows], *cells, hyper.sigma_d_sq)
+        return (*_theta_args(f, rows, np.ascontiguousarray(f.loadings.T)),
+                hyper.sigma_theta_inv)
+    a_args, d_args = _item_args(f, rows, np.ascontiguousarray(f.theta.T))
+    return a_args if phase == "a" else (*a_args[:2], *d_args, hyper.sigma_d_sq)
 
 
 def update_theta(data: ResponseData, state: ModelState, hyper: Hyperparameters,

@@ -1,3 +1,4 @@
+import re
 import warnings
 from functools import partial
 
@@ -73,6 +74,17 @@ def test_response_data_shape_mismatch():
                      mask=np.zeros((2, 3), dtype=bool), categories=[2, 2])
 
 
+@pytest.mark.parametrize("shape,categories", [((0, 3), [2, 2, 2]), ((3, 0), [])])
+def test_response_data_rejects_an_empty_matrix(shape, categories):
+    # a fit of 0 rows or 0 items failed inside numpy, far from the input
+    with pytest.raises(ValueError, match="at least one row and one item, got shape "
+                                         + re.escape(str(shape))):
+        ResponseData(responses=np.zeros(shape, dtype=int), mask=np.ones(shape, dtype=bool),
+                     categories=categories)
+    with pytest.raises(ValueError, match=r"got shape \(0, 3\)"):
+        take_rows(small_data(), [])
+
+
 def test_qmatrix_rejects_non_binary():
     with pytest.raises(ValueError):
         QMatrix(entries=np.array([[0, 2]]))
@@ -93,6 +105,7 @@ def test_save_load_round_trip(tmp_path):
     data = small_data()
     path = tmp_path / "resp.csv"
     save_responses(path, data, comments=["round trip"])
+    assert path.read_text() == "# round trip\n0,1,3\n1,NA,2\n0,1,NA\n"
     back = load_responses(path, categories=data.categories)
     assert np.array_equal(back.responses, data.responses)
     assert np.array_equal(back.mask, data.mask)
@@ -218,7 +231,11 @@ def test_take_rows_copies():
     data = small_data()
     sub = take_rows(data, [0, 2])
     sub.responses[0, 0] = 1
+    sub.mask[0, 0] = False
+    sub.categories[0] = 3
     assert data.responses[0, 0] == 0
+    assert data.mask[0, 0]
+    assert data.categories[0] == 2
 
 
 def test_matrix_round_trip_full_precision(tmp_path):

@@ -276,23 +276,62 @@ def test_cell_bounded_blocks_are_bit_identical(monkeypatch, threads):
 def test_cells_are_bit_equal_across_orientations(monkeypatch, k, props):
     # fit hands the cells a respondent block's line search accepted to the
     # item phase's heads, and the item phase's to the next respondent heads;
-    # outer_sum multiplies the same pairs in the same k order either way
+    # outer_sum multiplies the same pairs in the same k order either way.
+    # The respondent-major cells are evaluated here as the theta line search
+    # evaluates them, the item-major ones by the start pass of _row_args
     data, hyper, _ = sim_ragged(k, props)
     init = random_init(data, hyper, seed=k)
     moved = fit(data, hyper, FitConfig(seed=k, max_outer_iters=2, obj_tol=1e-9),
                 init=init).state
     for state in (init, moved):
         items = _row_args(data, state, hyper, "a", np.arange(data.n_items))[4:6]
+        f = optimizer._FitArrays(data, state, hyper)
+        a_t = np.ascontiguousarray(f.loadings.T)
         n_blocks = []
         for bound in (64, 700, 2 ** 15):
             monkeypatch.setattr(optimizer, "BLOCK_CELLS", bound)
             blocks = optimizer._blocks(data.n_respondents, data.n_items, 1)
             n_blocks.append(len(blocks))
             for rows in blocks:
-                cells = _row_args(data, state, hyper, "theta", rows)[4:6]
+                cells = eng.cell_loglik(eng.exp_neg(eng.outer_sum(f.theta[rows], a_t)),
+                                        *eng.take_brackets(f.table, f.idx[rows]))[1:]
                 for got, want in zip(cells, items):
                     np.testing.assert_array_equal(got.T, want[:, rows])
         assert n_blocks == [38, 4, 1]
+
+    # at iteration 1 from init, every theta block gets each array _row_args
+    # builds at init for its rows, and every loading block each array it
+    # builds for its items at init with the theta rows the theta blocks
+    # returned, bit for bit
+    seen = {"theta_block": [], "a_block": []}
+
+    def spy(name):
+        block = getattr(eng, name)
+
+        def run(*args):
+            copies = [np.copy(arg) for arg in args]
+            out = block(*args)
+            seen[name].append((copies, out[0]))
+            return out
+
+        return run
+
+    for name in seen:
+        monkeypatch.setattr(eng, name, spy(name))
+    monkeypatch.setattr(optimizer, "BLOCK_CELLS", 700)
+    fit(data, hyper, FitConfig(max_outer_iters=1, obj_tol=1e-9), init=init)
+    row_blocks = optimizer._blocks(data.n_respondents, data.n_items, 1)
+    item_blocks = optimizer._blocks(data.n_items, data.n_respondents, 1)
+    assert (len(seen["theta_block"]), len(seen["a_block"])) == (4, 4)
+    mid = ModelState(theta=np.concatenate([out for _, out in seen["theta_block"]]),
+                     loadings=init.loadings, intercepts=init.intercepts)
+    for phase, state, blocks, calls in (("theta", init, row_blocks, seen["theta_block"]),
+                                        ("a", mid, item_blocks, seen["a_block"])):
+        for rows, (args, _) in zip(blocks, calls):
+            want = _row_args(data, state, hyper, phase, np.arange(rows.start, rows.stop))
+            assert len(want) == {"theta": 7, "a": 6}[phase]
+            for got, arrays in zip(args, want):
+                np.testing.assert_array_equal(got, arrays)
 
 
 @pytest.mark.usefixtures("fork_any_fit")
