@@ -26,8 +26,9 @@ class ResponseData:
     Parameters
     ----------
     responses : np.ndarray, shape (N, J)
-        Integer responses; entry (i, j) lies in {0, ..., categories[j] - 1}
-        wherever ``mask`` is 1.  Masked entries are stored as 0.
+        Integer responses of N >= 1 respondents to J >= 1 items; entry
+        (i, j) lies in {0, ..., categories[j] - 1} wherever ``mask`` is 1.
+        Masked entries are stored as 0.
     mask : np.ndarray, shape (N, J)
         1 where the response was observed, 0 where it is missing.
     categories : np.ndarray, shape (J,)
@@ -199,10 +200,14 @@ def load_responses(path: str, categories=None) -> ResponseData:
 
 def save_responses(path: str, data: ResponseData, comments=()) -> None:
     """Write a response matrix in the format accepted by :func:`load_responses`."""
-    cells = np.where(data.mask, data.responses.astype(str), MISSING_TOKEN)
+    # from Python lists, which is faster than from an N x J string array and
+    # makes no temporary of the matrix's size
+    rows = zip(data.responses.tolist(), data.mask.tolist())
     with open(path, "w") as fh:
         fh.writelines(f"# {line}\n" for line in comments)
-        fh.writelines(",".join(row) + "\n" for row in cells.tolist())
+        fh.writelines(",".join([str(v) if seen else MISSING_TOKEN
+                                for v, seen in zip(values, observed)]) + "\n"
+                      for values, observed in rows)
 
 
 def split_row_indices(n_rows: int, train_fraction: float, seed: int):
