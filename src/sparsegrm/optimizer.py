@@ -211,7 +211,7 @@ class _FitArrays:
         self.theta = share(np.array(state.theta, dtype=np.float64, order="C"))
         self.loadings = share(np.array(state.loadings, dtype=np.float64, order="C"))
         self.d_pad = share(eng.pad_intercepts(state.intercepts))
-        self.cu_t, self.cl_t = (share(np.zeros(self.idx_t.shape)) for _ in range(2))
+        self.cu_t, self.cl_t = (share(np.empty(self.idx_t.shape)) for _ in range(2))
         # the bracket table of the current intercepts
         self.table = share(eng.bracket_table(self.d_pad, self.valid))
         # each respondent's and item's last accepted steps start their next
